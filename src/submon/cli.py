@@ -148,13 +148,13 @@ def cmd_matrix(args) -> int:
                     "monoid": args.monoid,
                     "size": matrix.size,
                     "legend": legend,
-                    "rows": [list(row) for row in matrix.entries],
+                    "rows": [list(row) for row in matrix.dense()],
                 }
             )
         )
     else:
         lines = ["mask," + ",".join(legend)]
-        for mask, row in zip(legend, matrix.entries):
+        for mask, row in zip(legend, matrix.dense()):
             lines.append(mask + "," + ",".join(str(v) for v in row))
         _emit("\n".join(lines))
     return 0
@@ -219,11 +219,11 @@ def _suite_triangular(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
         diag = matrix.diagonal()
-        for i in range(matrix.size):
-            if diag[i] < 2:
-                return _fail(f"{spec}: diagonal entry {i} is {diag[i]}", 1)
-            for j in range(i + 1, matrix.size):
-                if matrix.entries[i][j]:
+        for i, row in enumerate(matrix.entries):
+            if row[-1][0] != i or diag[i] < 2:
+                return _fail(f"{spec}: diagonal entry {i} is {dict(row).get(i, 0)}", 1)
+            for j, _ in row:
+                if j > i:
                     return _fail(f"{spec}: nonzero entry above diagonal at ({i},{j})", 1)
         if is_idempotent(matrix.lattice.monoid):
             order = inclusion_order(matrix.lattice)
@@ -253,6 +253,8 @@ def _suite_recurrence(args) -> int:
 
 
 def _suite_oracle(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     specs = [args.monoid] if args.monoid else list(DEFAULT_MONOIDS)
     cases = []
     for spec in specs:

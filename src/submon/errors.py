@@ -72,5 +72,9 @@ class FormulaMismatch(SubmonError):
     """Two formulas that must agree returned different values."""
 
 
+class InvariantViolation(SubmonError):
+    """A computed object broke a structural invariant (a bug or tampered input)."""
+
+
 class NonUniqueMinimal(SubmonError):
     """A connected component had no unique minimal element."""

@@ -118,8 +118,10 @@ def validate(monoid: CayleyMonoid) -> None:
 
 
 def from_table(table, identity: int) -> CayleyMonoid:
-    """Build a validated monoid from a square table of element indices."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    """Build a validated monoid from a square table of int element indices."""
+    rows = tuple(tuple(row) for row in table)
+    if type(identity) is not int or any(type(v) is not int for row in rows for v in row):
+        raise MonoidSpecError("table entries and the identity must be integers")
     n = len(rows)
     if n == 0:
         raise ValueError("a monoid needs at least one element")
@@ -332,6 +334,8 @@ def monoid_from_json(data: dict) -> CayleyMonoid:
         size = data["size"]
     except (KeyError, TypeError) as exc:
         raise MonoidSpecError(f"JSON monoid is missing field {exc}") from exc
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise MonoidSpecError("JSON monoid: table must be a list of row lists")
     if len(table) != size:
         raise MonoidSpecError("JSON monoid: size does not match the table")
     try:

@@ -6,18 +6,20 @@ antichains of the submonoids), and the counts satisfy
 
     S_n = sum over distinct eigenvalues v of  c_v * v**n
 
-for rational coefficients c_v.  The coefficients are recovered exactly by
-solving the Vandermonde system against the first terms of the sequence.
+for rational coefficients c_v.  The coefficients are recovered exactly
+from the first terms of the sequence by a closed-form Vandermonde identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     DegenerateSystem,
+    FormulaMismatch,
+    InvariantViolation,
     NonIntegerCount,
     NonIntegerNormalization,
     NotIdempotent,
@@ -52,50 +54,37 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
     if not is_idempotent(matrix.lattice.monoid):
         raise NotIdempotent("spectral form requires an idempotent monoid")
     diag = matrix.diagonal()
-    positions: dict[int, list[int]] = {}
-    for i, d in enumerate(diag):
-        positions.setdefault(d, []).append(i)
-    for group in positions.values():
-        for a in group:
-            for b in group:
-                if b < a:
-                    assert matrix.entries[a][b] == 0, (
-                        "equal-diagonal block is not diagonal"
-                    )
-    return sorted(positions)
-
-
-def _solve_linear(matrix, rhs):
-    """Solve a square system exactly over the rationals."""
-    k = len(rhs)
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col]), None)
-        if pivot is None:
-            raise DegenerateSystem("linear system is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(k):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
-    return tuple(row[k] for row in rows)
+    for a, row in enumerate(matrix.entries):
+        for b, w in row:
+            if b != a and w and diag[b] == diag[a]:
+                raise InvariantViolation(f"equal-diagonal block is not diagonal at ({a}, {b})")
+    return sorted(set(diag))
 
 
 def solve_coefficients(eigs, prefix) -> tuple[Fraction, ...]:
     """Coefficients c with sum(c_j * eig_j**r) == prefix[r] for r < len(eigs).
 
     The system is Vandermonde in the eigenvalues, hence uniquely solvable
-    when they are distinct.
+    when they are distinct.  With p_v(x) = prod over u != v of (x - u)
+    = sum of a_r * x**r, which vanishes at every other eigenvalue,
+    sum of a_r * prefix[r] = c_v * p_v(v).
     """
     eigs = list(eigs)
     if len(set(eigs)) != len(eigs):
         raise DegenerateSystem("eigenvalues must be distinct")
     if len(prefix) != len(eigs):
         raise ValueError("need exactly one sequence term per eigenvalue")
-    rows = [[v**r for v in eigs] for r in range(len(eigs))]
-    return _solve_linear(rows, list(prefix))
+    # prod(x - u), highest power first, is prod(1 - u*x) lowest power first.
+    full = _recurrence_poly(eigs)
+    out = []
+    for v in eigs:
+        # Synthetic division by (x - v) yields a_(k-1), a_(k-2), ..., a_0.
+        acc = total = 0
+        for c, s in zip(full, reversed(prefix)):
+            acc = acc * v + c
+            total += acc * s
+        out.append(Fraction(total, prod(v - u for u in eigs if u != v)))
+    return tuple(out)
 
 
 def normalize_coefficients(eigs, coefficients) -> tuple[int, ...]:
@@ -121,7 +110,8 @@ def spectrum_of(matrix: TransferMatrix) -> Spectrum:
     eigs = eigenvalues(matrix)
     prefix = count_sequence(matrix, len(eigs) - 1).values
     coefficients = solve_coefficients(eigs, prefix)
-    assert sum(coefficients) == matrix.size, "coefficients must sum to S_0"
+    if sum(coefficients) != matrix.size:
+        raise FormulaMismatch(f"coefficients sum to {sum(coefficients)}, not S_0")
     return Spectrum(
         eigenvalues=tuple(eigs),
         coefficients=coefficients,
@@ -233,7 +223,6 @@ def chain_eigenmatrix(m: int) -> tuple[tuple[int, ...], ...]:
     monoid = make_chain(m)
     matrix = build_transfer_matrix(monoid)
     members = matrix.lattice.members
-    k = len(members)
     q = []
     for a in members:
         row = []
@@ -250,13 +239,25 @@ def chain_eigenmatrix(m: int) -> tuple[tuple[int, ...], ...]:
             row.append(value)
         q.append(tuple(row))
     q = tuple(q)
-    for i in range(k):
-        for j in range(k):
-            lhs = sum(matrix.entries[i][t] * q[t][j] for t in range(k))
-            rhs = (members[j].bit_count() + 1) * q[i][j]
-            assert lhs == rhs, f"eigenmatrix identity fails at ({i}, {j})"
-    inverse_row_sums = _solve_linear(q, [1] * k)
-    for i, total in enumerate(inverse_row_sums):
-        expected = Fraction(factorial(members[i].bit_count() + 1), 2)
-        assert total == expected, f"inverse row sum at {i} is {total}"
+    _check_chain_eigenmatrix(matrix, q)
     return q
+
+
+def _check_chain_eigenmatrix(matrix: TransferMatrix, q) -> None:
+    """The identities chain_eigenmatrix promises, checked for W and q.
+
+    q is lower triangular, so q x = 1 is solved by forward substitution."""
+    members = matrix.lattice.members
+    for i, row in enumerate(matrix.entries):
+        for j in range(len(members)):
+            lhs = sum(w * q[t][j] for t, w in row)
+            rhs = (members[j].bit_count() + 1) * q[i][j]
+            if lhs != rhs:
+                raise FormulaMismatch(f"eigenmatrix identity fails at ({i}, {j})")
+    sums: list[Fraction] = []
+    for i, q_row in enumerate(q):
+        total = Fraction(1 - sum(v * x for v, x in zip(q_row, sums)), q_row[i])
+        expected = Fraction(factorial(members[i].bit_count() + 1), 2)
+        if total != expected:
+            raise FormulaMismatch(f"inverse row sum at {i} is {total}, not {expected}")
+        sums.append(total)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InvariantViolation
 from .monoid import CayleyMonoid
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
@@ -26,15 +26,25 @@ from .submonoids import (
 
 @dataclass
 class TransferMatrix:
+    """W as sparse rows: ``entries[i]`` holds row i's nonzero weights as
+    (column, weight) pairs in ascending column order.  W(A, B) is nonzero
+    exactly when B is a subset of A, so the rows are lower triangular and
+    each ends with its diagonal pair."""
+
     lattice: SubmonoidLattice
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
+        return tuple(row[-1][1] for row in self.entries)
+
+    def dense(self) -> tuple[tuple[int, ...], ...]:
+        """The full k x k table, zeros included; built on each call."""
+        k = self.size
+        return tuple(tuple(dict(row).get(j, 0) for j in range(k)) for row in self.entries)
 
 
 @dataclass
@@ -48,16 +58,15 @@ class CountSequence:
 def build_transfer_matrix(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> TransferMatrix:
-    """Build the full weight matrix in the canonical lattice order."""
+    """Build the weight matrix in the canonical lattice order."""
     lattice = enumerate_submonoids(monoid, max_size=max_size)
     members = lattice.members
-    k = len(members)
     rows = []
     for i, a in enumerate(members):
         cond = condense(divisibility_preorder(monoid, a))
         counter = UpsetCounter(cond.order)
         class_masks = [mask_of(cls) for cls in cond.classes]
-        row = [0] * k
+        row = []
         for j in range(i + 1):
             b = members[j]
             if b & ~a:
@@ -67,30 +76,17 @@ def build_transfer_matrix(
             for c, cls_mask in enumerate(class_masks):
                 if forced & cls_mask:
                     required |= cond.order.up[c]
-            row[j] = counter.count(cond.order.full_mask & ~required)
+            row.append((j, counter.count(cond.order.full_mask & ~required)))
         rows.append(tuple(row))
-    matrix = TransferMatrix(lattice=lattice, entries=tuple(rows))
-    _check_shape(matrix)
-    return matrix
+    return TransferMatrix(lattice=lattice, entries=tuple(rows))
 
 
-def _check_shape(matrix: TransferMatrix) -> None:
-    # Lower triangular with every diagonal entry at least 2 (the empty set
-    # and the submonoid itself are always ideals).
-    for i in range(matrix.size):
-        assert matrix.entries[i][i] >= 2, f"diagonal entry {i} below 2"
-        for j in range(i + 1, matrix.size):
-            assert matrix.entries[i][j] == 0, f"entry ({i},{j}) above the diagonal"
-
-
-def _sparse_rows(matrix: TransferMatrix):
-    return [
-        tuple((j, w) for j, w in enumerate(row) if w) for row in matrix.entries
-    ]
-
-
-def _matvec(sparse_rows, vector):
-    return [sum(w * vector[j] for j, w in row) for row in sparse_rows]
+def walk(rows, vector, steps: int):
+    """Yield W v, W^2 v, ..., W^steps v for W given as sparse rows of
+    (column, weight) pairs.  The one walk-counting loop of the package."""
+    for _ in range(steps):
+        vector = [sum(w * vector[j] for j, w in row) for row in rows]
+        yield vector
 
 
 def count_sequence(
@@ -102,14 +98,11 @@ def count_sequence(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    sparse = _sparse_rows(matrix)
-    vector = [1] * matrix.size
     values = [matrix.size]
-    for _ in range(n_max):
-        vector = _matvec(sparse, vector)
-        values.append(sum(vector))
-    for prev, nxt in zip(values, values[1:]):
-        assert 0 < prev <= nxt, "counts must be positive and nondecreasing"
+    values += [sum(v) for v in walk(matrix.entries, [1] * matrix.size, n_max)]
+    for n, (prev, nxt) in enumerate(zip(values, values[1:])):
+        if not 0 < prev <= nxt:
+            raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")
     return CountSequence(values=tuple(values), label=label)
 
 
@@ -125,11 +118,10 @@ def counts_by_projection(matrix: TransferMatrix, n: int, row: int, col: int) -> 
         raise IndexOutOfRange(f"indices ({row}, {col}) outside 0..{k - 1}")
     if n < 0:
         raise IndexOutOfRange("power must be >= 0")
-    sparse = _sparse_rows(matrix)
     vector = [0] * k
     vector[col] = 1
-    for _ in range(n):
-        vector = _matvec(sparse, vector)
+    for vector in walk(matrix.entries, vector, n):
+        pass
     return vector[row]
 
 
@@ -156,8 +148,8 @@ def asymptotics(matrix: TransferMatrix) -> AsymptoticProfile:
     longest = {}
     for i in attaining:
         best = 0
-        for j, w in enumerate(matrix.entries[i][:i]):
-            if w and j in attaining_set:
+        for j, _ in matrix.entries[i][:-1]:
+            if j in attaining_set:
                 best = max(best, longest[j] + 1)
         longest[i] = best
     degree = max(longest.values()) if longest else 0

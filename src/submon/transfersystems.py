@@ -10,10 +10,11 @@ weighted graph whose walk counts enumerate systems on lattice x chain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonUniqueMinimal, SizeLimitExceeded
+from .errors import InvariantViolation, NonUniqueMinimal, SizeLimitExceeded
 from .monoid import (
     PartialOrder,
     down_masks,
@@ -24,7 +25,7 @@ from .monoid import (
     semilattice_order,
 )
 from .submonoids import bits_of
-from .transfer import CountSequence, build_transfer_matrix
+from .transfer import CountSequence, build_transfer_matrix, walk
 
 DEFAULT_MAX_ST_SIZE = 8
 
@@ -194,7 +195,8 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
                 queue.append(closed)
     for rows in seen:
         ok, violation = is_saturated_transfer_system(order, rows)
-        assert ok, f"enumeration produced an invalid system: {violation}"
+        if not ok:
+            raise InvariantViolation(f"enumerated an invalid system: {violation}")
     return tuple(sorted(seen, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
@@ -270,17 +272,16 @@ def _layer(cyl_rows, size: int, level: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _st_data(order: PartialOrder):
-    """Canonical system list, index map, and the weighted adjacency matrix
-    counting cylinder systems by (top layer, bottom layer)."""
+    """Canonical system list, index map, and the counts of cylinder systems
+    by (top layer, bottom layer) as sparse (column, weight) rows."""
     systems = _saturated_rows(order)
     index = {rows: i for i, rows in enumerate(systems)}
-    k = len(systems)
-    matrix = [[0] * k for _ in range(k)]
+    counts = [Counter() for _ in systems]
     for cyl_rows in _saturated_rows(_cylinder_order(order)):
         top = _layer(cyl_rows, order.size, 1)
         bottom = _layer(cyl_rows, order.size, 0)
-        matrix[index[top]][index[bottom]] += 1
-    return systems, index, tuple(tuple(row) for row in matrix)
+        counts[index[top]][index[bottom]] += 1
+    return systems, index, tuple(tuple(sorted(row.items())) for row in counts)
 
 
 def st_weight(
@@ -295,12 +296,12 @@ def st_weight(
         raise SizeLimitExceeded(
             f"lattice has {order.size} elements, enumeration budget {max_size}"
         )
-    _, index, matrix = _st_data(order)
+    _, index, rows = _st_data(order)
     try:
         i, j = index[top.rows], index[bottom.rows]
     except KeyError:
         raise ValueError("arguments are not saturated transfer systems") from None
-    return matrix[i][j]
+    return dict(rows[i]).get(j, 0)
 
 
 def verify_graph_isomorphism(
@@ -316,7 +317,7 @@ def verify_graph_isomorphism(
         raise SizeLimitExceeded(
             f"lattice has {order.size} elements, enumeration budget {max_size}"
         )
-    systems, _, st_matrix = _st_data(order)
+    systems, _, st_rows = _st_data(order)
     monoid = join_monoid(order)
     weights = build_transfer_matrix(monoid)
     lattice = weights.lattice
@@ -324,9 +325,11 @@ def verify_graph_isomorphism(
     if sorted(masks) != sorted(lattice.members):
         return False, ("chi is not a bijection onto the submonoids", masks)
     for i, r_rows in enumerate(systems):
+        st_row = dict(st_rows[i])
+        w_row = dict(weights.entries[lattice.index_of[masks[i]]])
         for j, q_rows in enumerate(systems):
-            st = st_matrix[i][j]
-            w = weights.entries[lattice.index_of[masks[i]]][lattice.index_of[masks[j]]]
+            st = st_row.get(j, 0)
+            w = w_row.get(lattice.index_of[masks[j]], 0)
             if st != w:
                 return False, (
                     "weight mismatch",
@@ -352,13 +355,6 @@ def st_count_sequence(
         )
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    systems, _, matrix = _st_data(order)
-    sparse = [
-        tuple((j, w) for j, w in enumerate(row) if w) for row in matrix
-    ]
-    vector = [1] * len(systems)
-    values = [len(systems)]
-    for _ in range(n_max):
-        vector = [sum(w * vector[j] for j, w in row) for row in sparse]
-        values.append(sum(vector))
+    _, _, rows = _st_data(order)
+    values = [len(rows)] + [sum(v) for v in walk(rows, [1] * len(rows), n_max)]
     return CountSequence(values=tuple(values), label=label)

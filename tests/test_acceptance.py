@@ -19,6 +19,7 @@ from submon.closedforms import (
     mk_eigenvalues,
     poly_bernoulli,
 )
+from submon.errors import SubmonError
 from submon.monoid import from_spec, is_idempotent, join_monoid, semilattice_order
 from submon.oracle import brute_force_submonoid_count
 from submon.reference import FAST_SPECS, SLOW_SPECS, compare_reference
@@ -110,9 +111,10 @@ def test_criterion_1_reference_grid_matrix():
     start = time.perf_counter()
     matrix = build_transfer_matrix(from_spec("chain:1 x chain:1"))
     index = matrix.lattice.index_of
+    dense = matrix.dense()
     permutation = [index[mask] for mask in REFERENCE_GRID_LEGEND]
     ok = all(
-        matrix.entries[permutation[r]][permutation[c]]
+        dense[permutation[r]][permutation[c]]
         == REFERENCE_GRID_MATRIX[r][c]
         for r in range(7)
         for c in range(7)
@@ -286,6 +288,6 @@ def test_criterion_10_chain_eigenmatrix():
     for m in range(6):
         try:
             chain_eigenmatrix(m)
-        except AssertionError as exc:
+        except SubmonError as exc:
             failures.append(f"m={m}: {exc}")
     _report("criterion 10 (chain eigenmatrix)", not failures, "; ".join(failures))

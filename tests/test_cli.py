@@ -138,3 +138,25 @@ def test_verify_oracle_parallel(capsys):
     )
     assert code == 0
     assert out.count("ok oracle") == 3
+
+
+@pytest.mark.parametrize(
+    "table, identity",
+    [
+        ([[0, 1.7], [1.2, 1]], 0),
+        ([[False, True], [True, True]], 0),
+        ([[0, 1], [1, 1]], 0.0),
+        ([0, 1], 0),
+        (5, 0),
+    ],
+)
+def test_json_table_rejects_non_integer_input(capsys, tmp_path, table, identity):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"size": 2, "identity": identity, "table": table}))
+    code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_verify_oracle_rejects_jobs_below_one(capsys):
+    code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "0")
+    assert code == 2 and out == "" and "--jobs" in err

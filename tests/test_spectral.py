@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submon.errors import DegenerateSystem, NotIdempotent
-from submon.monoid import from_spec, make_cyclic_group
+from submon import spectral
+from submon.errors import (
+    DegenerateSystem,
+    FormulaMismatch,
+    InvariantViolation,
+    NotIdempotent,
+)
+from submon.monoid import from_spec, make_chain, make_cyclic_group
 from submon.spectral import (
     chain_eigenmatrix,
     closed_form_eval,
@@ -17,7 +23,12 @@ from submon.spectral import (
     spectrum_of,
     verify_recurrence,
 )
-from submon.transfer import CountSequence, build_transfer_matrix, count_sequence
+from submon.transfer import (
+    CountSequence,
+    TransferMatrix,
+    build_transfer_matrix,
+    count_sequence,
+)
 
 IDEMPOTENT_SPECS = [
     "chain:0",
@@ -170,7 +181,7 @@ def test_chain_eigenmatrix_small():
 
 
 def test_chain_eigenmatrix_up_to_five():
-    # The identities (diagonalization and inverse row sums) are asserted
+    # The identities (diagonalization and inverse row sums) are checked
     # inside; the call completing is the test.
     for m in range(6):
         q = chain_eigenmatrix(m)
@@ -200,3 +211,42 @@ def test_inverse_row_sums_are_half_factorials():
     sums = [Fraction(factorial(m.bit_count() + 1), 2) for m in members]
     for i in range(4):
         assert sum(q[i][j] * sums[j] for j in range(4)) == 1
+
+
+def test_equal_diagonal_certificate_rejects_tampered_block():
+    grid = build_transfer_matrix(from_spec("chain:1 x chain:1"))
+    # Rows 1 and 2 share the diagonal value 3; a weight between them
+    # breaks diagonalizability.
+    rows = list(grid.entries)
+    assert grid.diagonal()[1] == grid.diagonal()[2] == 3
+    rows[2] = ((0, 2), (1, 1), (2, 3))
+    tampered = TransferMatrix(lattice=grid.lattice, entries=tuple(rows))
+    with pytest.raises(InvariantViolation):
+        eigenvalues(tampered)
+
+
+def test_spectrum_rejects_coefficients_not_summing_to_s0(monkeypatch):
+    solve = spectral.solve_coefficients
+
+    def off_by_one(eigs, prefix):
+        first, *rest = solve(eigs, prefix)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(spectral, "solve_coefficients", off_by_one)
+    with pytest.raises(FormulaMismatch):
+        spectrum_of(build_transfer_matrix(from_spec("chain:1")))
+
+
+@pytest.mark.parametrize(
+    "q, broken",
+    [
+        # Not an eigenvector matrix of W.
+        (((1, 0), (-1, 1)), "eigenmatrix identity"),
+        # Scaling keeps W q == q D but halves the inverse row sums.
+        (((2, 0), (-4, 2)), "inverse row sum"),
+    ],
+)
+def test_chain_eigenmatrix_checks_reject_tampered_q(q, broken):
+    matrix = build_transfer_matrix(make_chain(1))
+    with pytest.raises(FormulaMismatch, match=broken):
+        spectral._check_chain_eigenmatrix(matrix, q)

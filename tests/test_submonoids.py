@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submon.cli import DEFAULT_MONOIDS
 from submon.errors import NotASubmonoid, SizeLimitExceeded
 from submon.monoid import (
     from_spec,
@@ -15,6 +16,8 @@ from submon.monoid import (
 )
 from submon.oracle import brute_force_weight
 from submon.submonoids import (
+    _closure_bfs,
+    _filter_all_masks,
     closure,
     condense,
     count_upsets_containing,
@@ -96,6 +99,10 @@ def test_large_budget_falls_back_to_bfs():
     for i, a in enumerate(lattice.members):
         for b in lattice.members[i + 1:]:
             assert b & ~a
+    # 21 elements, the smallest size on this path: subgroups of orders
+    # 1, 3, 7 and 21.
+    lattice = enumerate_submonoids(make_cyclic_group(21), max_size=21)
+    assert [m.bit_count() for m in lattice.members] == [1, 3, 7, 21]
 
 
 def test_divisibility_classes():
@@ -278,3 +285,9 @@ def test_closure_properties_random(seed, extra):
     closed = closure(m, seed)
     assert is_submonoid(m, closed)
     assert closure(m, seed | extra) | closed == closure(m, seed | extra)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
+def test_closure_bfs_matches_exhaustive_filter(spec):
+    m = from_spec(spec)
+    assert sorted(_closure_bfs(m)) == sorted(_filter_all_masks(m))

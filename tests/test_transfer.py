@@ -1,9 +1,11 @@
 import pytest
 
-from submon.errors import IndexOutOfRange
+from submon.errors import IndexOutOfRange, InvariantViolation
 from submon.monoid import from_spec, make_chain, make_cyclic_group, make_product
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
+from submon.submonoids import enumerate_submonoids
 from submon.transfer import (
+    TransferMatrix,
     asymptotics,
     build_transfer_matrix,
     count_sequence,
@@ -27,14 +29,15 @@ GRID_MATRIX = (
 
 
 def test_matrix_trivial_and_chain():
-    assert build_transfer_matrix(make_chain(0)).entries == ((2,),)
-    assert build_transfer_matrix(make_chain(1)).entries == ((2, 0), (2, 3))
+    assert build_transfer_matrix(make_chain(0)).dense() == ((2,),)
+    assert build_transfer_matrix(make_chain(1)).dense() == ((2, 0), (2, 3))
+    assert build_transfer_matrix(make_chain(1)).entries == (((0, 2),), ((0, 2), (1, 3)))
 
 
 def test_matrix_grid():
     matrix = build_transfer_matrix(GRID)
     assert matrix.lattice.members == (1, 3, 5, 9, 11, 13, 15)
-    assert matrix.entries == GRID_MATRIX
+    assert matrix.dense() == GRID_MATRIX
 
 
 def test_count_sequence_values():
@@ -109,3 +112,11 @@ def test_asymptotics_multiplicity_one_for_idempotent():
         profile = asymptotics(build_transfer_matrix(from_spec(spec)))
         assert profile.multiplicity == 1
         assert profile.degree_bound == 0
+
+
+def test_count_sequence_rejects_decreasing_counts():
+    # A zero weight on the trivial monoid's only entry makes S_1 = 0 < S_0.
+    lattice = enumerate_submonoids(make_chain(0))
+    tampered = TransferMatrix(lattice=lattice, entries=(((0, 0),),))
+    with pytest.raises(InvariantViolation):
+        count_sequence(tampered, 1)

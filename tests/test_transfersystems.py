@@ -1,6 +1,7 @@
 import pytest
 
-from submon.errors import NotALattice, SizeLimitExceeded
+from submon import transfersystems
+from submon.errors import InvariantViolation, NotALattice, SizeLimitExceeded
 from submon.monoid import PartialOrder, from_spec, join_monoid, semilattice_order
 from submon.submonoids import enumerate_submonoids
 from submon.transfer import build_transfer_matrix, count_sequence
@@ -178,3 +179,11 @@ def test_cube_lattice_agrees_across_routes():
     st_values = st_count_sequence(order, 2).values
     tm_values = count_sequence(build_transfer_matrix(join_monoid(order)), 2).values
     assert st_values == tm_values == (61, 2480, 70780)
+
+
+def test_enumeration_rejects_invalid_systems(monkeypatch):
+    # Without closure, adding the covers 0<1 and 1<2 of the 3-chain one at
+    # a time yields a relation that is not transitive.
+    monkeypatch.setattr(transfersystems, "_close", lambda ctx, rows: tuple(rows))
+    with pytest.raises(InvariantViolation, match="transitive"):
+        transfersystems._saturated_rows.__wrapped__(_order("chain:2"))
