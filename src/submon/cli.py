@@ -92,6 +92,7 @@ def cmd_count(args) -> int:
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
     seq = count_sequence(matrix, args.n, label=args.monoid)
     if args.oracle:
+        checked = 0
         for n, value in enumerate(seq.values):
             if (n + 1) * monoid.size > args.max_oracle_size:
                 continue
@@ -104,6 +105,14 @@ def cmd_count(args) -> int:
                     f"brute force {expected}",
                     1,
                 )
+            checked += 1
+        total = len(seq.values)
+        terms = f"n=0..{checked - 1}" if checked else "no terms"
+        print(
+            f"oracle checked {terms}; skipped {total - checked} of {total} "
+            f"terms above --max-oracle-size {args.max_oracle_size}",
+            file=sys.stderr,
+        )
     if args.format == "json":
         _emit(json.dumps({"monoid": args.monoid, "values": list(seq.values)}))
     else:

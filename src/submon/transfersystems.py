@@ -28,6 +28,9 @@ from .submonoids import bits_of
 from .transfer import CountSequence, build_transfer_matrix, walk
 
 DEFAULT_MAX_ST_SIZE = 8
+# Lattices (and their cylinders) kept per cache; one batch of queries over
+# a handful of lattices touches a dozen orders.
+CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,13 @@ class _LatticeContext:
     meet: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[int, int], ...]
     between: tuple[tuple[int, ...], ...]
+    # forced[x][z]: the (row, column bit) entries other than x R z itself
+    # that restriction and saturation require once x R z holds; empty
+    # unless x < z.
+    forced: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _lattice_context(order: PartialOrder) -> _LatticeContext:
     n = order.size
     meet = meet_table(order)
@@ -87,8 +94,20 @@ def _lattice_context(order: PartialOrder) -> _LatticeContext:
     between = tuple(
         tuple(order.up[x] & down[z] for z in range(n)) for x in range(n)
     )
+    forced = [[() for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        for z in bits_of(order.up[x] & ~(1 << x)):
+            pairs = {(meet[x][y], meet[z][y]) for y in range(n)}
+            for y in bits_of(between[x][z] & ~(1 << x) & ~(1 << z)):
+                pairs.update(((x, y), (y, z)))
+            pairs.discard((x, z))
+            forced[x][z] = tuple(sorted((a, 1 << b) for a, b in pairs if a != b))
     return _LatticeContext(
-        order=order, meet=meet, covers=tuple(covers), between=between
+        order=order,
+        meet=meet,
+        covers=tuple(covers),
+        between=between,
+        forced=tuple(map(tuple, forced)),
     )
 
 
@@ -127,56 +146,49 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     return True, None
 
 
-def _close(ctx: _LatticeContext, rows) -> tuple[int, ...]:
-    """Close a reflexive sub-order relation under transitivity,
-    restriction, and saturation, to a fixed point."""
-    n = ctx.order.size
+def _grow(ctx: _LatticeContext, rows, x: int, z: int) -> tuple[int, ...]:
+    """The smallest saturated transfer system containing the closed system
+    ``rows`` and the pair x R z.
+
+    Adding a pair (a, b) to a transitive relation relates everything that
+    relates to a with everything b relates to; each pair that is genuinely
+    new then queues only the pairs restriction and saturation force from it.
+    """
     rows = list(rows)
-    meet = ctx.meet
-    between = ctx.between
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = rows[x]
-            rest = acc
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                acc |= rows[y]
-            if acc != rows[x]:
-                rows[x] = acc
-                changed = True
-        for x in range(n):
-            meet_x = meet[x]
-            for z in bits_of(rows[x] & ~(1 << x)):
-                meet_z = meet[z]
-                for y in range(n):
-                    a, b = meet_x[y], meet_z[y]
-                    if not rows[a] >> b & 1:
-                        rows[a] |= 1 << b
-                        changed = True
-                mid = between[x][z] & ~(1 << x) & ~(1 << z)
-                if mid:
-                    if mid & ~rows[x]:
-                        rows[x] |= mid
-                        changed = True
-                    z_bit = 1 << z
-                    for y in bits_of(mid):
-                        if not rows[y] & z_bit:
-                            rows[y] |= z_bit
-                            changed = True
+    cols = [0] * len(rows)  # bit w of cols[c] is set iff w R c
+    for w, row in enumerate(rows):
+        for c in bits_of(row):
+            cols[c] |= 1 << w
+    forced = ctx.forced
+    pending = [(x, 1 << z)]
+    while pending:
+        a, b_bit = pending.pop()
+        if rows[a] & b_bit:
+            continue
+        targets = rows[b_bit.bit_length() - 1]
+        for w in bits_of(cols[a]):
+            new = targets & ~rows[w]
+            if not new:
+                continue
+            rows[w] |= new
+            w_bit = 1 << w
+            forced_w = forced[w]
+            for c in bits_of(new):
+                cols[c] |= w_bit
+                for r, c_bit in forced_w[c]:
+                    if not rows[r] & c_bit:
+                        pending.append((r, c_bit))
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """Every saturated transfer system on the lattice, canonically sorted.
 
-    Systems are generated by closing cover-pair additions: starting from
+    Systems are generated by growing cover-pair additions: starting from
     the discrete system, repeatedly add one cover of the lattice order and
-    close.  Every system is the closure of its own cover pairs, so this
-    walk reaches all of them.
+    close incrementally.  Every system is the closure of its own cover
+    pairs, so this walk reaches all of them.
     """
     ctx = _lattice_context(order)
     start = tuple(1 << x for x in range(order.size))
@@ -187,9 +199,7 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
         for x, z in ctx.covers:
             if rows[x] >> z & 1:
                 continue
-            grown = list(rows)
-            grown[x] |= 1 << z
-            closed = _close(ctx, grown)
+            closed = _grow(ctx, rows, x, z)
             if closed not in seen:
                 seen.add(closed)
                 queue.append(closed)
@@ -250,7 +260,7 @@ def chi(order: PartialOrder, relation: TransferRelation) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cylinder_order(order: PartialOrder) -> PartialOrder:
     """The lattice order of (P x two-element chain); (x, level) sits at
     index 2 * x + level."""
@@ -270,7 +280,7 @@ def _layer(cyl_rows, size: int, level: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _st_data(order: PartialOrder):
     """Canonical system list, index map, and the counts of cylinder systems
     by (top layer, bottom layer) as sparse (column, weight) rows."""

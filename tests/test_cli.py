@@ -32,6 +32,25 @@ def test_count_json_with_oracle(capsys):
     assert json.loads(out) == {"monoid": "cyclic:2", "values": [2, 5]}
 
 
+def test_count_oracle_reports_skipped_terms(capsys):
+    # Only n = 0..2 fit the default 14-element oracle budget on |M| = 4.
+    _, plain_out, plain_err = run(capsys, "count", "--monoid", "chain:3", "--n", "6")
+    assert plain_err == ""
+    code, out, err = run(capsys, "count", "--monoid", "chain:3", "--n", "6", "--oracle")
+    assert code == 0 and out == plain_out
+    assert err == (
+        "oracle checked n=0..2; skipped 4 of 7 terms above --max-oracle-size 14\n"
+    )
+    code, out, err = run(
+        capsys, "count", "--monoid", "chain:3", "--n", "1", "--oracle",
+        "--max-oracle-size", "3",
+    )
+    assert code == 0 and out == "n,count\n0,8\n1,73\n"
+    assert err == (
+        "oracle checked no terms; skipped 2 of 2 terms above --max-oracle-size 3\n"
+    )
+
+
 def test_count_trivial_chain(capsys):
     code, out, _ = run(capsys, "count", "--monoid", "chain:0", "--n", "5")
     assert code == 0

@@ -1,9 +1,10 @@
 import pytest
 
 from submon import transfersystems
+from submon.cli import DEFAULT_LATTICES
 from submon.errors import InvariantViolation, NotALattice, SizeLimitExceeded
 from submon.monoid import PartialOrder, from_spec, join_monoid, semilattice_order
-from submon.submonoids import enumerate_submonoids
+from submon.submonoids import bits_of, enumerate_submonoids
 from submon.transfer import build_transfer_matrix, count_sequence
 from submon.transfersystems import (
     TransferRelation,
@@ -26,14 +27,16 @@ def _discrete(order):
     return TransferRelation.from_pairs(order, [])
 
 
-def _full(order):
-    pairs = [
+def _strict_pairs(order):
+    return [
         (x, y)
         for x in range(order.size)
-        for y in range(order.size)
-        if x != y and order.leq(x, y)
+        for y in bits_of(order.up[x] & ~(1 << x))
     ]
-    return TransferRelation.from_pairs(order, pairs)
+
+
+def _full(order):
+    return TransferRelation.from_pairs(order, _strict_pairs(order))
 
 
 def test_discrete_and_full_systems_are_valid():
@@ -184,6 +187,120 @@ def test_cube_lattice_agrees_across_routes():
 def test_enumeration_rejects_invalid_systems(monkeypatch):
     # Without closure, adding the covers 0<1 and 1<2 of the 3-chain one at
     # a time yields a relation that is not transitive.
-    monkeypatch.setattr(transfersystems, "_close", lambda ctx, rows: tuple(rows))
+    def add_pair_only(ctx, rows, x, z):
+        return tuple(row | 1 << z if w == x else row for w, row in enumerate(rows))
+
+    monkeypatch.setattr(transfersystems, "_grow", add_pair_only)
     with pytest.raises(InvariantViolation, match="transitive"):
         transfersystems._saturated_rows.__wrapped__(_order("chain:2"))
+
+
+def _lattice_or_cylinder(spec, cylinder):
+    order = _order(spec)
+    return transfersystems._cylinder_order(order) if cylinder else order
+
+
+def _brute_force_systems(order):
+    """Every subset of the strict order pairs that passes the validator,
+    in the canonical (popcount, rows) order."""
+    pairs = _strict_pairs(order)
+    found = []
+    for subset in range(1 << len(pairs)):
+        rows = TransferRelation.from_pairs(
+            order, [pairs[i] for i in bits_of(subset)]
+        ).rows
+        if is_saturated_transfer_system(order, rows)[0]:
+            found.append(rows)
+    return tuple(sorted(found, key=lambda r: (sum(v.bit_count() for v in r), r)))
+
+
+# Every lattice here has at most 12 strict pairs, so at most 4096 subsets.
+BRUTE_FORCE_ORDERS = [
+    ("chain:1", False),
+    ("chain:2", False),
+    ("chain:3", False),
+    ("chain:4", False),
+    ("n5", False),
+    ("mk:3", False),
+    ("chain:1 x chain:1", False),
+    ("chain:2", True),
+]
+
+
+@pytest.mark.parametrize("spec, cylinder", BRUTE_FORCE_ORDERS)
+def test_enumeration_matches_brute_force(spec, cylinder):
+    order = _lattice_or_cylinder(spec, cylinder)
+    assert len(_strict_pairs(order)) <= 12
+    expected = _brute_force_systems(order)
+    assert transfersystems._saturated_rows.__wrapped__(order) == expected
+
+
+def _close(ctx, rows):
+    """Reference closure: re-apply transitivity, restriction and saturation
+    to the whole relation until nothing changes."""
+    n = ctx.order.size
+    rows = list(rows)
+    meet = ctx.meet
+    between = ctx.between
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            acc = rows[x]
+            rest = acc
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                acc |= rows[y]
+            if acc != rows[x]:
+                rows[x] = acc
+                changed = True
+        for x in range(n):
+            meet_x = meet[x]
+            for z in bits_of(rows[x] & ~(1 << x)):
+                meet_z = meet[z]
+                for y in range(n):
+                    a, b = meet_x[y], meet_z[y]
+                    if not rows[a] >> b & 1:
+                        rows[a] |= 1 << b
+                        changed = True
+                mid = between[x][z] & ~(1 << x) & ~(1 << z)
+                if mid:
+                    if mid & ~rows[x]:
+                        rows[x] |= mid
+                        changed = True
+                    z_bit = 1 << z
+                    for y in bits_of(mid):
+                        if not rows[y] & z_bit:
+                            rows[y] |= z_bit
+                            changed = True
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "spec, cylinder", [(spec, False) for spec in DEFAULT_LATTICES] + [("chain:2", True)]
+)
+def test_grow_matches_reference_closure(spec, cylinder):
+    order = _lattice_or_cylinder(spec, cylinder)
+    ctx = transfersystems._lattice_context(order)
+    checked = 0
+    for rows in transfersystems._saturated_rows(order):
+        for x, z in ctx.covers:
+            if rows[x] >> z & 1:
+                continue
+            grown = list(rows)
+            grown[x] |= 1 << z
+            assert transfersystems._grow(ctx, rows, x, z) == _close(ctx, grown)
+            checked += 1
+    assert checked > 0
+
+
+def test_transfer_system_caches_are_bounded():
+    for cached in (
+        transfersystems._lattice_context,
+        transfersystems._saturated_rows,
+        transfersystems._cylinder_order,
+        transfersystems._st_data,
+    ):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 12
