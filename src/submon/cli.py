@@ -264,6 +264,8 @@ def _suite_recurrence(args) -> int:
 def _suite_oracle(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be at least 0, got {args.n}")
     specs = [args.monoid] if args.monoid else list(DEFAULT_MONOIDS)
     cases = []
     for spec in specs:
@@ -272,6 +274,8 @@ def _suite_oracle(args) -> int:
         for n in range(top + 1):
             if (n + 1) * monoid.size <= args.max_oracle_size:
                 cases.append((spec, n, args.max_oracle_size))
+    if not cases:
+        raise ValueError(f"no oracle case fits --max-oracle-size {args.max_oracle_size}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             expected = list(pool.map(_oracle_case, cases))

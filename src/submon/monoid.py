@@ -24,6 +24,9 @@ from .errors import (
 
 # Product tables are materialized in full, so cap their size.
 DEFAULT_MAX_PRODUCT_SIZE = 1024
+# Lattices (and their cylinders) kept per cache; one batch of queries over
+# a handful of lattices touches a dozen orders.
+CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -270,13 +273,13 @@ def down_masks(order: PartialOrder) -> tuple[int, ...]:
     return tuple(down)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def join_table(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """Least upper bounds of all pairs; raises NotALattice when one is missing."""
     return _bound_table(order, order.up, "join")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def meet_table(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """Greatest lower bounds of all pairs; raises NotALattice when one is missing."""
     return _bound_table(order, down_masks(order), "meet")

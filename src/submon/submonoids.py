@@ -11,10 +11,7 @@ from dataclasses import dataclass
 from .errors import NotASubmonoid, SizeLimitExceeded
 from .monoid import CayleyMonoid, PartialOrder, down_masks
 
-# Exhaustive mask filtering is used up to this many elements; past it (only
-# reachable by raising the budget) enumeration switches to closure BFS.
 DEFAULT_MAX_MONOID_SIZE = 20
-_EXHAUSTIVE_LIMIT = 20
 
 
 def bits_of(mask: int):
@@ -23,6 +20,28 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def closed_sets(bottom, bottom_gens: int, generators: int, extend):
+    """Yield each closed set once by Close-by-One (Kuznetsov 1993).
+
+    A closed set is fixed by the mask of generators ``0..generators-1`` it
+    contains; ``bottom`` is the least one.  ``extend(state, i)`` returns the
+    closure of ``state`` plus generator ``i`` and its generator mask.  A
+    child grown by ``i`` is kept only if it adds no generator below ``i``,
+    so each closed set has one parent and no seen-set is needed.
+    """
+    stack = [(bottom, bottom_gens, 0)]
+    while stack:
+        state, gens, start = stack.pop()
+        yield state
+        for i in range(start, generators):
+            bit = 1 << i
+            if gens & bit:
+                continue
+            child, child_gens = extend(state, i)
+            if not (child_gens ^ gens) & (bit - 1):
+                stack.append((child, child_gens, i + 1))
 
 
 def mask_of(elements) -> int:
@@ -41,23 +60,33 @@ def mask_from_hex(text: str) -> int:
 
 
 def closure(monoid: CayleyMonoid, seed: int) -> int:
-    """Smallest submonoid containing ``seed``: add the identity, then close
-    under pairwise products until a fixed point."""
+    """Smallest submonoid containing ``seed``: start from the identity and
+    add the elements of ``seed`` one at a time."""
     if seed >> monoid.size:
         raise ValueError("seed has bits beyond the monoid")
-    mask = seed | 1 << monoid.identity
-    table = monoid.table
-    changed = True
-    while changed:
-        changed = False
-        els = list(bits_of(mask))
-        for i, x in enumerate(els):
-            row = table[x]
-            for y in els[i:]:
-                p = row[y]
-                if not mask >> p & 1:
-                    mask |= 1 << p
-                    changed = True
+    mask = 1 << monoid.identity
+    for x in bits_of(seed):
+        mask = _add_element(monoid.table, mask, x)
+    return mask
+
+
+def _add_element(table, mask: int, x: int) -> int:
+    """Smallest submonoid containing the submonoid ``mask`` and element ``x``.
+
+    Products of old elements are present already, so each new element is
+    multiplied only by the elements present when it is taken up.
+    """
+    if mask >> x & 1:
+        return mask
+    mask |= 1 << x
+    pending = [x]
+    while pending:
+        row = table[pending.pop()]
+        for y in bits_of(mask):
+            p = row[y]
+            if not mask >> p & 1:
+                mask |= 1 << p
+                pending.append(p)
     return mask
 
 
@@ -92,63 +121,28 @@ class SubmonoidLattice:
 def enumerate_submonoids(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> SubmonoidLattice:
-    """Enumerate every submonoid of ``monoid``.
+    """Enumerate every submonoid of ``monoid`` with :func:`closed_sets`,
+    growing submonoids one element at a time.
 
-    Raises :class:`SizeLimitExceeded` when ``monoid.size`` is over budget,
-    since the exhaustive filter scans ``2**(size-1)`` candidate masks.
+    Raises :class:`SizeLimitExceeded` when ``monoid.size`` is over budget.
     """
     if monoid.size > max_size:
         raise SizeLimitExceeded(
             f"monoid has {monoid.size} elements, enumeration budget {max_size}"
         )
-    if monoid.size <= _EXHAUSTIVE_LIMIT:
-        members = _filter_all_masks(monoid)
-    else:
-        members = _closure_bfs(monoid)
+
+    def extend(mask, x):
+        grown = _add_element(monoid.table, mask, x)
+        return grown, grown
+
+    bottom = 1 << monoid.identity
+    members = list(closed_sets(bottom, bottom, monoid.size, extend))
     members.sort(key=lambda m: (m.bit_count(), m))
     return SubmonoidLattice(
         monoid=monoid,
         members=tuple(members),
         index_of={m: i for i, m in enumerate(members)},
     )
-
-
-def _filter_all_masks(monoid):
-    n = monoid.size
-    e_bit = 1 << monoid.identity
-    # Pairs whose product lands outside the pair never constrain a mask.
-    pairs = []
-    for x in range(n):
-        for y in range(x, n):
-            pair_bits = 1 << x | 1 << y
-            prod_bit = 1 << monoid.table[x][y]
-            if not pair_bits & prod_bit:
-                pairs.append((pair_bits, prod_bit))
-    out = []
-    for mask in range(1 << n):
-        if not mask & e_bit:
-            continue
-        for pair_bits, prod_bit in pairs:
-            if mask & pair_bits == pair_bits and not mask & prod_bit:
-                break
-        else:
-            out.append(mask)
-    return out
-
-
-def _closure_bfs(monoid):
-    start = closure(monoid, 0)
-    seen = {start}
-    queue = [start]
-    while queue:
-        current = queue.pop()
-        missing = ((1 << monoid.size) - 1) & ~current
-        for x in bits_of(missing):
-            grown = closure(monoid, current | 1 << x)
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
-    return list(seen)
 
 
 def inclusion_order(lattice: SubmonoidLattice) -> PartialOrder:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, NonUniqueMinimal, SizeLimitExceeded
 from .monoid import (
+    CACHE_SIZE,
     PartialOrder,
     down_masks,
     join_monoid,
@@ -24,13 +25,10 @@ from .monoid import (
     meet_table,
     semilattice_order,
 )
-from .submonoids import bits_of
+from .submonoids import bits_of, closed_sets
 from .transfer import CountSequence, build_transfer_matrix, walk
 
 DEFAULT_MAX_ST_SIZE = 8
-# Lattices (and their cylinders) kept per cache; one batch of queries over
-# a handful of lattices touches a dozen orders.
-CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -185,29 +183,24 @@ def _grow(ctx: _LatticeContext, rows, x: int, z: int) -> tuple[int, ...]:
 def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """Every saturated transfer system on the lattice, canonically sorted.
 
-    Systems are generated by growing cover-pair additions: starting from
-    the discrete system, repeatedly add one cover of the lattice order and
-    close incrementally.  Every system is the closure of its own cover
-    pairs, so this walk reaches all of them.
+    Every system is the closure of its own cover pairs, so the systems are
+    the closed sets of cover-pair masks: :func:`closed_sets` grows them
+    from the discrete system one cover at a time by incremental closure.
     """
     ctx = _lattice_context(order)
+    covers = ctx.covers
+
+    def extend(rows, i):
+        grown = _grow(ctx, rows, *covers[i])
+        return grown, sum(1 << j for j, (x, z) in enumerate(covers) if grown[x] >> z & 1)
+
     start = tuple(1 << x for x in range(order.size))
-    seen = {start}
-    queue = [start]
-    while queue:
-        rows = queue.pop()
-        for x, z in ctx.covers:
-            if rows[x] >> z & 1:
-                continue
-            closed = _grow(ctx, rows, x, z)
-            if closed not in seen:
-                seen.add(closed)
-                queue.append(closed)
-    for rows in seen:
+    systems = list(closed_sets(start, 0, len(covers), extend))
+    for rows in systems:
         ok, violation = is_saturated_transfer_system(order, rows)
         if not ok:
             raise InvariantViolation(f"enumerated an invalid system: {violation}")
-    return tuple(sorted(seen, key=lambda r: (sum(v.bit_count() for v in r), r)))
+    return tuple(sorted(systems, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
 def enumerate_saturated_transfer_systems(

@@ -179,3 +179,12 @@ def test_json_table_rejects_non_integer_input(capsys, tmp_path, table, identity)
 def test_verify_oracle_rejects_jobs_below_one(capsys):
     code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "0")
     assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_verify_oracle_rejects_runs_that_check_nothing(capsys):
+    code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "-1")
+    assert code == 2 and out == "" and "--n" in err
+    code, out, err = run(
+        capsys, "verify", "oracle", "--monoid", "chain:1", "--max-oracle-size", "-1"
+    )
+    assert code == 2 and out == "" and "--max-oracle-size" in err

@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submon.errors import SizeLimitExceeded
-from submon.monoid import make_chain, make_cyclic_group, make_product
+from submon.monoid import from_table, make_chain, make_cyclic_group, make_product
 from submon.oracle import (
+    DEFAULT_MAX_ORACLE_SIZE,
+    _closed_masks,
     brute_force_projection_count,
     brute_force_submonoid_count,
     brute_force_weight,
 )
 from submon.submonoids import enumerate_submonoids, weight
+from submon.transfer import build_transfer_matrix, count_sequence
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -66,3 +71,54 @@ def test_projection_recursion():
                 for b in members
             )
             assert recursed == brute_force_projection_count(chain, n + 1, a)
+
+
+def _monogenic(index, period):
+    """<a | a^(index + period) = a^index>; element k is a^k."""
+    n = index + period
+
+    def power(k):
+        return k if k < n else index + (k - index) % period
+
+    return from_table([[power(x + y) for y in range(n)] for x in range(n)], 0)
+
+
+def _null_with_identity(size):
+    """The null semigroup on 0..size-1 (every product is 0) with an
+    identity adjoined as element ``size``."""
+    n = size + 1
+    table = [
+        [y if x == size else x if y == size else 0 for y in range(n)]
+        for x in range(n)
+    ]
+    return from_table(table, size)
+
+
+@st.composite
+def small_commutative_monoids(draw, max_size=DEFAULT_MAX_ORACLE_SIZE):
+    """Monogenic monoids and null semigroups with an identity, alone or
+    times a second such atom, of at most ``max_size`` elements."""
+
+    def atom(limit):
+        if draw(st.booleans()):
+            index = draw(st.integers(0, limit - 1))
+            return _monogenic(index, draw(st.integers(1, limit - index)))
+        return _null_with_identity(draw(st.integers(1, limit - 1)))
+
+    monoid = atom(max_size)
+    if 2 * monoid.size <= max_size and draw(st.booleans()):
+        other = atom(max_size // monoid.size)
+        product = make_product(monoid, other)
+        monoid = from_table(product.table, product.identity)
+    return monoid
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_commutative_monoids())
+def test_random_monoids_match_oracle(monoid):
+    # Lists, not sets, so that a submonoid yielded twice fails.
+    members = enumerate_submonoids(monoid).members
+    assert sorted(members) == sorted(_closed_masks(monoid))
+    if 2 * monoid.size <= DEFAULT_MAX_ORACLE_SIZE:
+        counts = count_sequence(build_transfer_matrix(monoid), 1).values
+        assert counts[1] == brute_force_submonoid_count(monoid, 1)

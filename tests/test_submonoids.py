@@ -14,10 +14,8 @@ from submon.monoid import (
     make_product,
     semilattice_order,
 )
-from submon.oracle import brute_force_weight
+from submon.oracle import _closed_masks, brute_force_weight
 from submon.submonoids import (
-    _closure_bfs,
-    _filter_all_masks,
     closure,
     condense,
     count_upsets_containing,
@@ -90,17 +88,18 @@ def test_enumeration_budget():
         enumerate_submonoids(make_bool(3), max_size=6)
 
 
-def test_large_budget_falls_back_to_bfs():
-    # 24 elements forces the closure-BFS path; submonoids of a finite
-    # cyclic group are its subgroups, one per divisor of the order.
+def test_enumeration_above_default_budget():
+    # Raising the budget past the default 20 elements enumerates larger
+    # monoids; submonoids of a finite cyclic group are its subgroups, one
+    # per divisor of the order.
     lattice = enumerate_submonoids(make_cyclic_group(24), max_size=24)
     assert len(lattice) == 8
     assert lattice.members[0] == 1
     for i, a in enumerate(lattice.members):
         for b in lattice.members[i + 1:]:
             assert b & ~a
-    # 21 elements, the smallest size on this path: subgroups of orders
-    # 1, 3, 7 and 21.
+    # 21 elements, one past the default budget: subgroups of orders 1, 3,
+    # 7 and 21.
     lattice = enumerate_submonoids(make_cyclic_group(21), max_size=21)
     assert [m.bit_count() for m in lattice.members] == [1, 3, 7, 21]
 
@@ -288,6 +287,7 @@ def test_closure_properties_random(seed, extra):
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
-def test_closure_bfs_matches_exhaustive_filter(spec):
+def test_enumeration_matches_oracle(spec):
+    # Lists, not sets, so that a submonoid yielded twice fails.
     m = from_spec(spec)
-    assert sorted(_closure_bfs(m)) == sorted(_filter_all_masks(m))
+    assert sorted(enumerate_submonoids(m).members) == sorted(_closed_masks(m))

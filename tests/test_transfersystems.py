@@ -3,7 +3,14 @@ import pytest
 from submon import transfersystems
 from submon.cli import DEFAULT_LATTICES
 from submon.errors import InvariantViolation, NotALattice, SizeLimitExceeded
-from submon.monoid import PartialOrder, from_spec, join_monoid, semilattice_order
+from submon.monoid import (
+    PartialOrder,
+    from_spec,
+    join_monoid,
+    join_table,
+    meet_table,
+    semilattice_order,
+)
 from submon.submonoids import bits_of, enumerate_submonoids
 from submon.transfer import build_transfer_matrix, count_sequence
 from submon.transfersystems import (
@@ -297,6 +304,8 @@ def test_grow_matches_reference_closure(spec, cylinder):
 
 def test_transfer_system_caches_are_bounded():
     for cached in (
+        join_table,
+        meet_table,
         transfersystems._lattice_context,
         transfersystems._saturated_rows,
         transfersystems._cylinder_order,
