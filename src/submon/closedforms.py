@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 from .errors import FormulaMismatch, IndexOutOfRange
@@ -66,20 +66,25 @@ def abelian_group_count(chains: ChainCountVector, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+def _stirling_rows():
+    """Yield the rows S(n, 0..n) of the Stirling triangle for n = 0, 1, ...,
+    each from the last by S(n+1, k) = k S(n, k) + S(n, k-1)."""
+    row = [1]
+    while True:
+        yield row
+        row = [0] + [k * s + t for k, (s, t) in enumerate(zip(row[1:] + [0], row), 1)]
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind by the triangle recurrence."""
     if n < 0 or k < 0:
         raise ValueError("arguments must be >= 0")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = next(islice(_stirling_rows(), n, None))
+    return row[k] if k <= n else 0
 
 
 def poly_bernoulli(m: int, n: int) -> int:
-    """B(m, n) via both finite-sum formulas, which are asserted equal:
+    """B(m, n) via both finite-sum formulas, which are checked equal:
 
         sum_k (-1)**(n+k) k! S(n, k) (k+1)**m
       = sum_k k!**2 S(m+1, k+1) S(n+1, k+1).
@@ -88,12 +93,13 @@ def poly_bernoulli(m: int, n: int) -> int:
     """
     if m < 0 or n < 0:
         raise ValueError("arguments must be >= 0")
+    wanted = {n, n + 1, m + 1}
+    s = {i: row for i, row in zip(range(max(wanted) + 1), _stirling_rows()) if i in wanted}
     alternating = sum(
-        (-1) ** (n + k) * factorial(k) * stirling2(n, k) * (k + 1) ** m
-        for k in range(n + 1)
+        (-1) ** (n + k) * factorial(k) * s[n][k] * (k + 1) ** m for k in range(n + 1)
     )
     symmetric = sum(
-        factorial(k) ** 2 * stirling2(m + 1, k + 1) * stirling2(n + 1, k + 1)
+        factorial(k) ** 2 * s[m + 1][k + 1] * s[n + 1][k + 1]
         for k in range(min(m, n) + 1)
     )
     if alternating != symmetric:

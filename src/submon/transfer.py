@@ -89,17 +89,54 @@ def walk(rows, vector, steps: int):
         yield vector
 
 
+def _lump(entries):
+    """Lump W's rows into classes on which every W^n 1 is constant.
+
+    Rows are taken in index order.  A row's signature is its diagonal
+    weight and the sorted (class, summed weight) pairs of its off-diagonal
+    columns, whose classes are already known since those columns lie
+    below the row; rows with equal signatures share a class.  (W v)[A]
+    depends only on A's signature when v is constant on classes, so by
+    induction W^n 1 is too.  A row's classes below it were all formed
+    before its own, so the quotient (each class's signature with its
+    diagonal pair appended last) keeps the row contract of ``entries``.
+    Returns the quotient rows and the class sizes.
+    """
+    classes, sizes, rows, index = [], [], [], {}
+    for i, row in enumerate(entries):
+        if not row or row[-1][0] != i:
+            raise InvariantViolation(f"row {i} does not end with its diagonal")
+        sums = {}
+        for j, w in row[:-1]:
+            if not 0 <= j < i:
+                raise InvariantViolation(f"row {i} has column {j} not below it")
+            sums[classes[j]] = sums.get(classes[j], 0) + w
+        diagonal, below = row[-1][1], tuple(sorted(sums.items()))
+        c = index.setdefault((diagonal, below), len(rows))
+        if c == len(rows):
+            rows.append(below + ((c, diagonal),))
+            sizes.append(0)
+        sizes[c] += 1
+        classes.append(c)
+    return rows, sizes
+
+
 def count_sequence(
     matrix: TransferMatrix, n_max: int, label: str = ""
 ) -> CountSequence:
     """S_n for n = 0..n_max by iterated matrix-vector products.
 
-    Every intermediate term is kept, which the recurrence checks need.
+    The walk runs on the lumped quotient of W: S_n = sum over classes C
+    of |C| * u_n[C].  Every intermediate term is kept, which the
+    recurrence checks need.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    rows, sizes = _lump(matrix.entries)
     values = [matrix.size]
-    values += [sum(v) for v in walk(matrix.entries, [1] * matrix.size, n_max)]
+    values += [
+        sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), n_max)
+    ]
     for n, (prev, nxt) in enumerate(zip(values, values[1:])):
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")

@@ -103,6 +103,12 @@ def test_polybernoulli(capsys):
     assert code == 0 and out.strip() == "44222780245622"
 
 
+def test_polybernoulli_large_n(capsys):
+    # Deep enough that a recursive Stirling triangle overflows the stack.
+    code, out, _ = run(capsys, "polybernoulli", "--m", "2", "--n", "600")
+    assert code == 0 and out.strip() == str(2 * 3**600 - 2**600)
+
+
 def test_sattr_counts(capsys):
     code, out, _ = run(capsys, "sattr", "--lattice", "chain:1", "--n", "1")
     assert code == 0

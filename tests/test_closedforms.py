@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -119,6 +120,15 @@ def test_stirling2_matches_brute_force():
     for n in range(7):
         for k in range(n + 2):
             assert stirling2(n, k) == _brute_force_stirling(n, k)
+
+
+def test_stirling2_matches_explicit_sum():
+    for n in range(31):
+        for k in range(31):
+            alternating = sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+            assert stirling2(n, k) == alternating // factorial(k)
+    with pytest.raises(ValueError):
+        stirling2(3, -1)
 
 
 def test_poly_bernoulli_values():

@@ -12,7 +12,7 @@ from submon.oracle import (
     brute_force_weight,
 )
 from submon.submonoids import enumerate_submonoids, weight
-from submon.transfer import build_transfer_matrix, count_sequence
+from submon.transfer import build_transfer_matrix, count_sequence, walk
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -120,5 +120,9 @@ def test_random_monoids_match_oracle(monoid):
     members = enumerate_submonoids(monoid).members
     assert sorted(members) == sorted(_closed_masks(monoid))
     if 2 * monoid.size <= DEFAULT_MAX_ORACLE_SIZE:
-        counts = count_sequence(build_transfer_matrix(monoid), 1).values
+        matrix = build_transfer_matrix(monoid)
+        counts = count_sequence(matrix, 3).values
         assert counts[1] == brute_force_submonoid_count(monoid, 1)
+        # The lumped walk against the walk over every row of W.
+        full = walk(matrix.entries, [1] * matrix.size, 3)
+        assert list(counts[1:]) == [sum(v) for v in full]

@@ -1,5 +1,8 @@
+from functools import cache
+
 import pytest
 
+from submon.cli import DEFAULT_MONOIDS
 from submon.errors import IndexOutOfRange, InvariantViolation
 from submon.monoid import from_spec, make_chain, make_cyclic_group, make_product
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
@@ -10,6 +13,8 @@ from submon.transfer import (
     build_transfer_matrix,
     count_sequence,
     counts_by_projection,
+    walk,
+    _lump,
 )
 
 GRID = make_product(make_chain(1), make_chain(1))
@@ -120,3 +125,61 @@ def test_count_sequence_rejects_decreasing_counts():
     tampered = TransferMatrix(lattice=lattice, entries=(((0, 0),),))
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((((1, 2), (0, 2)), ((0, 2), (1, 3))), "not below"),  # row 0 points at row 1
+        ((((0, 2),), ((1, 3), (0, 2))), "diagonal"),  # diagonal pair first, not last
+        ((((0, 2),), ((0, 2),)), "diagonal"),  # row 1 lacks its diagonal
+        ((((0, 2),), ()), "diagonal"),  # an empty row
+    ],
+)
+def test_count_sequence_rejects_broken_row_contract(entries, message):
+    lattice = enumerate_submonoids(make_chain(1))
+    tampered = TransferMatrix(lattice=lattice, entries=entries)
+    with pytest.raises(InvariantViolation, match=message):
+        count_sequence(tampered, 1)
+
+
+@cache
+def _matrix(spec):
+    return build_transfer_matrix(from_spec(spec))
+
+
+# The lumped walk against the walk over every row of W: every default
+# monoid, and the monoids and lattices of the long-walk and spectrum jobs.
+@pytest.mark.parametrize(
+    "spec, n",
+    [(spec, 8) for spec in DEFAULT_MONOIDS]
+    + [
+        (spec, 4)
+        for spec in (
+            "cyclic:2 x mk:5",
+            "cyclic:2 x chain:3 x chain:1",
+            "cyclic:2 x bool:3",
+            "cyclic:2 x mk:6",
+            "cyclic:3 x mk:4",
+            "chain:4 x chain:1",
+            "mk:9",
+            "chain:5 x chain:1",
+            "mk:4 x chain:1",
+            "bool:3",
+        )
+    ],
+)
+def test_lumped_counts_match_full_walk(spec, n):
+    matrix = _matrix(spec)
+    full = walk(matrix.entries, [1] * matrix.size, n)
+    assert list(count_sequence(matrix, n).values[1:]) == [sum(v) for v in full]
+
+
+@pytest.mark.parametrize("spec, k, classes", [("mk:9", 522, 11), ("cyclic:2 x mk:6", 877, 44)])
+def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
+    rows, sizes = _lump(_matrix(spec).entries)
+    assert (sum(sizes), len(rows)) == (k, classes)
+    # The quotient keeps the row contract: columns below the row, diagonal last.
+    for c, row in enumerate(rows):
+        assert row[-1][0] == c
+        assert all(j < c for j, _ in row[:-1])
