@@ -33,6 +33,7 @@ from .monoid import (
     make_cyclic_group,
     make_mk,
     make_n5,
+    make_power,
     make_product,
     monoid_from_json,
     monoid_to_json,
@@ -62,6 +63,7 @@ from .submonoids import (
     inclusion_order,
     is_submonoid,
     weight,
+    weight_row,
 )
 from .transfer import (
     AsymptoticProfile,

@@ -49,15 +49,22 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
 
     Only valid for idempotent monoids, where the matrix is diagonalizable:
     submonoids sharing a diagonal value are incomparable, so the weight
-    blocks between them vanish.  That certificate is checked here.
+    blocks between them vanish.  That certificate is checked here, on the
+    lumped quotient: a class holds no two comparable submonoids and the
+    weights are positive, so W has a nonzero entry between two submonoids
+    with equal diagonals exactly when the quotient has one between two
+    classes.
     """
     if not is_idempotent(matrix.lattice.monoid):
         raise NotIdempotent("spectral form requires an idempotent monoid")
-    diag = matrix.diagonal()
-    for a, row in enumerate(matrix.entries):
-        for b, w in row:
-            if b != a and w and diag[b] == diag[a]:
-                raise InvariantViolation(f"equal-diagonal block is not diagonal at ({a}, {b})")
+    rows, _ = matrix.quotient
+    diag = [row[-1][1] for row in rows]
+    for a, row in enumerate(rows):
+        for b, w in row[:-1]:
+            if w and diag[b] == diag[a]:
+                raise InvariantViolation(
+                    f"equal-diagonal block is not diagonal between classes {a} and {b}"
+                )
     return sorted(set(diag))
 
 

@@ -315,25 +315,39 @@ def _require_submonoid(monoid, mask, label):
         raise NotASubmonoid(f"{label} mask {hex(mask)} is not a submonoid")
 
 
+def weight_row(monoid: CayleyMonoid, a: int, columns):
+    """Yield (j, W(a, b)) for each (j, b) of ``columns`` with b a subset of
+    the submonoid ``a``, in the order given; the one home of the weight.
+
+    W(a, b) counts the ideals I of a with I union b == a.  Such an ideal
+    must contain every class meeting a minus b together with everything
+    above, and may add any up-closed set of the other classes.  Upset
+    counts are memoized across the row.
+    """
+    cond = condense(divisibility_preorder(monoid, a))
+    counter = UpsetCounter(cond.order)
+    class_masks = [mask_of(cls) for cls in cond.classes]
+    ups, full = cond.order.up, cond.order.full_mask
+    for j, b in columns:
+        if b & ~a:
+            continue
+        forced = a & ~b
+        required = 0
+        for c, cls_mask in enumerate(class_masks):
+            if forced & cls_mask:
+                required |= ups[c]
+        yield j, counter.count(full & ~required)
+
+
 def weight(monoid: CayleyMonoid, a: int, b: int) -> int:
     """Number of ideals I of the submonoid ``a`` with I union ``b`` == ``a``.
 
-    Zero whenever ``b`` is not contained in ``a``.  Such an ideal must
-    contain every class meeting ``a`` minus ``b`` together with everything
-    above, so the count reduces to :func:`count_upsets_containing`.
+    Zero whenever ``b`` is not contained in ``a``; otherwise the one entry
+    of :func:`weight_row`.
     """
     _require_submonoid(monoid, a, "first")
     _require_submonoid(monoid, b, "second")
     if b & ~a:
         return 0
-    cond = condense(divisibility_preorder(monoid, a))
-    required = _required_classes(cond, a & ~b)
-    return count_upsets_containing(cond, required)
-
-
-def _required_classes(cond: CondensedPreorder, forced_elements: int) -> int:
-    required = 0
-    for c, cls in enumerate(cond.classes):
-        if forced_elements & mask_of(cls):
-            required |= cond.order.up[c]
-    return required
+    ((_, w),) = weight_row(monoid, a, [(0, b)])
+    return w

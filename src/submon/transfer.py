@@ -10,36 +10,96 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IndexOutOfRange, InvariantViolation
-from .monoid import CayleyMonoid
+from .monoid import CayleyMonoid, check_automorphisms
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
     SubmonoidLattice,
-    UpsetCounter,
-    condense,
-    divisibility_preorder,
     enumerate_submonoids,
-    mask_of,
+    weight_row,
 )
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """Orbits of a monoid's automorphism generators on its submonoids.
+
+    Orbit o is numbered by its first member ``reps[o]``, its
+    representative, and ``orbit_of[i]`` is member i's orbit.  Generator g
+    maps member i to member ``moves[g][i]``.  ``steps`` lists every other
+    member once as (member, parent, g) with ``moves[g][parent] == member``,
+    each parent a representative or listed earlier.
+    """
+
+    reps: tuple[int, ...]
+    orbit_of: tuple[int, ...]
+    moves: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, int, int], ...]
 
 
 @dataclass
 class TransferMatrix:
-    """W as sparse rows: ``entries[i]`` holds row i's nonzero weights as
-    (column, weight) pairs in ascending column order.  W(A, B) is nonzero
-    exactly when B is a subset of A, so the rows are lower triangular and
-    each ends with its diagonal pair."""
+    """W as sparse rows of (column, weight) pairs in ascending column order.
+
+    W(A, B) is nonzero exactly when B is a subset of A, so the rows are
+    lower triangular and each ends with its diagonal pair.  Every
+    automorphism s of the monoid gives W(sA, sB) == W(A, B), so with
+    ``orbits`` set, ``rows`` holds only the rows of the orbit
+    representatives, in orbit order; without, it holds every row.
+    ``entries`` expands the full rows on first access.
+    """
 
     lattice: SubmonoidLattice
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    orbits: Orbits | None = None
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.lattice)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(row[-1][1] for row in self.entries)
+        diagonal = tuple(row[-1][1] for row in self.rows)
+        if self.orbits is None:
+            return diagonal
+        return tuple(diagonal[o] for o in self.orbits.orbit_of)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every row of W: each other member's row is its parent's row
+        with the columns moved by the generator that reached it."""
+        if self.orbits is None:
+            return self.rows
+        full = [()] * self.size
+        for r, row in zip(self.orbits.reps, self.rows):
+            full[r] = row
+        for a, parent, g in self.orbits.steps:
+            move = self.orbits.moves[g]
+            full[a] = tuple(sorted((move[j], w) for j, w in full[parent]))
+        return tuple(full)
+
+    @cached_property
+    def quotient(self):
+        """W lumped by :func:`_lump`: the quotient rows and class sizes.
+
+        With orbits, the lumping starts from the orbit quotient, whose
+        entry (O, O') is the sum of W(rep O, B) over B in O'.  It keeps
+        the row contract, since an orbit lies within one popcount.
+        """
+        if self.orbits is None:
+            return _lump(self.rows)
+        orbit_of = self.orbits.orbit_of
+        sizes = [0] * len(self.rows)
+        for o in orbit_of:
+            sizes[o] += 1
+        summed = []
+        for row in self.rows:
+            sums = {}
+            for j, w in row:
+                sums[orbit_of[j]] = sums.get(orbit_of[j], 0) + w
+            summed.append(tuple(sorted(sums.items())))
+        return _lump(summed, sizes)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:
         """The full k x k table, zeros included; built on each call."""
@@ -55,30 +115,68 @@ class CountSequence:
     label: str = ""
 
 
+def _shift_groups(g) -> tuple[tuple[int, int], ...]:
+    """The permutation g as (shift, mask) pairs: the bits x with the same
+    g[x] - x form one mask, shifted by that distance plus len(g) so that
+    no shift is negative.  A mask b maps to
+    sum((b & mask) << shift) >> len(g), with one term per distinct
+    distance (three for a transposition) instead of one per bit."""
+    groups = {}
+    for x, gx in enumerate(g):
+        shift = gx - x + len(g)
+        groups[shift] = groups.get(shift, 0) | 1 << x
+    return tuple(groups.items())
+
+
+def _orbits(lattice: SubmonoidLattice) -> Orbits | None:
+    """Orbits of the monoid's automorphism generators on the members, by a
+    search from each orbit's first member that maps masks through the
+    generators and looks them up in ``index_of``: k x generators work and
+    no group search.  None when every orbit is one member."""
+    monoid = lattice.monoid
+    if not monoid.automorphisms:
+        return None
+    check_automorphisms(monoid)
+    members, index_of, n = lattice.members, lattice.index_of, monoid.size
+    moves = []
+    for g in monoid.automorphisms:
+        groups = _shift_groups(g)
+        moves.append(
+            tuple(index_of[sum((b & m) << s for s, m in groups) >> n] for b in members)
+        )
+    orbit_of = [-1] * len(members)
+    reps, steps = [], []
+    for i in range(len(members)):
+        if orbit_of[i] >= 0:
+            continue
+        orbit_of[i] = len(reps)
+        reps.append(i)
+        queue = [i]
+        for parent in queue:
+            for g, move in enumerate(moves):
+                j = move[parent]
+                if orbit_of[j] < 0:
+                    orbit_of[j] = orbit_of[i]
+                    steps.append((j, parent, g))
+                    queue.append(j)
+    if len(reps) == len(members):
+        return None
+    return Orbits(tuple(reps), tuple(orbit_of), tuple(moves), tuple(steps))
+
+
 def build_transfer_matrix(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> TransferMatrix:
-    """Build the weight matrix in the canonical lattice order."""
+    """Build the rows of W at the orbit representatives, in the canonical
+    lattice order; each generator is checked against the table first."""
     lattice = enumerate_submonoids(monoid, max_size=max_size)
     members = lattice.members
-    rows = []
-    for i, a in enumerate(members):
-        cond = condense(divisibility_preorder(monoid, a))
-        counter = UpsetCounter(cond.order)
-        class_masks = [mask_of(cls) for cls in cond.classes]
-        row = []
-        for j in range(i + 1):
-            b = members[j]
-            if b & ~a:
-                continue
-            forced = a & ~b
-            required = 0
-            for c, cls_mask in enumerate(class_masks):
-                if forced & cls_mask:
-                    required |= cond.order.up[c]
-            row.append((j, counter.count(cond.order.full_mask & ~required)))
-        rows.append(tuple(row))
-    return TransferMatrix(lattice=lattice, entries=tuple(rows))
+    orbits = _orbits(lattice)
+    reps = range(len(members)) if orbits is None else orbits.reps
+    rows = tuple(
+        tuple(weight_row(monoid, members[i], zip(range(i + 1), members))) for i in reps
+    )
+    return TransferMatrix(lattice=lattice, rows=rows, orbits=orbits)
 
 
 def walk(rows, vector, steps: int):
@@ -89,10 +187,12 @@ def walk(rows, vector, steps: int):
         yield vector
 
 
-def _lump(entries):
+def _lump(entries, sizes=None):
     """Lump W's rows into classes on which every W^n 1 is constant.
 
-    Rows are taken in index order.  A row's signature is its diagonal
+    ``sizes`` gives the number of submonoids behind each row, one each by
+    default; a row of a lumpable quotient of W stands for its class, as an
+    orbit row does.  Rows are taken in index order.  A row's signature is its diagonal
     weight and the sorted (class, summed weight) pairs of its off-diagonal
     columns, whose classes are already known since those columns lie
     below the row; rows with equal signatures share a class.  (W v)[A]
@@ -102,7 +202,7 @@ def _lump(entries):
     diagonal pair appended last) keeps the row contract of ``entries``.
     Returns the quotient rows and the class sizes.
     """
-    classes, sizes, rows, index = [], [], [], {}
+    classes, class_sizes, rows, index = [], [], [], {}
     for i, row in enumerate(entries):
         if not row or row[-1][0] != i:
             raise InvariantViolation(f"row {i} does not end with its diagonal")
@@ -115,10 +215,10 @@ def _lump(entries):
         c = index.setdefault((diagonal, below), len(rows))
         if c == len(rows):
             rows.append(below + ((c, diagonal),))
-            sizes.append(0)
-        sizes[c] += 1
+            class_sizes.append(0)
+        class_sizes[c] += 1 if sizes is None else sizes[i]
         classes.append(c)
-    return rows, sizes
+    return rows, class_sizes
 
 
 def count_sequence(
@@ -132,7 +232,7 @@ def count_sequence(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows, sizes = _lump(matrix.entries)
+    rows, sizes = matrix.quotient
     values = [matrix.size]
     values += [
         sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), n_max)

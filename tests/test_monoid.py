@@ -11,6 +11,7 @@ from submon.errors import (
     SizeLimitExceeded,
 )
 from submon.monoid import (
+    check_automorphisms,
     from_spec,
     from_table,
     is_group,
@@ -21,6 +22,7 @@ from submon.monoid import (
     make_cyclic_group,
     make_mk,
     make_n5,
+    make_power,
     make_product,
     monoid_from_json,
     monoid_to_json,
@@ -108,6 +110,48 @@ def test_product_submonoid_counts_are_associative():
 def test_make_bool_matches_iterated_product():
     assert len(enumerate_submonoids(make_bool(2))) == 7
     assert len(enumerate_submonoids(make_bool(3))) == 61
+    iterated = make_chain(0)
+    for _ in range(3):
+        iterated = make_product(iterated, make_chain(1))
+    assert make_bool(3).table == iterated.table
+    assert make_bool(0).size == 1
+    with pytest.raises(ValueError):
+        make_power(make_chain(1), -1)
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("chain:3", 0),
+        ("n5", 0),
+        ("mk:4", 3),  # adjacent transpositions of the 4 atoms
+        ("cyclic:2", 0),
+        ("cyclic:5", 3),  # x -> 2x, 3x, 4x
+        ("cyclic:6", 1),  # x -> 5x
+        ("bool:3", 2),  # swaps of adjacent coordinates
+        ("chain:1 x chain:1", 1),
+        ("chain:2 x chain:1", 0),
+        ("chain:1 x chain:2 x chain:1", 0),  # equal atoms, but not adjacent
+        ("cyclic:3 x mk:3", 3),
+        ("mk:3 x mk:3", 5),  # 2 + 2 lifted, and the swap of the factors
+    ],
+)
+def test_spec_automorphisms(spec, count):
+    monoid = from_spec(spec)
+    assert len(monoid.automorphisms) == count
+    check_automorphisms(monoid)
+    # Equality and hashing ignore the generators.
+    plain = from_table(monoid.table, monoid.identity)
+    assert plain.automorphisms == ()
+    assert plain == monoid and hash(plain) == hash(monoid)
+
+
+def test_swap_of_equal_factors_is_row_major():
+    # (x, y) <-> (y, x) in chain:1 x chain:1 exchanges indices 1 and 2.
+    assert from_spec("chain:1 x chain:1").automorphisms == ((0, 2, 1, 3),)
+    # In a x b x b only the last two coordinates move.
+    m = from_spec("cyclic:2 x chain:1 x chain:1")
+    assert m.automorphisms == ((0, 2, 1, 3, 4, 6, 5, 7),)
 
 
 def test_make_mk_shape():

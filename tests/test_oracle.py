@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submon.errors import SizeLimitExceeded
-from submon.monoid import from_table, make_chain, make_cyclic_group, make_product
+from submon.monoid import from_table, make_chain, make_cyclic_group, make_power, make_product
 from submon.oracle import (
     DEFAULT_MAX_ORACLE_SIZE,
     _closed_masks,
@@ -96,8 +96,10 @@ def _null_with_identity(size):
 
 @st.composite
 def small_commutative_monoids(draw, max_size=DEFAULT_MAX_ORACLE_SIZE):
-    """Monogenic monoids and null semigroups with an identity, alone or
-    times a second such atom, of at most ``max_size`` elements."""
+    """Monogenic monoids and null semigroups with an identity, alone, times
+    a second such atom, or the square of one of at most 3 elements, which
+    carries the swap of its two factors as an automorphism; at most
+    ``max_size`` elements."""
 
     def atom(limit):
         if draw(st.booleans()):
@@ -105,6 +107,8 @@ def small_commutative_monoids(draw, max_size=DEFAULT_MAX_ORACLE_SIZE):
             return _monogenic(index, draw(st.integers(1, limit - index)))
         return _null_with_identity(draw(st.integers(1, limit - 1)))
 
+    if draw(st.integers(0, 3)) == 0:
+        return make_power(atom(3), 2)
     monoid = atom(max_size)
     if 2 * monoid.size <= max_size and draw(st.booleans()):
         other = atom(max_size // monoid.size)
@@ -126,3 +130,9 @@ def test_random_monoids_match_oracle(monoid):
         # The lumped walk against the walk over every row of W.
         full = walk(matrix.entries, [1] * matrix.size, 3)
         assert list(counts[1:]) == [sum(v) for v in full]
+    if monoid.automorphisms:
+        # The orbit rows, expanded, against a build that ignores the swap.
+        matrix = build_transfer_matrix(monoid)
+        plain = build_transfer_matrix(from_table(monoid.table, monoid.identity))
+        assert matrix.entries == plain.entries
+        assert count_sequence(matrix, 3).values == count_sequence(plain, 3).values

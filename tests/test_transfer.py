@@ -1,12 +1,13 @@
+from dataclasses import replace
 from functools import cache
 
 import pytest
 
 from submon.cli import DEFAULT_MONOIDS
-from submon.errors import IndexOutOfRange, InvariantViolation
-from submon.monoid import from_spec, make_chain, make_cyclic_group, make_product
+from submon.errors import AutomorphismViolation, IndexOutOfRange, InvariantViolation
+from submon.monoid import from_spec, from_table, make_chain, make_cyclic_group, make_product
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
-from submon.submonoids import enumerate_submonoids
+from submon.submonoids import enumerate_submonoids, weight_row
 from submon.transfer import (
     TransferMatrix,
     asymptotics,
@@ -122,7 +123,7 @@ def test_asymptotics_multiplicity_one_for_idempotent():
 def test_count_sequence_rejects_decreasing_counts():
     # A zero weight on the trivial monoid's only entry makes S_1 = 0 < S_0.
     lattice = enumerate_submonoids(make_chain(0))
-    tampered = TransferMatrix(lattice=lattice, entries=(((0, 0),),))
+    tampered = TransferMatrix(lattice=lattice, rows=(((0, 0),),))
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -138,7 +139,7 @@ def test_count_sequence_rejects_decreasing_counts():
 )
 def test_count_sequence_rejects_broken_row_contract(entries, message):
     lattice = enumerate_submonoids(make_chain(1))
-    tampered = TransferMatrix(lattice=lattice, entries=entries)
+    tampered = TransferMatrix(lattice=lattice, rows=entries)
     with pytest.raises(InvariantViolation, match=message):
         count_sequence(tampered, 1)
 
@@ -148,26 +149,26 @@ def _matrix(spec):
     return build_transfer_matrix(from_spec(spec))
 
 
+# The monoids of the long-walk and spectrum jobs.
+BENCHMARK_MONOIDS = (
+    "cyclic:2 x mk:5",
+    "cyclic:2 x chain:3 x chain:1",
+    "cyclic:2 x bool:3",
+    "cyclic:2 x mk:6",
+    "cyclic:3 x mk:4",
+    "chain:4 x chain:1",
+    "mk:9",
+    "chain:5 x chain:1",
+    "mk:4 x chain:1",
+    "bool:3",
+)
+
+
 # The lumped walk against the walk over every row of W: every default
 # monoid, and the monoids and lattices of the long-walk and spectrum jobs.
 @pytest.mark.parametrize(
     "spec, n",
-    [(spec, 8) for spec in DEFAULT_MONOIDS]
-    + [
-        (spec, 4)
-        for spec in (
-            "cyclic:2 x mk:5",
-            "cyclic:2 x chain:3 x chain:1",
-            "cyclic:2 x bool:3",
-            "cyclic:2 x mk:6",
-            "cyclic:3 x mk:4",
-            "chain:4 x chain:1",
-            "mk:9",
-            "chain:5 x chain:1",
-            "mk:4 x chain:1",
-            "bool:3",
-        )
-    ],
+    [(spec, 8) for spec in DEFAULT_MONOIDS] + [(spec, 4) for spec in BENCHMARK_MONOIDS],
 )
 def test_lumped_counts_match_full_walk(spec, n):
     matrix = _matrix(spec)
@@ -179,7 +180,80 @@ def test_lumped_counts_match_full_walk(spec, n):
 def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
     rows, sizes = _lump(_matrix(spec).entries)
     assert (sum(sizes), len(rows)) == (k, classes)
+    # Lumping the orbit quotient with the orbit sizes gives the same classes.
+    assert _matrix(spec).quotient == (rows, sizes)
     # The quotient keeps the row contract: columns below the row, diagonal last.
     for c, row in enumerate(rows):
         assert row[-1][0] == c
         assert all(j < c for j, _ in row[:-1])
+
+
+def _stripped(spec):
+    """The build of ``spec`` without its automorphisms: one row per member."""
+    monoid = from_spec(spec)
+    return build_transfer_matrix(from_table(monoid.table, monoid.identity))
+
+
+SYMMETRIC = [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if from_spec(s).automorphisms]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC)
+def test_orbit_rows_match_a_build_without_automorphisms(spec):
+    matrix, plain = _matrix(spec), _stripped(spec)
+    assert plain.orbits is None
+    assert matrix.entries == plain.entries
+    assert matrix.diagonal() == plain.diagonal()
+    assert count_sequence(matrix, 6).values == count_sequence(plain, 6).values
+
+
+@pytest.mark.parametrize("spec", ["bool:4", "mk:12"])
+def test_orbit_rows_match_plain_rows_on_large_groups(spec):
+    # A plain build takes seconds here, so recompute only the last member
+    # of each orbit, and every 50th, with the row routine; the counts are
+    # checked against a walk over the expanded rows.
+    matrix = build_transfer_matrix(from_spec(spec))
+    members, orbit_of = matrix.lattice.members, matrix.orbits.orbit_of
+    last = {o: i for i, o in enumerate(orbit_of)}
+    for i in sorted(set(last.values()) | set(range(0, len(members), 50))):
+        row = weight_row(matrix.lattice.monoid, members[i], zip(range(i + 1), members))
+        assert matrix.entries[i] == tuple(row)
+    full = walk(matrix.entries, [1] * matrix.size, 2)
+    assert list(count_sequence(matrix, 2).values[1:]) == [sum(v) for v in full]
+
+
+@pytest.mark.parametrize(
+    "spec, k, orbits",
+    [("mk:9", 522, 12), ("cyclic:2 x mk:6", 877, 47), ("chain:5 x chain:1", 697, 697)],
+)
+def test_orbit_counts(spec, k, orbits):
+    matrix = _matrix(spec)
+    assert (matrix.size, len(matrix.rows)) == (k, orbits)
+    # Each representative is its orbit's first member.
+    if matrix.orbits is not None:
+        reps = matrix.orbits.reps
+        assert all(reps[o] <= i for i, o in enumerate(matrix.orbits.orbit_of))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if s not in SYMMETRIC]
+)
+def test_no_generators_keep_one_row_per_member(spec):
+    # Without generators the build is the plain one: no orbits, no copy.
+    matrix = _matrix(spec)
+    assert matrix.orbits is None
+    assert matrix.entries is matrix.rows
+
+
+@pytest.mark.parametrize(
+    "bad, witness",
+    [
+        ((0, 2, 1), (0, 1, 2)),  # swaps 1 and 2 of the chain 0 < 1 < 2
+        ((0, 1, 1), (0,)),  # not a permutation
+        ((0, 1), (0,)),  # too short
+    ],
+)
+def test_generator_that_is_not_an_automorphism_raises(bad, witness):
+    chain = replace(make_chain(2), automorphisms=(bad,))
+    with pytest.raises(AutomorphismViolation) as caught:
+        build_transfer_matrix(chain)
+    assert caught.value.witness == witness
