@@ -31,15 +31,15 @@ from .errors import (
     SizeLimitExceeded,
     SubmonError,
 )
-from .monoid import from_spec, is_group, is_idempotent, semilattice_order
+from .monoid import from_spec, is_group, is_idempotent, join_monoid, semilattice_order
 from .oracle import brute_force_submonoid_count
 from .spectral import eigenvalues, ogf, spectrum_of, verify_recurrence
 from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order, mask_to_hex
 from .transfer import build_transfer_matrix, count_sequence
 from .transfersystems import (
     DEFAULT_MAX_ST_SIZE,
+    _check_budget,
     enumerate_saturated_transfer_systems,
-    st_count_sequence,
     verify_graph_isomorphism,
 )
 
@@ -87,37 +87,37 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _print_counts(seq, key: str, fmt: str) -> None:
+    """``n,count`` CSV lines, or JSON naming the input under ``key``."""
+    if fmt == "json":
+        _emit(json.dumps({key: seq.label, "values": list(seq.values)}))
+    else:
+        _emit("\n".join(["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]))
+
+
 def cmd_count(args) -> int:
     monoid = from_spec(args.monoid)
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
     seq = count_sequence(matrix, args.n, label=args.monoid)
     if args.oracle:
-        checked = 0
-        for n, value in enumerate(seq.values):
-            if (n + 1) * monoid.size > args.max_oracle_size:
-                continue
-            expected = brute_force_submonoid_count(
-                monoid, n, max_size=args.max_oracle_size
-            )
+        # The terms n with (n + 1) * |M| within the oracle budget.
+        fits = seq.values[: max(0, args.max_oracle_size // monoid.size)]
+        for n, value in enumerate(fits):
+            expected = brute_force_submonoid_count(monoid, n, max_size=args.max_oracle_size)
             if expected != value:
                 return _fail(
                     f"oracle mismatch at n={n}: pipeline {value}, "
                     f"brute force {expected}",
                     1,
                 )
-            checked += 1
-        total = len(seq.values)
+        checked, total = len(fits), len(seq.values)
         terms = f"n=0..{checked - 1}" if checked else "no terms"
         print(
             f"oracle checked {terms}; skipped {total - checked} of {total} "
             f"terms above --max-oracle-size {args.max_oracle_size}",
             file=sys.stderr,
         )
-    if args.format == "json":
-        _emit(json.dumps({"monoid": args.monoid, "values": list(seq.values)}))
-    else:
-        lines = ["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]
-        _emit("\n".join(lines))
+    _print_counts(seq, "monoid", args.format)
     return 0
 
 
@@ -209,12 +209,11 @@ def cmd_sattr(args) -> int:
         }
         _emit(json.dumps(payload))
         return 0
-    seq = st_count_sequence(order, args.n, max_size=args.max_st_size, label=args.lattice)
-    if args.format == "json":
-        _emit(json.dumps({"lattice": args.lattice, "values": list(seq.values)}))
-    else:
-        lines = ["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]
-        _emit("\n".join(lines))
+    # Systems on P x [n] correspond to submonoids of (P, join) x [n].
+    _check_budget(order, args.max_st_size)
+    matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_st_size)
+    seq = count_sequence(matrix, args.n, label=args.lattice)
+    _print_counts(seq, "lattice", args.format)
     return 0
 
 
@@ -267,13 +266,12 @@ def _suite_oracle(args) -> int:
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be at least 0, got {args.n}")
     specs = [args.monoid] if args.monoid else list(DEFAULT_MONOIDS)
-    cases = []
+    top = args.n if args.n is not None else args.max_oracle_size
+    cases, tops = [], {}
     for spec in specs:
-        monoid = from_spec(spec)
-        top = args.n if args.n is not None else args.max_oracle_size
-        for n in range(top + 1):
-            if (n + 1) * monoid.size <= args.max_oracle_size:
-                cases.append((spec, n, args.max_oracle_size))
+        # No larger n has (n + 1) * |M| within the oracle budget.
+        tops[spec] = min(top, args.max_oracle_size // from_spec(spec).size - 1)
+        cases += [(spec, n, args.max_oracle_size) for n in range(tops[spec] + 1)]
     if not cases:
         raise ValueError(f"no oracle case fits --max-oracle-size {args.max_oracle_size}")
     if args.jobs > 1:
@@ -281,10 +279,7 @@ def _suite_oracle(args) -> int:
             expected = list(pool.map(_oracle_case, cases))
     else:
         expected = [_oracle_case(item) for item in cases]
-    # Cases run n upward within each spec, so the last case of a spec has
-    # its largest n: walk each monoid once, that far.
-    tops = {spec: n for spec, n, _ in cases}
-    counts = {}
+    counts = {}  # walk each monoid once, to its largest n
     for (spec, n, _), want in zip(cases, expected):
         if spec not in counts:
             matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
@@ -423,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="largest chain length")
     p.add_argument("--list", action="store_true", help="dump the systems as JSON")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE)
+    p.add_argument(
+        "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,
+        help="largest lattice to list; for --n, the largest the cylinder route can cross-check",
+    )
     p.set_defaults(func=cmd_sattr)
 
     p = sub.add_parser("verify", help="run a named invariant sweep")

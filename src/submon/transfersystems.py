@@ -3,9 +3,13 @@
 A saturated transfer system is a partial order R refining the lattice
 order that is closed under restriction along meets and decomposes across
 intermediate elements.  Relations are stored one bitmask row per element,
-like orders.  The module enumerates all systems on a lattice, realizes the
-order-reversing correspondence onto submonoids under join, and builds the
-weighted graph whose walk counts enumerate systems on lattice x chain.
+like orders.  The module enumerates all systems on a lattice and realizes
+the order-reversing correspondence onto submonoids under join.  Systems on
+P x [n] correspond to submonoids of (P, join) x [n], which ``sattr --n``
+counts.  The cylinder weights and :func:`st_count_sequence` count them
+independently, for ``verify transfer-iso`` and the tests.  The lattice
+budget (``--max-st-size``) bounds every enumeration, on P or its cylinder,
+and so the lattices whose counts ``sattr --n`` prints.
 """
 
 from __future__ import annotations
@@ -29,6 +33,14 @@ from .submonoids import bits_of, closed_sets
 from .transfer import CountSequence, build_transfer_matrix, walk
 
 DEFAULT_MAX_ST_SIZE = 8
+
+
+def _check_budget(order: PartialOrder, max_size: int) -> None:
+    """The budget of every enumeration of systems on a lattice or its cylinder."""
+    if order.size > max_size:
+        raise SizeLimitExceeded(
+            f"lattice has {order.size} elements, enumeration budget {max_size}"
+        )
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,7 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
 def enumerate_saturated_transfer_systems(
     order: PartialOrder, max_size: int = DEFAULT_MAX_ST_SIZE
 ) -> list[TransferRelation]:
-    if order.size > max_size:
-        raise SizeLimitExceeded(
-            f"lattice has {order.size} elements, enumeration budget {max_size}"
-        )
+    _check_budget(order, max_size)
     return [TransferRelation(order, rows) for rows in _saturated_rows(order)]
 
 
@@ -295,10 +304,7 @@ def st_weight(
 ) -> int:
     """Number of saturated transfer systems on (lattice x chain of length 1)
     whose level-0 layer is ``bottom`` and level-1 layer is ``top``."""
-    if order.size > max_size:
-        raise SizeLimitExceeded(
-            f"lattice has {order.size} elements, enumeration budget {max_size}"
-        )
+    _check_budget(order, max_size)
     _, index, rows = _st_data(order)
     try:
         i, j = index[top.rows], index[bottom.rows]
@@ -316,10 +322,7 @@ def verify_graph_isomorphism(
     Returns (True, None), or (False, details) where details carries the
     first mismatching pair of systems and the two weights.
     """
-    if order.size > max_size:
-        raise SizeLimitExceeded(
-            f"lattice has {order.size} elements, enumeration budget {max_size}"
-        )
+    _check_budget(order, max_size)
     systems, _, st_rows = _st_data(order)
     monoid = join_monoid(order)
     weights = build_transfer_matrix(monoid)
@@ -348,16 +351,13 @@ def st_count_sequence(
     order: PartialOrder,
     n_max: int,
     max_size: int = DEFAULT_MAX_ST_SIZE,
-    label: str = "",
 ) -> CountSequence:
     """Counts of saturated transfer systems on (lattice x chain of length n)
-    for n = 0..n_max, via powers of the system adjacency matrix."""
-    if order.size > max_size:
-        raise SizeLimitExceeded(
-            f"lattice has {order.size} elements, enumeration budget {max_size}"
-        )
+    for n = 0..n_max by walks over the cylinder weights: the independent
+    route that the tests check ``sattr --n`` and the weight matrix against."""
+    _check_budget(order, max_size)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _, _, rows = _st_data(order)
     values = [len(rows)] + [sum(v) for v in walk(rows, [1] * len(rows), n_max)]
-    return CountSequence(values=tuple(values), label=label)
+    return CountSequence(values=tuple(values))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from submon.cli import main
+from submon.cli import DEFAULT_LATTICES, main
+from submon.monoid import from_spec, semilattice_order
+from submon.transfersystems import st_count_sequence
 
 
 def run(capsys, *argv):
@@ -115,6 +117,31 @@ def test_sattr_counts(capsys):
     assert out == "n,count\n0,2\n1,7\n"
 
 
+@pytest.mark.parametrize("spec", DEFAULT_LATTICES)
+def test_sattr_counts_submonoids_of_the_join_monoid(capsys, spec):
+    code, out, err = run(capsys, "sattr", "--lattice", spec, "--n", "6")
+    assert (code, out, err) == run(capsys, "count", "--monoid", spec, "--n", "6")
+    assert code == 0 and err == ""
+    # The cylinder route, an independent count of the same systems.
+    cylinder = st_count_sequence(semilattice_order(from_spec(spec)), 6).values
+    assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == list(cylinder)
+
+
+def test_sattr_counts_json(capsys):
+    code, out, _ = run(capsys, "sattr", "--lattice", "chain:1", "--n", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"lattice": "chain:1", "values": [2, 7]}
+
+
+def test_sattr_counts_budget(capsys):
+    argv = ("sattr", "--lattice", "chain:8", "--n", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: lattice has 9 elements, enumeration budget 8\n")
+    code, out, err = run(capsys, *argv, "--max-st-size", "9")
+    assert (code, out, err) == run(capsys, "count", "--monoid", "chain:8", "--n", "2")
+    assert code == 0
+
+
 def test_sattr_list(capsys):
     code, out, _ = run(capsys, "sattr", "--lattice", "chain:1", "--list")
     assert code == 0
@@ -155,6 +182,15 @@ def test_verify_suites_pass(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert "ok" in out
+
+
+def test_verify_oracle_stops_at_the_oracle_budget(capsys):
+    # chain:1 has 2 elements, so n = 0..6 fit the 14-element budget.
+    code, out, _ = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "6")
+    assert code == 0 and out.count("ok oracle") == 7
+    assert run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "1000000000000") == (
+        code, out, ""
+    )
 
 
 def test_verify_oracle_parallel(capsys):

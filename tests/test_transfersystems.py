@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submon import transfersystems
 from submon.cli import DEFAULT_LATTICES
@@ -171,6 +173,34 @@ def test_st_count_sequence_matches_transfer_matrix():
             build_transfer_matrix(join_monoid(order)), 3
         ).values
         assert st_values == tm_values
+
+
+@st.composite
+def moore_lattices(draw, ground=6, max_size=7):
+    """Lattices of at most ``max_size`` elements: Moore families of subsets
+    of a ``ground``-element set (closed under intersection, with the whole
+    set), ordered by inclusion.  Each drawn subset joins the family with
+    its intersections unless that makes the family too large.  Six points
+    suffice for every lattice of at most 7 elements."""
+    full = (1 << ground) - 1
+    family = {full}
+    for mask in draw(st.lists(st.integers(0, full), max_size=8)):
+        grown = family | {mask & f for f in family}
+        if len(grown) <= max_size:
+            family = grown
+    sets = sorted(family, key=lambda m: (m.bit_count(), m))
+    up = [sum(1 << j for j, b in enumerate(sets) if a & ~b == 0) for a in sets]
+    return PartialOrder(size=len(sets), up=tuple(up))
+
+
+# A 7-element lattice's cylinder takes about 0.4 s to enumerate, so the
+# examples are few and fixed.
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(moore_lattices())
+def test_random_lattices_agree_across_routes(order):
+    walks = count_sequence(build_transfer_matrix(join_monoid(order)), 3).values
+    assert st_count_sequence(order, 3).values == walks
+    assert verify_graph_isomorphism(order) == (True, None)
 
 
 def test_pairs_round_trip():
