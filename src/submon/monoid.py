@@ -431,10 +431,11 @@ def from_spec(text: str, max_product_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
     for i, tok in enumerate(tokens):
         if i % 2 == 1 and tok != "x":
             raise MonoidSpecError(f"expected 'x' between atoms, got {tok!r}")
-    return _fold_product([_parse_atom(tok) for tok in tokens[::2]], max_product_size)
+    atoms = [_parse_atom(tok, max_product_size) for tok in tokens[::2]]
+    return _fold_product(atoms, max_product_size)
 
 
-def _parse_atom(token: str) -> CayleyMonoid:
+def _parse_atom(token: str, max_size: int) -> CayleyMonoid:
     head, sep, arg = token.partition(":")
     if head == "n5" and not sep:
         return make_n5()
@@ -444,14 +445,26 @@ def _parse_atom(token: str) -> CayleyMonoid:
                 return monoid_from_json(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise MonoidSpecError(f"cannot load monoid from {arg!r}: {exc}") from exc
-    makers = {"chain": make_chain, "mk": make_mk, "cyclic": make_cyclic_group, "bool": make_bool}
+    # Each numeric atom's maker, and whether head:value has more elements
+    # than the budget, decided before its table is built; 2**k is never formed.
+    makers = {
+        "chain": (make_chain, lambda m: m + 1 > max_size),
+        "mk": (make_mk, lambda k: k + 2 > max_size),
+        "cyclic": (make_cyclic_group, lambda m: m > max_size),
+        "bool": (make_bool, lambda k: k >= max_size.bit_length()),
+    }
     if head in makers and sep:
+        make, over_budget = makers[head]
         try:
             value = int(arg)
         except ValueError:
             raise MonoidSpecError(f"bad numeric argument in {token!r}") from None
+        if over_budget(value):
+            raise SizeLimitExceeded(
+                f"atom {token!r} exceeds the product budget of {max_size} elements"
+            )
         try:
-            return makers[head](value)
+            return make(value)
         except ValueError as exc:
             raise MonoidSpecError(f"bad atom {token!r}: {exc}") from exc
     raise MonoidSpecError(f"unknown monoid atom {token!r}")

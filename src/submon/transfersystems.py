@@ -156,19 +156,17 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     return True, None
 
 
-def _grow(ctx: _LatticeContext, rows, x: int, z: int) -> tuple[int, ...]:
+def _grow(ctx: _LatticeContext, rows, cols, x: int, z: int):
     """The smallest saturated transfer system containing the closed system
-    ``rows`` and the pair x R z.
+    ``rows`` and the pair x R z, as its rows and its column masks (bit w of
+    ``cols[c]`` is set iff w R c); ``cols`` are those of ``rows``.
 
     Adding a pair (a, b) to a transitive relation relates everything that
     relates to a with everything b relates to; each pair that is genuinely
     new then queues only the pairs restriction and saturation force from it.
     """
     rows = list(rows)
-    cols = [0] * len(rows)  # bit w of cols[c] is set iff w R c
-    for w, row in enumerate(rows):
-        for c in bits_of(row):
-            cols[c] |= 1 << w
+    cols = list(cols)
     forced = ctx.forced
     pending = [(x, 1 << z)]
     while pending:
@@ -188,7 +186,7 @@ def _grow(ctx: _LatticeContext, rows, x: int, z: int) -> tuple[int, ...]:
                 for r, c_bit in forced_w[c]:
                     if not rows[r] & c_bit:
                         pending.append((r, c_bit))
-    return tuple(rows)
+    return tuple(rows), tuple(cols)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -197,17 +195,21 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
 
     Every system is the closure of its own cover pairs, so the systems are
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
-    from the discrete system one cover at a time by incremental closure.
+    from the discrete system one cover at a time by incremental closure,
+    carrying each system's rows and column masks.  Every system is
+    validated because the engine's pruning trusts ``_grow`` to be a
+    monotone closure, which only the tests check otherwise.
     """
     ctx = _lattice_context(order)
     covers = ctx.covers
 
-    def extend(rows, i):
-        grown = _grow(ctx, rows, *covers[i])
-        return grown, sum(1 << j for j, (x, z) in enumerate(covers) if grown[x] >> z & 1)
+    def extend(state, i):
+        grown = _grow(ctx, *state, *covers[i])
+        rows = grown[0]
+        return grown, sum(1 << j for j, (x, z) in enumerate(covers) if rows[x] >> z & 1)
 
     start = tuple(1 << x for x in range(order.size))
-    systems = list(closed_sets(start, 0, len(covers), extend))
+    systems = [rows for rows, _ in closed_sets((start, start), 0, len(covers), extend)]
     for rows in systems:
         ok, violation = is_saturated_transfer_system(order, rows)
         if not ok:

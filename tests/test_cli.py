@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -156,6 +157,20 @@ def test_parse_error_exit_code(capsys):
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--monoid", "bool:5", "--n", "1")
     assert code == 3 and "budget" in err
+
+
+def test_atom_over_budget_exits_before_its_table_is_built(capsys):
+    # A 1501-element chain's table took about 0.9 s and 70 MB before the
+    # budget check; now the spec is refused before anything is built.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "count", "--monoid", "chain:1500", "--n", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == "error: atom 'chain:1500' exceeds the product budget of 1024 elements\n"
+    assert peak < 1 << 20
 
 
 def test_not_idempotent_exit_code(capsys):

@@ -227,6 +227,18 @@ def test_from_spec_grammar():
     assert from_spec("chain:1 x chain:1 x chain:1").size == 8
 
 
+@pytest.mark.parametrize(
+    "spec, fits",
+    [("chain:9", "chain:8"), ("mk:8", "mk:7"), ("cyclic:10", "cyclic:9"),
+     ("bool:4", "bool:3"), ("bool:64", "bool:0"), ("chain:1 x chain:10", "chain:1 x chain:3")],
+)
+def test_from_spec_checks_each_atom_against_the_budget(spec, fits):
+    # An atom over budget raises before its table is built, even alone.
+    with pytest.raises(SizeLimitExceeded, match="exceeds the product budget of 9"):
+        from_spec(spec, max_product_size=9)
+    assert from_spec(fits, max_product_size=9).size <= 9
+
+
 @pytest.mark.parametrize("bad", ["", "chain", "chain:x", "chain:1 y chain:1",
                                  "chain:1 x", "mk:0", "nope:1"])
 def test_from_spec_rejects_garbage(bad):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from submon.monoid import (
 )
 from submon.oracle import _closed_masks, brute_force_weight
 from submon.submonoids import (
+    closed_sets,
     closure,
     condense,
     count_upsets_containing,
@@ -291,3 +293,64 @@ def test_enumeration_matches_oracle(spec):
     # Lists, not sets, so that a submonoid yielded twice fails.
     m = from_spec(spec)
     assert sorted(enumerate_submonoids(m).members) == sorted(_closed_masks(m))
+
+
+def _close_by_one(bottom, bottom_gens, generators, extend):
+    """Plain Close-by-One (Kuznetsov 1993): the unpruned reference loop
+    for :func:`closed_sets`."""
+    stack = [(bottom, bottom_gens, 0)]
+    while stack:
+        state, gens, start = stack.pop()
+        yield state
+        for i in range(start, generators):
+            bit = 1 << i
+            if gens & bit:
+                continue
+            child, child_gens = extend(state, i)
+            if not (child_gens ^ gens) & (bit - 1):
+                stack.append((child, child_gens, i + 1))
+
+
+def _random_moore_family(rng, points):
+    """A random family of subsets of ``points`` points that holds the whole
+    set and is closed under intersection."""
+    full = (1 << points) - 1
+    family = {full}
+    for _ in range(rng.randrange(4 * points)):
+        density = rng.uniform(0.3, 1)
+        mask = sum(1 << p for p in range(points) if rng.random() < density)
+        family |= {mask & f for f in family}
+    return family
+
+
+def test_closed_sets_matches_plain_close_by_one():
+    # Seeded random closure systems on at most 8 points: both loops must
+    # yield exactly the family, each set once, and the pruned one may only
+    # save closure calls.
+    saved = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        points = rng.randint(1, 8)
+        family = _random_moore_family(rng, points)
+        closure_of = []
+        for subset in range(1 << points):
+            closed = (1 << points) - 1
+            for f in family:
+                if not subset & ~f:
+                    closed &= f
+            closure_of.append(closed)
+        calls = [0]
+
+        def extend(state, i):
+            calls[0] += 1
+            grown = closure_of[state | 1 << i]
+            return grown, grown
+
+        bottom = closure_of[0]
+        fast = list(closed_sets(bottom, bottom, points, extend))
+        fast_calls, calls[0] = calls[0], 0
+        plain = list(_close_by_one(bottom, bottom, points, extend))
+        assert sorted(fast) == sorted(plain) == sorted(family), seed
+        assert fast_calls <= calls[0], seed
+        saved += calls[0] - fast_calls
+    assert saved > 0

@@ -224,8 +224,11 @@ def test_cube_lattice_agrees_across_routes():
 def test_enumeration_rejects_invalid_systems(monkeypatch):
     # Without closure, adding the covers 0<1 and 1<2 of the 3-chain one at
     # a time yields a relation that is not transitive.
-    def add_pair_only(ctx, rows, x, z):
-        return tuple(row | 1 << z if w == x else row for w, row in enumerate(rows))
+    def add_pair_only(ctx, rows, cols, x, z):
+        return (
+            tuple(row | 1 << z if w == x else row for w, row in enumerate(rows)),
+            tuple(col | 1 << x if c == z else col for c, col in enumerate(cols)),
+        )
 
     monkeypatch.setattr(transfersystems, "_grow", add_pair_only)
     with pytest.raises(InvariantViolation, match="transitive"):
@@ -270,6 +273,13 @@ def test_enumeration_matches_brute_force(spec, cylinder):
     assert len(_strict_pairs(order)) <= 12
     expected = _brute_force_systems(order)
     assert transfersystems._saturated_rows.__wrapped__(order) == expected
+
+
+def _transpose(rows):
+    """Column masks of a relation: bit w of cols[c] is set iff w R c."""
+    return tuple(
+        sum(1 << w for w, row in enumerate(rows) if row >> c & 1) for c in range(len(rows))
+    )
 
 
 def _close(ctx, rows):
@@ -327,9 +337,35 @@ def test_grow_matches_reference_closure(spec, cylinder):
                 continue
             grown = list(rows)
             grown[x] |= 1 << z
-            assert transfersystems._grow(ctx, rows, x, z) == _close(ctx, grown)
+            got_rows, got_cols = transfersystems._grow(ctx, rows, _transpose(rows), x, z)
+            assert got_rows == _close(ctx, grown)
+            assert got_cols == _transpose(got_rows)
             checked += 1
     assert checked > 0
+
+
+# The lattices of the transfer-systems benchmark workload.
+BENCHMARK_LATTICES = ["n5", "chain:2 x chain:1", "chain:1 x chain:2", "mk:4", "chain:4", "chain:5"]
+
+
+def test_grow_call_count_on_benchmark_lattices(monkeypatch):
+    # Plain Close-by-One called _grow 13,034 times here for 2,630 systems;
+    # the failed-test pruning leaves 2,937 calls.
+    grow = transfersystems._grow
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return grow(*args)
+
+    monkeypatch.setattr(transfersystems, "_grow", counted)
+    systems = 0
+    for spec in BENCHMARK_LATTICES:
+        for cylinder in (False, True):
+            order = _lattice_or_cylinder(spec, cylinder)
+            systems += len(transfersystems._saturated_rows.__wrapped__(order))
+    assert (calls, systems) == (2937, 2630)
 
 
 def test_transfer_system_caches_are_bounded():
