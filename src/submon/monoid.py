@@ -400,7 +400,10 @@ def monoid_to_json(monoid: CayleyMonoid) -> dict:
     }
 
 
-def monoid_from_json(data: dict) -> CayleyMonoid:
+def monoid_from_json(data: dict, max_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> CayleyMonoid:
+    """A validated monoid from the JSON Cayley-table format; a table of
+    more than ``max_size`` elements is refused before its cubic
+    validation."""
     try:
         table = data["table"]
         identity = data["identity"]
@@ -411,6 +414,8 @@ def monoid_from_json(data: dict) -> CayleyMonoid:
         raise MonoidSpecError("JSON monoid: table must be a list of row lists")
     if len(table) != size:
         raise MonoidSpecError("JSON monoid: size does not match the table")
+    if size > max_size:
+        raise SizeLimitExceeded(f"JSON monoid has {size} elements, budget {max_size}")
     try:
         return from_table(table, identity)
     except ValueError as exc:
@@ -442,16 +447,17 @@ def _parse_atom(token: str, max_size: int) -> CayleyMonoid:
     if head == "file" and sep:
         try:
             with open(arg, encoding="utf-8") as fh:
-                return monoid_from_json(json.load(fh))
+                data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise MonoidSpecError(f"cannot load monoid from {arg!r}: {exc}") from exc
+        return monoid_from_json(data, max_size)
     # Each numeric atom's maker, and whether head:value has more elements
     # than the budget, decided before its table is built; 2**k is never formed.
     makers = {
         "chain": (make_chain, lambda m: m + 1 > max_size),
         "mk": (make_mk, lambda k: k + 2 > max_size),
         "cyclic": (make_cyclic_group, lambda m: m > max_size),
-        "bool": (make_bool, lambda k: k >= max_size.bit_length()),
+        "bool": (lambda k: make_bool(k, max_size), lambda k: k >= max_size.bit_length()),
     }
     if head in makers and sep:
         make, over_budget = makers[head]

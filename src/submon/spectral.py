@@ -189,9 +189,11 @@ def ogf(
 
     The numerator is the degree < k truncation of the series times
     prod(1 - v*x); since the recurrence holds, higher product terms vanish,
-    which is checked up to degree 2k.
+    which is checked up to degree 2k.  The spectrum must be the set of
+    diagonal values of the lumped quotient, which is W's: each class has
+    one diagonal value.
     """
-    diag = sorted(set(matrix.diagonal()))
+    diag = sorted({row[-1][1] for row in matrix.quotient[0]})
     if list(spectrum.eigenvalues) != diag:
         raise ValueError("spectrum does not belong to this matrix")
     k = len(spectrum.eigenvalues)

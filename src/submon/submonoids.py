@@ -115,7 +115,7 @@ def is_submonoid(monoid: CayleyMonoid, mask: int) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubmonoidLattice:
     """All submonoids of a monoid in a fixed inclusion-respecting order.
 

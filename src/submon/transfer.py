@@ -10,10 +10,10 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange, InvariantViolation
-from .monoid import CayleyMonoid, check_automorphisms
+from .monoid import CACHE_SIZE, CayleyMonoid, check_automorphisms
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
     SubmonoidLattice,
@@ -39,7 +39,7 @@ class Orbits:
     steps: tuple[tuple[int, int, int], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferMatrix:
     """W as sparse rows of (column, weight) pairs in ascending column order.
 
@@ -48,16 +48,28 @@ class TransferMatrix:
     automorphism s of the monoid gives W(sA, sB) == W(A, B), so with
     ``orbits`` set, ``rows`` holds only the rows of the orbit
     representatives, in orbit order; without, it holds every row.
-    ``entries`` expands the full rows on first access.
+    ``rows`` is built on first access and ``entries`` expands the full
+    rows from it; ``quotient`` streams the rows instead when they are not
+    built yet, so counts and spectra never hold W.
     """
 
     lattice: SubmonoidLattice
-    rows: tuple[tuple[tuple[int, int], ...], ...]
     orbits: Orbits | None = None
 
     @property
     def size(self) -> int:
         return len(self.lattice)
+
+    def _row_stream(self):
+        """The rows of ``rows``, each computed by :func:`weight_row` as it
+        is consumed."""
+        monoid, members = self.lattice.monoid, self.lattice.members
+        reps = range(len(members)) if self.orbits is None else self.orbits.reps
+        return (tuple(weight_row(monoid, members[i], zip(range(i + 1), members))) for i in reps)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(self._row_stream())
 
     def diagonal(self) -> tuple[int, ...]:
         diagonal = tuple(row[-1][1] for row in self.rows)
@@ -83,23 +95,27 @@ class TransferMatrix:
     def quotient(self):
         """W lumped by :func:`_lump`: the quotient rows and class sizes.
 
-        With orbits, the lumping starts from the orbit quotient, whose
-        entry (O, O') is the sum of W(rep O, B) over B in O'.  It keeps
-        the row contract, since an orbit lies within one popcount.
+        The rows are read once, in order: from ``rows`` when built, else
+        streamed.  With orbits, the lumping starts from the orbit
+        quotient, whose entry (O, O') is the sum of W(rep O, B) over B in
+        O'.  It keeps the row contract, since an orbit lies within one
+        popcount.
         """
+        rows = self.__dict__["rows"] if "rows" in self.__dict__ else self._row_stream()
         if self.orbits is None:
-            return _lump(self.rows)
+            return _lump(rows)
         orbit_of = self.orbits.orbit_of
-        sizes = [0] * len(self.rows)
+        sizes = [0] * len(self.orbits.reps)
         for o in orbit_of:
             sizes[o] += 1
-        summed = []
-        for row in self.rows:
+
+        def summed(row):
             sums = {}
             for j, w in row:
                 sums[orbit_of[j]] = sums.get(orbit_of[j], 0) + w
-            summed.append(tuple(sorted(sums.items())))
-        return _lump(summed, sizes)
+            return tuple(sorted(sums.items()))
+
+        return _lump(map(summed, rows), sizes)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:
         """The full k x k table, zeros included; built on each call."""
@@ -167,16 +183,25 @@ def _orbits(lattice: SubmonoidLattice) -> Orbits | None:
 def build_transfer_matrix(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> TransferMatrix:
-    """Build the rows of W at the orbit representatives, in the canonical
-    lattice order; each generator is checked against the table first."""
+    """W of ``monoid`` over its submonoids in the canonical lattice order,
+    with each automorphism generator checked against the table first.
+
+    Results are cached per monoid, its generators and ``max_size``, and
+    shared between callers; the generators are part of the key because
+    monoid equality ignores them.  A build enumerates the submonoids and
+    their orbits; the rows are built on first request.
+    """
+    return _build(monoid, monoid.automorphisms, max_size)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _build(monoid, automorphisms, max_size):
     lattice = enumerate_submonoids(monoid, max_size=max_size)
-    members = lattice.members
-    orbits = _orbits(lattice)
-    reps = range(len(members)) if orbits is None else orbits.reps
-    rows = tuple(
-        tuple(weight_row(monoid, members[i], zip(range(i + 1), members))) for i in reps
-    )
-    return TransferMatrix(lattice=lattice, rows=rows, orbits=orbits)
+    return TransferMatrix(lattice=lattice, orbits=_orbits(lattice))
+
+
+build_transfer_matrix.cache_info = _build.cache_info
+build_transfer_matrix.cache_clear = _build.cache_clear
 
 
 def walk(rows, vector, steps: int):
@@ -218,7 +243,7 @@ def _lump(entries, sizes=None):
             class_sizes.append(0)
         class_sizes[c] += 1 if sizes is None else sizes[i]
         classes.append(c)
-    return rows, class_sizes
+    return tuple(rows), tuple(class_sizes)
 
 
 def count_sequence(

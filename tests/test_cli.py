@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
 from submon.cli import DEFAULT_LATTICES, main
 from submon.monoid import from_spec, semilattice_order
+from submon.transfer import build_transfer_matrix
 from submon.transfersystems import st_count_sequence
 
 
@@ -245,3 +247,24 @@ def test_verify_oracle_rejects_runs_that_check_nothing(capsys):
         capsys, "verify", "oracle", "--monoid", "chain:1", "--max-oracle-size", "-1"
     )
     assert code == 2 and out == "" and "--max-oracle-size" in err
+
+
+@pytest.mark.parametrize("spec", ["mk:2 x chain:1", "chain:2 x chain:1"])
+def test_cached_queries_print_the_same_in_any_order(capsys, spec):
+    # The queries share one cached build per monoid; whichever runs first
+    # builds it, and only matrix reads full rows.
+    queries = [
+        ("spectrum", "--monoid", spec),
+        ("ogf", "--monoid", spec),
+        ("count", "--monoid", spec, "--n", "12"),
+        ("matrix", "--monoid", spec),
+    ]
+    fresh = []
+    for argv in queries:
+        build_transfer_matrix.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert all(code == 0 and out and err == "" for code, out, err in fresh)
+    for order in permutations(range(len(queries))):
+        build_transfer_matrix.cache_clear()
+        for i in order + order:
+            assert run(capsys, *queries[i]) == fresh[i]

@@ -10,6 +10,7 @@ from submon.errors import (
     NotIdempotent,
     SizeLimitExceeded,
 )
+from submon import monoid as monoid_module
 from submon.monoid import (
     check_automorphisms,
     from_spec,
@@ -237,6 +238,34 @@ def test_from_spec_checks_each_atom_against_the_budget(spec, fits):
     with pytest.raises(SizeLimitExceeded, match="exceeds the product budget of 9"):
         from_spec(spec, max_product_size=9)
     assert from_spec(fits, max_product_size=9).size <= 9
+
+
+def test_bool_atom_folds_under_the_spec_budget(monkeypatch):
+    # bool:11 passes the atom check under a 4096-element budget, so its
+    # fold must run under that budget, not the 1024-element default.  The
+    # stand-in records the budget instead of building 2,048 elements.
+    calls = []
+
+    def record(k, max_size=None):
+        calls.append((k, max_size))
+        return make_chain(0)
+
+    monkeypatch.setattr(monoid_module, "make_bool", record)
+    from_spec("bool:11", max_product_size=4096)
+    assert calls == [(11, 4096)]
+
+
+def test_file_atom_over_budget_is_refused_before_validation(tmp_path):
+    # Five elements, and not associative: (1*1)*2 == 2*2 == 0 but
+    # 1*(1*2) == 1*0 == 1.  The budget is checked first.
+    table = [[0, 1, 2, 3, 4], [1, 2, 0, 0, 0], [2, 0, 0, 0, 0],
+             [3, 0, 0, 0, 0], [4, 0, 0, 0, 0]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"size": 5, "identity": 0, "table": table}))
+    with pytest.raises(SizeLimitExceeded, match="5 elements, budget 4"):
+        from_spec(f"file:{path}", max_product_size=4)
+    with pytest.raises(AssociativityViolation):
+        from_spec(f"file:{path}", max_product_size=5)
 
 
 @pytest.mark.parametrize("bad", ["", "chain", "chain:x", "chain:1 y chain:1",

@@ -220,7 +220,9 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     rows = list(grid.entries)
     assert grid.diagonal()[1] == grid.diagonal()[2] == 3
     rows[2] = ((0, 2), (1, 1), (2, 3))
-    tampered = TransferMatrix(lattice=grid.lattice, rows=tuple(rows))
+    # Set on a fresh matrix: the built one is cached and shared.
+    tampered = TransferMatrix(lattice=grid.lattice)
+    vars(tampered)["rows"] = tuple(rows)
     with pytest.raises(InvariantViolation):
         eigenvalues(tampered)
 

@@ -2,11 +2,27 @@ from dataclasses import replace
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from test_oracle import small_commutative_monoids
 
+from submon import transfer
 from submon.cli import DEFAULT_MONOIDS
-from submon.errors import AutomorphismViolation, IndexOutOfRange, InvariantViolation
-from submon.monoid import from_spec, from_table, make_chain, make_cyclic_group, make_product
+from submon.errors import (
+    AutomorphismViolation,
+    IndexOutOfRange,
+    InvariantViolation,
+    SizeLimitExceeded,
+)
+from submon.monoid import (
+    CACHE_SIZE,
+    from_spec,
+    from_table,
+    make_chain,
+    make_cyclic_group,
+    make_product,
+)
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
+from submon.spectral import ogf, spectrum_of
 from submon.submonoids import enumerate_submonoids, weight_row
 from submon.transfer import (
     TransferMatrix,
@@ -123,7 +139,8 @@ def test_asymptotics_multiplicity_one_for_idempotent():
 def test_count_sequence_rejects_decreasing_counts():
     # A zero weight on the trivial monoid's only entry makes S_1 = 0 < S_0.
     lattice = enumerate_submonoids(make_chain(0))
-    tampered = TransferMatrix(lattice=lattice, rows=(((0, 0),),))
+    tampered = TransferMatrix(lattice=lattice)
+    vars(tampered)["rows"] = (((0, 0),),)  # where the first read would cache them
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -139,7 +156,8 @@ def test_count_sequence_rejects_decreasing_counts():
 )
 def test_count_sequence_rejects_broken_row_contract(entries, message):
     lattice = enumerate_submonoids(make_chain(1))
-    tampered = TransferMatrix(lattice=lattice, rows=entries)
+    tampered = TransferMatrix(lattice=lattice)
+    vars(tampered)["rows"] = entries
     with pytest.raises(InvariantViolation, match=message):
         count_sequence(tampered, 1)
 
@@ -257,3 +275,69 @@ def test_generator_that_is_not_an_automorphism_raises(bad, witness):
     with pytest.raises(AutomorphismViolation) as caught:
         build_transfer_matrix(chain)
     assert caught.value.witness == witness
+
+
+def test_build_is_cached_and_shared():
+    monoid = from_spec("mk:3")
+    assert build_transfer_matrix(monoid) is build_transfer_matrix(from_spec("mk:3"))
+    assert build_transfer_matrix.cache_info().maxsize == CACHE_SIZE
+
+
+def test_cache_key_names_the_generators():
+    # Equal monoids with a bad generator must not hit the good one's entry.
+    build_transfer_matrix(from_spec("mk:3"))
+    bad = replace(from_spec("mk:3"), automorphisms=((1, 0, 2, 3, 4),))
+    assert bad == from_spec("mk:3")
+    with pytest.raises(AutomorphismViolation):
+        build_transfer_matrix(bad)
+
+
+def test_cache_key_names_the_budget():
+    monoid = from_spec("mk:3")
+    build_transfer_matrix(monoid, max_size=30)
+    with pytest.raises(SizeLimitExceeded):
+        build_transfer_matrix(monoid, max_size=monoid.size - 1)
+
+
+@pytest.mark.parametrize("spec", ["chain:2 x chain:1", "mk:4"])
+def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
+    build_transfer_matrix.cache_clear()
+    matrix = build_transfer_matrix(from_spec(spec))
+    spectrum = spectrum_of(matrix)
+    ogf(matrix, spectrum, count_sequence(matrix, 2 * len(spectrum.eigenvalues)))
+    assert "rows" not in matrix.__dict__ and "entries" not in matrix.__dict__
+
+    # A second query on the cached monoid neither enumerates nor builds rows.
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebuilt a cached monoid")
+
+    monkeypatch.setattr(transfer, "enumerate_submonoids", refuse)
+    monkeypatch.setattr(transfer, "weight_row", refuse)
+    again = build_transfer_matrix(from_spec(spec))
+    assert again is matrix
+    assert count_sequence(again, 3).values == count_sequence(matrix, 3).values
+
+
+def _quotients(monoid):
+    """The quotient streamed, and lumped from eagerly read rows, each on a
+    fresh matrix over the same lattice and orbits."""
+    built = build_transfer_matrix(monoid)
+    streamed = TransferMatrix(lattice=built.lattice, orbits=built.orbits)
+    eager = TransferMatrix(lattice=built.lattice, orbits=built.orbits)
+    assert eager.rows
+    quotients = streamed.quotient, eager.quotient
+    assert "rows" not in vars(streamed)
+    return quotients
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
+def test_streamed_quotient_matches_eager_rows(spec):
+    streamed, eager = _quotients(from_spec(spec))
+    assert streamed == eager
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_commutative_monoids(max_size=10))
+def test_streamed_quotient_matches_eager_rows_on_random_monoids(monoid):
+    streamed, eager = _quotients(monoid)
+    assert streamed == eager
