@@ -150,6 +150,7 @@ def cmd_spectrum(args) -> int:
 def cmd_matrix(args) -> int:
     matrix = build_transfer_matrix(from_spec(args.monoid), max_size=args.max_monoid_size)
     legend = [mask_to_hex(m) for m in matrix.lattice.members]
+    table = matrix.dense()
     if args.format == "json":
         _emit(
             json.dumps(
@@ -157,13 +158,13 @@ def cmd_matrix(args) -> int:
                     "monoid": args.monoid,
                     "size": matrix.size,
                     "legend": legend,
-                    "rows": [list(row) for row in matrix.dense()],
+                    "rows": [list(row) for row in table],
                 }
             )
         )
     else:
         lines = ["mask," + ",".join(legend)]
-        for mask, row in zip(legend, matrix.dense()):
+        for mask, row in zip(legend, table):
             lines.append(mask + "," + ",".join(str(v) for v in row))
         _emit("\n".join(lines))
     return 0
@@ -226,8 +227,9 @@ def _oracle_case(item):
 def _suite_triangular(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
-        diag = matrix.diagonal()
-        for i, row in enumerate(matrix.entries):
+        entries = matrix.entries
+        diag = [row[-1][1] for row in entries]
+        for i, row in enumerate(entries):
             if row[-1][0] != i or diag[i] < 2:
                 return _fail(f"{spec}: diagonal entry {i} is {dict(row).get(i, 0)}", 1)
             for j, _ in row:

@@ -27,16 +27,11 @@ class Orbits:
     """Orbits of a monoid's automorphism generators on its submonoids.
 
     Orbit o is numbered by its first member ``reps[o]``, its
-    representative, and ``orbit_of[i]`` is member i's orbit.  Generator g
-    maps member i to member ``moves[g][i]``.  ``steps`` lists every other
-    member once as (member, parent, g) with ``moves[g][parent] == member``,
-    each parent a representative or listed earlier.
+    representative, and ``orbit_of[i]`` is member i's orbit.
     """
 
     reps: tuple[int, ...]
     orbit_of: tuple[int, ...]
-    moves: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -45,82 +40,43 @@ class TransferMatrix:
 
     W(A, B) is nonzero exactly when B is a subset of A, so the rows are
     lower triangular and each ends with its diagonal pair.  Every
-    automorphism s of the monoid gives W(sA, sB) == W(A, B), so with
-    ``orbits`` set, ``rows`` holds only the rows of the orbit
-    representatives, in orbit order; without, it holds every row.
-    ``rows`` is built on first access and ``entries`` expands the full
-    rows from it; ``quotient`` streams the rows instead when they are not
-    built yet, so counts and spectra never hold W.
+    automorphism s of the monoid gives W(sA, sB) == W(A, B), so
+    ``quotient`` streams only the rows of the orbit representatives and
+    is the one piece of W a matrix keeps.  ``entries`` builds every row
+    on each read.
     """
 
     lattice: SubmonoidLattice
-    orbits: Orbits | None = None
+    orbits: Orbits
 
     @property
     def size(self) -> int:
         return len(self.lattice)
 
-    def _row_stream(self):
-        """The rows of ``rows``, each computed by :func:`weight_row` as it
-        is consumed."""
-        monoid, members = self.lattice.monoid, self.lattice.members
-        reps = range(len(members)) if self.orbits is None else self.orbits.reps
-        return (tuple(weight_row(monoid, members[i], zip(range(i + 1), members))) for i in reps)
+    def _row(self, i: int) -> tuple[tuple[int, int], ...]:
+        members = self.lattice.members
+        return tuple(weight_row(self.lattice.monoid, members[i], zip(range(i + 1), members)))
 
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(self._row_stream())
-
-    def diagonal(self) -> tuple[int, ...]:
-        diagonal = tuple(row[-1][1] for row in self.rows)
-        if self.orbits is None:
-            return diagonal
-        return tuple(diagonal[o] for o in self.orbits.orbit_of)
-
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Every row of W: each other member's row is its parent's row
-        with the columns moved by the generator that reached it."""
-        if self.orbits is None:
-            return self.rows
-        full = [()] * self.size
-        for r, row in zip(self.orbits.reps, self.rows):
-            full[r] = row
-        for a, parent, g in self.orbits.steps:
-            move = self.orbits.moves[g]
-            full[a] = tuple(sorted((move[j], w) for j, w in full[parent]))
-        return tuple(full)
+        """Every row of W, built on each read and not kept."""
+        return tuple(map(self._row, range(self.size)))
 
     @cached_property
     def quotient(self):
-        """W lumped by :func:`_lump`: the quotient rows and class sizes.
-
-        The rows are read once, in order: from ``rows`` when built, else
-        streamed.  With orbits, the lumping starts from the orbit
-        quotient, whose entry (O, O') is the sum of W(rep O, B) over B in
-        O'.  It keeps the row contract, since an orbit lies within one
-        popcount.
-        """
-        rows = self.__dict__["rows"] if "rows" in self.__dict__ else self._row_stream()
-        if self.orbits is None:
-            return _lump(rows)
-        orbit_of = self.orbits.orbit_of
-        sizes = [0] * len(self.orbits.reps)
-        for o in orbit_of:
-            sizes[o] += 1
-
-        def summed(row):
-            sums = {}
-            for j, w in row:
-                sums[orbit_of[j]] = sums.get(orbit_of[j], 0) + w
-            return tuple(sorted(sums.items()))
-
-        return _lump(map(summed, rows), sizes)
+        """W lumped by :func:`_lump` from the representatives' rows, each
+        built as it is consumed: the quotient rows and class sizes."""
+        return _lump(map(self._row, self.orbits.reps), self.orbits)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:
         """The full k x k table, zeros included; built on each call."""
-        k = self.size
-        return tuple(tuple(dict(row).get(j, 0) for j in range(k)) for row in self.entries)
+        table = []
+        for row in self.entries:
+            dense = [0] * self.size
+            for j, w in row:
+                dense[j] = w
+            table.append(tuple(dense))
+        return tuple(table)
 
 
 @dataclass
@@ -144,14 +100,15 @@ def _shift_groups(g) -> tuple[tuple[int, int], ...]:
     return tuple(groups.items())
 
 
-def _orbits(lattice: SubmonoidLattice) -> Orbits | None:
+def _orbits(lattice: SubmonoidLattice) -> Orbits:
     """Orbits of the monoid's automorphism generators on the members, by a
     search from each orbit's first member that maps masks through the
     generators and looks them up in ``index_of``: k x generators work and
-    no group search.  None when every orbit is one member."""
-    monoid = lattice.monoid
+    no group search.  Without generators every orbit is one member."""
+    monoid, k = lattice.monoid, len(lattice)
     if not monoid.automorphisms:
-        return None
+        ids = tuple(range(k))
+        return Orbits(ids, ids)
     check_automorphisms(monoid)
     members, index_of, n = lattice.members, lattice.index_of, monoid.size
     moves = []
@@ -160,24 +117,21 @@ def _orbits(lattice: SubmonoidLattice) -> Orbits | None:
         moves.append(
             tuple(index_of[sum((b & m) << s for s, m in groups) >> n] for b in members)
         )
-    orbit_of = [-1] * len(members)
-    reps, steps = [], []
-    for i in range(len(members)):
+    orbit_of = [-1] * k
+    reps = []
+    for i in range(k):
         if orbit_of[i] >= 0:
             continue
         orbit_of[i] = len(reps)
         reps.append(i)
         queue = [i]
         for parent in queue:
-            for g, move in enumerate(moves):
+            for move in moves:
                 j = move[parent]
                 if orbit_of[j] < 0:
                     orbit_of[j] = orbit_of[i]
-                    steps.append((j, parent, g))
                     queue.append(j)
-    if len(reps) == len(members):
-        return None
-    return Orbits(tuple(reps), tuple(orbit_of), tuple(moves), tuple(steps))
+    return Orbits(tuple(reps), tuple(orbit_of))
 
 
 def build_transfer_matrix(
@@ -189,7 +143,7 @@ def build_transfer_matrix(
     Results are cached per monoid, its generators and ``max_size``, and
     shared between callers; the generators are part of the key because
     monoid equality ignores them.  A build enumerates the submonoids and
-    their orbits; the rows are built on first request.
+    their orbits and builds no row of W.
     """
     return _build(monoid, monoid.automorphisms, max_size)
 
@@ -212,38 +166,47 @@ def walk(rows, vector, steps: int):
         yield vector
 
 
-def _lump(entries, sizes=None):
+def _lump(rows, orbits: Orbits):
     """Lump W's rows into classes on which every W^n 1 is constant.
 
-    ``sizes`` gives the number of submonoids behind each row, one each by
-    default; a row of a lumpable quotient of W stands for its class, as an
-    orbit row does.  Rows are taken in index order.  A row's signature is its diagonal
-    weight and the sorted (class, summed weight) pairs of its off-diagonal
-    columns, whose classes are already known since those columns lie
-    below the row; rows with equal signatures share a class.  (W v)[A]
-    depends only on A's signature when v is constant on classes, so by
-    induction W^n 1 is too.  A row's classes below it were all formed
-    before its own, so the quotient (each class's signature with its
-    diagonal pair appended last) keeps the row contract of ``entries``.
-    Returns the quotient rows and the class sizes.
+    ``rows`` holds the row of each orbit representative, in orbit order;
+    an automorphism keeps every weight, so a member's row is its
+    representative's with the columns moved within their orbits.  A
+    row's signature is its diagonal weight and the sorted (class, summed
+    weight) pairs of its off-diagonal columns, whose orbits' classes are
+    already known since those columns lie below the row; orbits with
+    equal signatures share a class.  (W v)[A] depends only on A's
+    signature when v is constant on classes, so by induction W^n 1 is
+    too.  A row's classes below it were all formed before its own, so
+    the quotient (each class's signature with its diagonal pair appended
+    last) keeps the row contract of ``entries``.  Returns the quotient
+    rows and the class sizes.
+
+    Both row-contract checks always run, since a row that breaks them
+    lumps into a wrong quotient without any error: a diagonal pair not
+    last would be summed as an off-diagonal weight, and a column not
+    below the row would read a class formed for another orbit, or none.
     """
-    classes, class_sizes, rows, index = [], [], [], {}
-    for i, row in enumerate(entries):
-        if not row or row[-1][0] != i:
-            raise InvariantViolation(f"row {i} does not end with its diagonal")
+    reps, orbit_of = orbits.reps, orbits.orbit_of
+    classes, quotient, index = [], [], {}
+    for o, row in enumerate(rows):
+        if not row or row[-1][0] != reps[o]:
+            raise InvariantViolation(f"row {reps[o]} does not end with its diagonal")
         sums = {}
         for j, w in row[:-1]:
-            if not 0 <= j < i:
-                raise InvariantViolation(f"row {i} has column {j} not below it")
-            sums[classes[j]] = sums.get(classes[j], 0) + w
+            if not 0 <= j < reps[o]:
+                raise InvariantViolation(f"row {reps[o]} has column {j} not below it")
+            c = classes[orbit_of[j]]
+            sums[c] = sums.get(c, 0) + w
         diagonal, below = row[-1][1], tuple(sorted(sums.items()))
-        c = index.setdefault((diagonal, below), len(rows))
-        if c == len(rows):
-            rows.append(below + ((c, diagonal),))
-            class_sizes.append(0)
-        class_sizes[c] += 1 if sizes is None else sizes[i]
+        c = index.setdefault((diagonal, below), len(quotient))
+        if c == len(quotient):
+            quotient.append(below + ((c, diagonal),))
         classes.append(c)
-    return tuple(rows), tuple(class_sizes)
+    sizes = [0] * len(quotient)
+    for o in orbit_of:
+        sizes[classes[o]] += 1
+    return tuple(quotient), tuple(sizes)
 
 
 def count_sequence(
@@ -254,6 +217,11 @@ def count_sequence(
     The walk runs on the lumped quotient of W: S_n = sum over classes C
     of |C| * u_n[C].  Every intermediate term is kept, which the
     recurrence checks need.
+
+    The monotonicity check always runs: it costs one comparison per term
+    next to a walk over the whole quotient, and it is the only check on
+    the count path that catches a quotient whose walk shrinks, as a zero
+    weight makes it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -303,14 +271,15 @@ class AsymptoticProfile:
 
 
 def asymptotics(matrix: TransferMatrix) -> AsymptoticProfile:
-    diag = matrix.diagonal()
+    entries = matrix.entries
+    diag = [row[-1][1] for row in entries]
     base = max(diag)
     attaining = [i for i, d in enumerate(diag) if d == base]
     attaining_set = set(attaining)
     longest = {}
     for i in attaining:
         best = 0
-        for j, _ in matrix.entries[i][:-1]:
+        for j, _ in entries[i][:-1]:
             if j in attaining_set:
                 best = max(best, longest[j] + 1)
         longest[i] = best

@@ -328,13 +328,13 @@ def verify_graph_isomorphism(
     systems, _, st_rows = _st_data(order)
     monoid = join_monoid(order)
     weights = build_transfer_matrix(monoid)
-    lattice = weights.lattice
+    lattice, entries = weights.lattice, weights.entries
     masks = [chi(order, TransferRelation(order, rows)) for rows in systems]
     if sorted(masks) != sorted(lattice.members):
         return False, ("chi is not a bijection onto the submonoids", masks)
     for i, r_rows in enumerate(systems):
         st_row = dict(st_rows[i])
-        w_row = dict(weights.entries[lattice.index_of[masks[i]]])
+        w_row = dict(entries[lattice.index_of[masks[i]]])
         for j, q_rows in enumerate(systems):
             st = st_row.get(j, 0)
             w = w_row.get(lattice.index_of[masks[j]], 0)

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from submon.cli import DEFAULT_LATTICES, main
-from submon.monoid import from_spec, semilattice_order
+from submon.monoid import from_spec, join_monoid, semilattice_order
 from submon.transfer import build_transfer_matrix
 from submon.transfersystems import st_count_sequence
 
@@ -268,3 +268,19 @@ def test_cached_queries_print_the_same_in_any_order(capsys, spec):
         build_transfer_matrix.cache_clear()
         for i in order + order:
             assert run(capsys, *queries[i]) == fresh[i]
+
+
+def test_full_row_queries_keep_no_rows_in_the_cache(capsys):
+    # matrix and the verify suites read every row of W for the call only.
+    build_transfer_matrix.cache_clear()
+    spec, lattice = "mk:2 x chain:1", "chain:1 x chain:1"
+    for argv in [
+        ("matrix", "--monoid", spec),
+        ("verify", "triangular", "--monoid", spec),
+        ("verify", "transfer-iso", "--monoid", lattice),
+    ]:
+        assert run(capsys, *argv)[0] == 0
+    misses = build_transfer_matrix.cache_info().misses
+    for monoid in (from_spec(spec), join_monoid(semilattice_order(from_spec(lattice)))):
+        assert set(vars(build_transfer_matrix(monoid))) <= {"lattice", "orbits", "quotient"}
+    assert build_transfer_matrix.cache_info().misses == misses

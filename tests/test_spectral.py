@@ -25,9 +25,11 @@ from submon.spectral import (
 )
 from submon.transfer import (
     CountSequence,
+    Orbits,
     TransferMatrix,
     build_transfer_matrix,
     count_sequence,
+    _lump,
 )
 
 IDEMPOTENT_SPECS = [
@@ -218,11 +220,12 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     # Rows 1 and 2 share the diagonal value 3; a weight between them
     # breaks diagonalizability.
     rows = list(grid.entries)
-    assert grid.diagonal()[1] == grid.diagonal()[2] == 3
+    assert rows[1][-1][1] == rows[2][-1][1] == 3
     rows[2] = ((0, 2), (1, 1), (2, 3))
     # Set on a fresh matrix: the built one is cached and shared.
-    tampered = TransferMatrix(lattice=grid.lattice)
-    vars(tampered)["rows"] = tuple(rows)
+    trivial = Orbits(tuple(range(7)), tuple(range(7)))
+    tampered = TransferMatrix(lattice=grid.lattice, orbits=trivial)
+    vars(tampered)["quotient"] = _lump(rows, trivial)
     with pytest.raises(InvariantViolation):
         eigenvalues(tampered)
 

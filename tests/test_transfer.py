@@ -23,8 +23,9 @@ from submon.monoid import (
 )
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
 from submon.spectral import ogf, spectrum_of
-from submon.submonoids import enumerate_submonoids, weight_row
+from submon.submonoids import bits_of, enumerate_submonoids, weight_row
 from submon.transfer import (
+    Orbits,
     TransferMatrix,
     asymptotics,
     build_transfer_matrix,
@@ -139,8 +140,10 @@ def test_asymptotics_multiplicity_one_for_idempotent():
 def test_count_sequence_rejects_decreasing_counts():
     # A zero weight on the trivial monoid's only entry makes S_1 = 0 < S_0.
     lattice = enumerate_submonoids(make_chain(0))
-    tampered = TransferMatrix(lattice=lattice)
-    vars(tampered)["rows"] = (((0, 0),),)  # where the first read would cache them
+    trivial = Orbits((0,), (0,))
+    # Set on a fresh matrix: a built one is cached and shared.
+    tampered = TransferMatrix(lattice=lattice, orbits=trivial)
+    vars(tampered)["quotient"] = _lump((((0, 0),),), trivial)
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -154,10 +157,13 @@ def test_count_sequence_rejects_decreasing_counts():
         ((((0, 2),), ()), "diagonal"),  # an empty row
     ],
 )
-def test_count_sequence_rejects_broken_row_contract(entries, message):
+def test_count_sequence_rejects_broken_row_contract(entries, message, monkeypatch):
     lattice = enumerate_submonoids(make_chain(1))
-    tampered = TransferMatrix(lattice=lattice)
-    vars(tampered)["rows"] = entries
+    # A fresh matrix lumps these rows in place of W's into its quotient.
+    monkeypatch.setattr(
+        transfer, "weight_row", lambda monoid, a, columns: entries[lattice.index_of[a]]
+    )
+    tampered = TransferMatrix(lattice=lattice, orbits=Orbits((0, 1), (0, 1)))
     with pytest.raises(InvariantViolation, match=message):
         count_sequence(tampered, 1)
 
@@ -165,6 +171,17 @@ def test_count_sequence_rejects_broken_row_contract(entries, message):
 @cache
 def _matrix(spec):
     return build_transfer_matrix(from_spec(spec))
+
+
+@cache
+def _entries(spec):
+    """Every row of W, which ``entries`` builds afresh on each read."""
+    return _matrix(spec).entries
+
+
+def _trivial(k):
+    ids = tuple(range(k))
+    return Orbits(ids, ids)
 
 
 # The monoids of the long-walk and spectrum jobs.
@@ -190,15 +207,15 @@ BENCHMARK_MONOIDS = (
 )
 def test_lumped_counts_match_full_walk(spec, n):
     matrix = _matrix(spec)
-    full = walk(matrix.entries, [1] * matrix.size, n)
+    full = walk(_entries(spec), [1] * matrix.size, n)
     assert list(count_sequence(matrix, n).values[1:]) == [sum(v) for v in full]
 
 
 @pytest.mark.parametrize("spec, k, classes", [("mk:9", 522, 11), ("cyclic:2 x mk:6", 877, 44)])
 def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
-    rows, sizes = _lump(_matrix(spec).entries)
+    rows, sizes = _lump(_entries(spec), _trivial(k))
     assert (sum(sizes), len(rows)) == (k, classes)
-    # Lumping the orbit quotient with the orbit sizes gives the same classes.
+    # Lumping the representatives' rows over their orbits gives the same classes.
     assert _matrix(spec).quotient == (rows, sizes)
     # The quotient keeps the row contract: columns below the row, diagonal last.
     for c, row in enumerate(rows):
@@ -207,7 +224,7 @@ def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
 
 
 def _stripped(spec):
-    """The build of ``spec`` without its automorphisms: one row per member."""
+    """The build of ``spec`` without its automorphisms: one orbit per member."""
     monoid = from_spec(spec)
     return build_transfer_matrix(from_table(monoid.table, monoid.identity))
 
@@ -218,25 +235,35 @@ SYMMETRIC = [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if from_spec(s).auto
 @pytest.mark.parametrize("spec", SYMMETRIC)
 def test_orbit_rows_match_a_build_without_automorphisms(spec):
     matrix, plain = _matrix(spec), _stripped(spec)
-    assert plain.orbits is None
-    assert matrix.entries == plain.entries
-    assert matrix.diagonal() == plain.diagonal()
-    assert count_sequence(matrix, 6).values == count_sequence(plain, 6).values
+    assert plain.orbits == _trivial(plain.size)
+    assert matrix.lattice.members == plain.lattice.members
+    # The plain quotient lumps every row of W over one orbit per member;
+    # the rows are shared with the other full-row tests.
+    assert matrix.quotient == _lump(_entries(spec), plain.orbits)
+    full = walk(_entries(spec), [1] * plain.size, 6)
+    assert list(count_sequence(matrix, 6).values[1:]) == [sum(v) for v in full]
 
 
 @pytest.mark.parametrize("spec", ["bool:4", "mk:12"])
 def test_orbit_rows_match_plain_rows_on_large_groups(spec):
-    # A plain build takes seconds here, so recompute only the last member
-    # of each orbit, and every 50th, with the row routine; the counts are
-    # checked against a walk over the expanded rows.
+    # W(sA, sB) == W(A, B) for each generator s, by the row routine on both
+    # sides: A the last member of each orbit and every 50th, B every 10th
+    # subset of A among the members, and A itself.  Every row of W would
+    # take seconds here.
     matrix = build_transfer_matrix(from_spec(spec))
-    members, orbit_of = matrix.lattice.members, matrix.orbits.orbit_of
-    last = {o: i for i, o in enumerate(orbit_of)}
-    for i in sorted(set(last.values()) | set(range(0, len(members), 50))):
-        row = weight_row(matrix.lattice.monoid, members[i], zip(range(i + 1), members))
-        assert matrix.entries[i] == tuple(row)
-    full = walk(matrix.entries, [1] * matrix.size, 2)
-    assert list(count_sequence(matrix, 2).values[1:]) == [sum(v) for v in full]
+    monoid, members = matrix.lattice.monoid, matrix.lattice.members
+    last = {o: i for i, o in enumerate(matrix.orbits.orbit_of)}
+    samples = {}
+    for i in set(last.values()) | set(range(0, len(members), 50)):
+        below = [j for j in range(i) if not members[j] & ~members[i]]
+        columns = ((j, members[j]) for j in below[::10] + [i])
+        samples[i] = tuple(weight_row(monoid, members[i], columns))
+    needed = {j for row in samples.values() for j, _ in row}
+    for g in monoid.automorphisms:
+        moved = {j: sum(1 << g[x] for x in bits_of(members[j])) for j in needed}
+        for i, row in samples.items():
+            assert moved[i] in matrix.lattice.index_of
+            assert tuple(weight_row(monoid, moved[i], ((j, moved[j]) for j, _ in row))) == row
 
 
 @pytest.mark.parametrize(
@@ -245,21 +272,19 @@ def test_orbit_rows_match_plain_rows_on_large_groups(spec):
 )
 def test_orbit_counts(spec, k, orbits):
     matrix = _matrix(spec)
-    assert (matrix.size, len(matrix.rows)) == (k, orbits)
+    assert (matrix.size, len(matrix.orbits.reps)) == (k, orbits)
     # Each representative is its orbit's first member.
-    if matrix.orbits is not None:
-        reps = matrix.orbits.reps
-        assert all(reps[o] <= i for i, o in enumerate(matrix.orbits.orbit_of))
+    reps = matrix.orbits.reps
+    assert all(reps[o] <= i for i, o in enumerate(matrix.orbits.orbit_of))
 
 
 @pytest.mark.parametrize(
     "spec", [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if s not in SYMMETRIC]
 )
 def test_no_generators_keep_one_row_per_member(spec):
-    # Without generators the build is the plain one: no orbits, no copy.
+    # Without generators every member is its own orbit.
     matrix = _matrix(spec)
-    assert matrix.orbits is None
-    assert matrix.entries is matrix.rows
+    assert matrix.orbits == _trivial(matrix.size)
 
 
 @pytest.mark.parametrize(
@@ -301,11 +326,20 @@ def test_cache_key_names_the_budget():
 
 @pytest.mark.parametrize("spec", ["chain:2 x chain:1", "mk:4"])
 def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
+    # Together they build each representative's row once, and keep none.
+    built = []
+
+    def counted(monoid, a, columns):
+        built.append(a)
+        return weight_row(monoid, a, columns)
+
+    monkeypatch.setattr(transfer, "weight_row", counted)
     build_transfer_matrix.cache_clear()
     matrix = build_transfer_matrix(from_spec(spec))
     spectrum = spectrum_of(matrix)
     ogf(matrix, spectrum, count_sequence(matrix, 2 * len(spectrum.eigenvalues)))
-    assert "rows" not in matrix.__dict__ and "entries" not in matrix.__dict__
+    assert built == [matrix.lattice.members[r] for r in matrix.orbits.reps]
+    assert set(vars(matrix)) == {"lattice", "orbits", "quotient"}
 
     # A second query on the cached monoid neither enumerates nor builds rows.
     def refuse(*args, **kwargs):
@@ -319,15 +353,10 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
 
 
 def _quotients(monoid):
-    """The quotient streamed, and lumped from eagerly read rows, each on a
-    fresh matrix over the same lattice and orbits."""
-    built = build_transfer_matrix(monoid)
-    streamed = TransferMatrix(lattice=built.lattice, orbits=built.orbits)
-    eager = TransferMatrix(lattice=built.lattice, orbits=built.orbits)
-    assert eager.rows
-    quotients = streamed.quotient, eager.quotient
-    assert "rows" not in vars(streamed)
-    return quotients
+    """The quotient, streamed from the representatives' rows, and the
+    lumping of every row of W with one orbit per member."""
+    matrix = build_transfer_matrix(monoid)
+    return matrix.quotient, _lump(matrix.entries, _trivial(matrix.size))
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
