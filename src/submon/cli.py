@@ -31,7 +31,9 @@ from .errors import (
     SizeLimitExceeded,
     SubmonError,
 )
-from .monoid import from_spec, is_group, is_idempotent, join_monoid, semilattice_order
+from .monoid import (
+    DEFAULT_MAX_PRODUCT_SIZE, from_spec, is_group, is_idempotent, join_monoid, semilattice_order,
+)
 from .oracle import brute_force_submonoid_count
 from .spectral import eigenvalues, ogf, spectrum_of, verify_recurrence
 from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order, mask_to_hex
@@ -95,8 +97,13 @@ def _print_counts(seq, key: str, fmt: str) -> None:
         _emit("\n".join(["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]))
 
 
+def _monoid(spec: str, args):
+    """``spec`` under the enumeration budget: no larger table is built or validated."""
+    return from_spec(spec, min(args.max_monoid_size, DEFAULT_MAX_PRODUCT_SIZE))
+
+
 def cmd_count(args) -> int:
-    monoid = from_spec(args.monoid)
+    monoid = _monoid(args.monoid, args)
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
     seq = count_sequence(matrix, args.n, label=args.monoid)
     if args.oracle:
@@ -122,7 +129,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    matrix = build_transfer_matrix(from_spec(args.monoid), max_size=args.max_monoid_size)
+    matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     spectrum = spectrum_of(matrix)
     rows = list(zip(spectrum.eigenvalues, spectrum.coefficients, spectrum.normalized))
     if args.format == "json":
@@ -148,7 +155,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    matrix = build_transfer_matrix(from_spec(args.monoid), max_size=args.max_monoid_size)
+    matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     legend = [mask_to_hex(m) for m in matrix.lattice.members]
     table = matrix.dense()
     if args.format == "json":
@@ -171,7 +178,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_ogf(args) -> int:
-    matrix = build_transfer_matrix(from_spec(args.monoid), max_size=args.max_monoid_size)
+    matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     spectrum = spectrum_of(matrix)
     seq = count_sequence(matrix, 2 * len(spectrum.eigenvalues), label=args.monoid)
     result = ogf(matrix, spectrum, seq)
@@ -201,7 +208,7 @@ def cmd_polybernoulli(args) -> int:
 
 
 def cmd_sattr(args) -> int:
-    order = semilattice_order(from_spec(args.lattice))
+    order = semilattice_order(from_spec(args.lattice, args.max_st_size))
     if args.list:
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
         payload = {
@@ -226,7 +233,7 @@ def _oracle_case(item):
 
 def _suite_triangular(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
-        matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
+        matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
         entries = matrix.entries
         diag = [row[-1][1] for row in entries]
         for i, row in enumerate(entries):
@@ -252,7 +259,7 @@ def _suite_recurrence(args) -> int:
         s for s in DEFAULT_MONOIDS if is_idempotent(from_spec(s))
     ]
     for spec in specs:
-        matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
+        matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
         eigs = eigenvalues(matrix)
         seq = count_sequence(matrix, 2 * len(eigs) - 1, label=spec)
         ok, witness = verify_recurrence(eigs, seq)
@@ -272,7 +279,7 @@ def _suite_oracle(args) -> int:
     cases, tops = [], {}
     for spec in specs:
         # No larger n has (n + 1) * |M| within the oracle budget.
-        tops[spec] = min(top, args.max_oracle_size // from_spec(spec).size - 1)
+        tops[spec] = min(top, args.max_oracle_size // _monoid(spec, args).size - 1)
         cases += [(spec, n, args.max_oracle_size) for n in range(tops[spec] + 1)]
     if not cases:
         raise ValueError(f"no oracle case fits --max-oracle-size {args.max_oracle_size}")
@@ -284,7 +291,7 @@ def _suite_oracle(args) -> int:
     counts = {}  # walk each monoid once, to its largest n
     for (spec, n, _), want in zip(cases, expected):
         if spec not in counts:
-            matrix = build_transfer_matrix(from_spec(spec), max_size=args.max_monoid_size)
+            matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
             counts[spec] = count_sequence(matrix, tops[spec]).values
         got = counts[spec][n]
         if got != want:
@@ -295,7 +302,7 @@ def _suite_oracle(args) -> int:
 
 def _suite_transfer_iso(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_LATTICES:
-        order = semilattice_order(from_spec(spec))
+        order = semilattice_order(from_spec(spec, args.max_st_size))
         ok, details = verify_graph_isomorphism(order, max_size=args.max_st_size)
         if not ok:
             return _fail(f"{spec}: {details}", 1)

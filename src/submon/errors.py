@@ -28,10 +28,6 @@ class IdentityViolation(TableValidationError):
     pass
 
 
-class AutomorphismViolation(TableValidationError):
-    """A listed automorphism is not a permutation or does not respect the table."""
-
-
 class NotIdempotent(SubmonError):
     """Raised when an operation requires x*x == x for every element."""
 

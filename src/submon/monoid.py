@@ -9,13 +9,11 @@ and all operations here are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from math import gcd
+from dataclasses import dataclass
+from functools import lru_cache, partial, reduce
 
 from .errors import (
     AssociativityViolation,
-    AutomorphismViolation,
     CommutativityViolation,
     IdentityViolation,
     MonoidSpecError,
@@ -38,18 +36,11 @@ class CayleyMonoid:
     ``table[x][y]`` is the index of ``x * y``.  Instances built through the
     constructors in this module always satisfy commutativity, associativity,
     and the identity law; use :func:`from_table` to validate untrusted input.
-
-    ``automorphisms`` lists permutations of the elements that generate some
-    group of automorphisms, not necessarily all of them; the constructors
-    take them from the structure they build, and :func:`from_table` gives
-    none.  Equality and hashing ignore them, and
-    :func:`check_automorphisms` checks them against the table.
     """
 
     size: int
     table: tuple[tuple[int, ...], ...]
     identity: int
-    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -129,30 +120,6 @@ def validate(monoid: CayleyMonoid) -> None:
                     )
 
 
-def check_automorphisms(monoid: CayleyMonoid) -> None:
-    """Check that each of ``monoid.automorphisms`` permutes the elements
-    and maps every product x*y to g(x)*g(y).
-
-    Raises :class:`AutomorphismViolation` with the generator's position and
-    the first offending pair.  The sweep is O(size^2) per generator.
-    """
-    table = monoid.table
-    for i, g in enumerate(monoid.automorphisms):
-        if sorted(g) != list(range(monoid.size)):
-            raise AutomorphismViolation(
-                f"automorphism {i} is not a permutation of the elements", (i,)
-            )
-        for x in range(monoid.size):
-            image_row = table[g[x]]
-            for y, xy in enumerate(table[x]):
-                if g[xy] != image_row[g[y]]:
-                    raise AutomorphismViolation(
-                        f"automorphism {i} maps {x}*{y} to {g[xy]}, "
-                        f"not to {g[x]}*{g[y]} == {image_row[g[y]]}",
-                        (i, x, y),
-                    )
-
-
 def from_table(table, identity: int) -> CayleyMonoid:
     """Build a validated monoid from a square table of int element indices."""
     rows = tuple(tuple(row) for row in table)
@@ -190,8 +157,7 @@ def make_product(
 
     The pair (x, y) gets index ``x * b.size + y``.  This row-major encoding
     is part of the public contract so that subset masks and golden files
-    round-trip across runs.  Each factor's automorphisms act on its own
-    coordinate.
+    round-trip across runs.
     """
     n = a.size * b.size
     if n > max_size:
@@ -206,41 +172,17 @@ def make_product(
                 brow = b.table[y1]
                 row.extend(base + brow[y2] for y2 in range(nb))
             table.append(tuple(row))
-    automorphisms = tuple(
-        tuple(g[x] * nb + y for x in range(a.size) for y in range(nb)) for g in a.automorphisms
-    ) + tuple(
-        tuple(x * nb + h[y] for x in range(a.size) for y in range(nb)) for h in b.automorphisms
-    )
-    return CayleyMonoid(
-        size=n,
-        table=tuple(table),
-        identity=a.identity * nb + b.identity,
-        automorphisms=automorphisms,
-    )
-
-
-def _fold_product(atoms, max_size: int) -> CayleyMonoid:
-    """The product of ``atoms`` from left to right, also carrying the swap
-    of the coordinates of each two adjacent equal atoms."""
-    out = atoms[0]
-    for prev, atom in zip(atoms, atoms[1:]):
-        out = make_product(out, atom, max_size=max_size)
-        if atom == prev:
-            s = atom.size
-            # (p*s + x)*s + y  <->  (p*s + y)*s + x
-            swap = tuple((z // (s * s) * s + z % s) * s + z // s % s for z in range(out.size))
-            out = replace(out, automorphisms=out.automorphisms + (swap,))
-    return out
+    return CayleyMonoid(size=n, table=tuple(table), identity=a.identity * nb + b.identity)
 
 
 def make_power(
     atom: CayleyMonoid, k: int, max_size: int = DEFAULT_MAX_PRODUCT_SIZE
 ) -> CayleyMonoid:
-    """The k-fold product of ``atom`` with itself, carrying the swaps of
-    adjacent coordinates; the trivial monoid when k == 0."""
+    """The k-fold product of ``atom`` with itself; the trivial monoid
+    when k == 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _fold_product([atom] * k, max_size) if k else make_chain(0)
+    return reduce(partial(make_product, max_size=max_size), [atom] * k) if k else make_chain(0)
 
 
 def make_bool(k: int, max_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> CayleyMonoid:
@@ -249,22 +191,17 @@ def make_bool(k: int, max_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> CayleyMonoid:
 
 
 def make_cyclic_group(m: int) -> CayleyMonoid:
-    """The cyclic group of order m, written additively, with the
-    automorphisms x -> u*x for the units u != 1 modulo m."""
+    """The cyclic group of order m, written additively."""
     if m < 1:
         raise ValueError("m must be >= 1")
     table = tuple(tuple((x + y) % m for y in range(m)) for x in range(m))
-    automorphisms = tuple(
-        tuple(u * x % m for x in range(m)) for u in range(2, m) if gcd(u, m) == 1
-    )
-    return CayleyMonoid(size=m, table=table, identity=0, automorphisms=automorphisms)
+    return CayleyMonoid(size=m, table=table, identity=0)
 
 
 def make_mk(k: int) -> CayleyMonoid:
     """The lattice with bottom, top, and k pairwise incomparable middle elements.
 
-    Elements are ordered (bottom, 1..k, top); the operation is join.  The
-    transpositions of adjacent middle elements are its automorphisms.
+    Elements are ordered (bottom, 1..k, top); the operation is join.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -283,11 +220,7 @@ def make_mk(k: int) -> CayleyMonoid:
             else:
                 row.append(top)
         table.append(tuple(row))
-    automorphisms = tuple(
-        tuple(i + 1 if x == i else i if x == i + 1 else x for x in range(n))
-        for i in range(1, k)
-    )
-    return CayleyMonoid(size=n, table=tuple(table), identity=0, automorphisms=automorphisms)
+    return CayleyMonoid(size=n, table=tuple(table), identity=0)
 
 
 def make_n5() -> CayleyMonoid:
@@ -427,8 +360,7 @@ def from_spec(text: str, max_product_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
 
     Grammar: atoms ``chain:m``, ``mk:k``, ``n5``, ``cyclic:m``, ``bool:k``,
     and ``file:PATH`` (a JSON Cayley table), combined left to right with the
-    infix product operator ``x``, e.g. ``"chain:1 x chain:1"``.  Adjacent
-    equal atoms add the swap of their coordinates to the automorphisms.
+    infix product operator ``x``, e.g. ``"chain:1 x chain:1"``.
     """
     tokens = text.split()
     if not tokens or len(tokens) % 2 == 0:
@@ -437,7 +369,7 @@ def from_spec(text: str, max_product_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
         if i % 2 == 1 and tok != "x":
             raise MonoidSpecError(f"expected 'x' between atoms, got {tok!r}")
     atoms = [_parse_atom(tok, max_product_size) for tok in tokens[::2]]
-    return _fold_product(atoms, max_product_size)
+    return reduce(partial(make_product, max_size=max_product_size), atoms)
 
 
 def _parse_atom(token: str, max_size: int) -> CayleyMonoid:

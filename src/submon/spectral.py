@@ -113,7 +113,8 @@ def normalize_coefficients(eigs, coefficients) -> tuple[int, ...]:
 
 
 def spectrum_of(matrix: TransferMatrix) -> Spectrum:
-    """Full pipeline: eigenvalues, exact coefficients, normalized values."""
+    """Full pipeline: eigenvalues, exact coefficients, normalized values.
+    The coefficient sum always runs: k additions catch a wrong solve."""
     eigs = eigenvalues(matrix)
     prefix = count_sequence(matrix, len(eigs) - 1).values
     coefficients = solve_coefficients(eigs, prefix)
@@ -191,7 +192,7 @@ def ogf(
     prod(1 - v*x); since the recurrence holds, higher product terms vanish,
     which is checked up to degree 2k.  The spectrum must be the set of
     diagonal values of the lumped quotient, which is W's: each class has
-    one diagonal value.
+    one diagonal value.  The round trip always runs: it costs O(k^2) and checks the output.
     """
     diag = sorted({row[-1][1] for row in matrix.quotient[0]})
     if list(spectrum.eigenvalues) != diag:
@@ -255,7 +256,8 @@ def chain_eigenmatrix(m: int) -> tuple[tuple[int, ...], ...]:
 def _check_chain_eigenmatrix(matrix: TransferMatrix, q) -> None:
     """The identities chain_eigenmatrix promises, checked for W and q.
 
-    q is lower triangular, so q x = 1 is solved by forward substitution."""
+    q is lower triangular, so q x = 1 is solved by forward substitution.
+    They run on every call, since nothing else checks q's closed formula."""
     members = matrix.lattice.members
     for i, row in enumerate(matrix.entries):
         for j in range(len(members)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange, InvariantViolation
-from .monoid import CACHE_SIZE, CayleyMonoid, check_automorphisms
+from .monoid import CACHE_SIZE, CayleyMonoid
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
     SubmonoidLattice,
@@ -24,7 +24,7 @@ from .submonoids import (
 
 @dataclass(frozen=True)
 class Orbits:
-    """Orbits of a monoid's automorphism generators on its submonoids.
+    """Orbits of a monoid's automorphism group on its submonoids.
 
     Orbit o is numbered by its first member ``reps[o]``, its
     representative, and ``orbit_of[i]`` is member i's orbit.
@@ -100,23 +100,78 @@ def _shift_groups(g) -> tuple[tuple[int, int], ...]:
     return tuple(groups.items())
 
 
-def _orbits(lattice: SubmonoidLattice) -> Orbits:
-    """Orbits of the monoid's automorphism generators on the members, by a
-    search from each orbit's first member that maps masks through the
-    generators and looks them up in ``index_of``: k x generators work and
-    no group search.  Without generators every orbit is one member."""
-    monoid, k = lattice.monoid, len(lattice)
-    if not monoid.automorphisms:
-        ids = tuple(range(k))
-        return Orbits(ids, ids)
-    check_automorphisms(monoid)
-    members, index_of, n = lattice.members, lattice.index_of, monoid.size
-    moves = []
-    for g in monoid.automorphisms:
-        groups = _shift_groups(g)
-        moves.append(
-            tuple(index_of[sum((b & m) << s for s, m in groups) >> n] for b in members)
-        )
+def _colours(table) -> list[int]:
+    """Colour refinement: split x by its colour, x*x's colour and the
+    multiset of (y's colour, x*y's colour, x*y == x, x*y == y) until no
+    class splits.  Every automorphism keeps these colours, the ranks of
+    sorted signatures, which do not depend on the element numbering."""
+    colour = [0] * len(table)
+    while True:
+        signatures = [
+            (colour[x], colour[row[x]], tuple(sorted(
+                (colour[y], colour[xy], xy == x, xy == y) for y, xy in enumerate(row)
+            )))
+            for x, row in enumerate(table)
+        ]
+        ranks = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        if len(ranks) == len(set(colour)):
+            return colour
+        colour = [ranks[s] for s in signatures]
+
+
+def _extend(table, colour, phi):
+    """An automorphism extending the injective partial map ``phi`` (-1
+    where unset), or None.  Each mapped pair forces phi(x*u) =
+    phi(x)*phi(u), so a map that reaches every element respects every
+    product; then a free element of the scarcest colour tries each image."""
+    n, phi = len(table), list(phi)
+    mapped = [x for x in range(n) if phi[x] >= 0]
+    used = {phi[x] for x in mapped}
+    for x in mapped:  # grows as images are forced
+        row, image_row = table[x], table[phi[x]]
+        for u in mapped:
+            z, w = row[u], image_row[phi[u]]
+            if phi[z] < 0 and w not in used and colour[w] == colour[z]:
+                phi[z] = w
+                used.add(w)
+                mapped.append(z)
+            elif phi[z] != w:
+                return None
+    if len(mapped) == n:
+        return tuple(phi)
+    free = [x for x in range(n) if phi[x] < 0]
+    x = min(free, key=lambda v: sum(colour[z] == colour[v] for z in free))
+    for w in range(n):
+        if w not in used and colour[w] == colour[x]:
+            phi[x] = w
+            found = _extend(table, colour, phi)
+            if found is not None:
+                return found
+    return None
+
+
+def _automorphism_generators(table) -> list[tuple[int, ...]]:
+    """Generators of Aut(M) from the Cayley table alone, down a stabilizer
+    chain (Sims).  Base point i runs from the last element to the first,
+    so every generator found so far fixes 0..i-1; one automorphism fixing
+    0..i-1 is searched for per y of i's colour outside i's orbit.  They
+    then generate the stabilizer of 0..i-1: at i = 0, the whole group."""
+    n, colour = len(table), _colours(table)
+    generators = []
+    for i in reversed(range(n)):
+        orbit_of = _orbits(generators, n).orbit_of
+        for y in range(i + 1, n):
+            if colour[y] == colour[i] and orbit_of[y] != orbit_of[i]:
+                g = _extend(table, colour, [*range(i), y] + [-1] * (n - i - 1))
+                if g is not None:
+                    generators.append(g)
+                    orbit_of = _orbits(generators, n).orbit_of
+    return generators
+
+
+def _orbits(moves, k: int) -> Orbits:
+    """Orbits on 0..k-1 of the maps ``moves``, each a tuple of images, by
+    a search from each orbit's first point."""
     orbit_of = [-1] * k
     reps = []
     for i in range(k):
@@ -137,21 +192,27 @@ def _orbits(lattice: SubmonoidLattice) -> Orbits:
 def build_transfer_matrix(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> TransferMatrix:
-    """W of ``monoid`` over its submonoids in the canonical lattice order,
-    with each automorphism generator checked against the table first.
+    """W of ``monoid`` over its submonoids in the canonical lattice order.
 
-    Results are cached per monoid, its generators and ``max_size``, and
-    shared between callers; the generators are part of the key because
-    monoid equality ignores them.  A build enumerates the submonoids and
-    their orbits and builds no row of W.
+    Results are cached per monoid and ``max_size``, and shared between
+    callers; a positional and a keyword budget share one entry.  A build
+    enumerates the submonoids and their orbits under Aut(M), each
+    generator moving every member's mask, and builds no row of W.
     """
-    return _build(monoid, monoid.automorphisms, max_size)
+    return _build(monoid, max_size)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _build(monoid, automorphisms, max_size):
+def _build(monoid, max_size):
     lattice = enumerate_submonoids(monoid, max_size=max_size)
-    return TransferMatrix(lattice=lattice, orbits=_orbits(lattice))
+    members, index_of, n = lattice.members, lattice.index_of, monoid.size
+    moves = []
+    for g in _automorphism_generators(monoid.table):
+        groups = _shift_groups(g)
+        moves.append(
+            tuple(index_of[sum((b & m) << s for s, m in groups) >> n] for b in members)
+        )
+    return TransferMatrix(lattice=lattice, orbits=_orbits(moves, len(lattice)))
 
 
 build_transfer_matrix.cache_info = _build.cache_info

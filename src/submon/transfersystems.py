@@ -197,8 +197,8 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
     from the discrete system one cover at a time by incremental closure,
     carrying each system's rows and column masks.  Every system is
-    validated because the engine's pruning trusts ``_grow`` to be a
-    monotone closure, which only the tests check otherwise.
+    validated on every call: the engine's pruning trusts ``_grow`` to be
+    a monotone closure, which only the tests check otherwise.
     """
     ctx = _lattice_context(order)
     covers = ctx.covers

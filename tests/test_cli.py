@@ -4,8 +4,9 @@ from itertools import permutations
 
 import pytest
 
+from submon import monoid as monoid_module
 from submon.cli import DEFAULT_LATTICES, main
-from submon.monoid import from_spec, join_monoid, semilattice_order
+from submon.monoid import from_spec, join_monoid, make_chain, monoid_to_json, semilattice_order
 from submon.transfer import build_transfer_matrix
 from submon.transfersystems import st_count_sequence
 
@@ -139,7 +140,8 @@ def test_sattr_counts_json(capsys):
 def test_sattr_counts_budget(capsys):
     argv = ("sattr", "--lattice", "chain:8", "--n", "2")
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (3, "", "error: lattice has 9 elements, enumeration budget 8\n")
+    refused = "error: atom 'chain:8' exceeds the product budget of 8 elements\n"
+    assert (code, out, err) == (3, "", refused)
     code, out, err = run(capsys, *argv, "--max-st-size", "9")
     assert (code, out, err) == run(capsys, "count", "--monoid", "chain:8", "--n", "2")
     assert code == 0
@@ -163,7 +165,8 @@ def test_budget_exit_code(capsys):
 
 def test_atom_over_budget_exits_before_its_table_is_built(capsys):
     # A 1501-element chain's table took about 0.9 s and 70 MB before the
-    # budget check; now the spec is refused before anything is built.
+    # budget check; now the spec is refused before anything is built,
+    # under the command's own 20-element enumeration budget.
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "count", "--monoid", "chain:1500", "--n", "1")
@@ -171,8 +174,22 @@ def test_atom_over_budget_exits_before_its_table_is_built(capsys):
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
-    assert err == "error: atom 'chain:1500' exceeds the product budget of 1024 elements\n"
+    assert err == "error: atom 'chain:1500' exceeds the product budget of 20 elements\n"
     assert peak < 1 << 20
+
+
+def test_file_atom_over_the_enumeration_budget_is_never_validated(capsys, tmp_path, monkeypatch):
+    # The cubic validation of a 401-element table took 4.9 s before the
+    # 20-element budget of count refused it.
+    path = tmp_path / "chain400.json"
+    path.write_text(json.dumps(monoid_to_json(make_chain(400))))
+
+    def refuse(monoid):
+        raise AssertionError("validated a table over the budget")
+
+    monkeypatch.setattr(monoid_module, "validate", refuse)
+    code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
+    assert (code, out, err) == (3, "", "error: JSON monoid has 401 elements, budget 20\n")
 
 
 def test_not_idempotent_exit_code(capsys):

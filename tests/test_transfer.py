@@ -1,14 +1,14 @@
-from dataclasses import replace
+import json
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from test_oracle import small_commutative_monoids
 
 from submon import transfer
-from submon.cli import DEFAULT_MONOIDS
+from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS
 from submon.errors import (
-    AutomorphismViolation,
     IndexOutOfRange,
     InvariantViolation,
     SizeLimitExceeded,
@@ -16,14 +16,16 @@ from submon.errors import (
 from submon.monoid import (
     CACHE_SIZE,
     from_spec,
-    from_table,
+    join_monoid,
     make_chain,
     make_cyclic_group,
     make_product,
+    monoid_to_json,
+    semilattice_order,
 )
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
 from submon.spectral import ogf, spectrum_of
-from submon.submonoids import bits_of, enumerate_submonoids, weight_row
+from submon.submonoids import DEFAULT_MAX_MONOID_SIZE, bits_of, enumerate_submonoids, weight_row
 from submon.transfer import (
     Orbits,
     TransferMatrix,
@@ -32,6 +34,7 @@ from submon.transfer import (
     count_sequence,
     counts_by_projection,
     walk,
+    _automorphism_generators,
     _lump,
 )
 
@@ -223,22 +226,18 @@ def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
         assert all(j < c for j, _ in row[:-1])
 
 
-def _stripped(spec):
-    """The build of ``spec`` without its automorphisms: one orbit per member."""
-    monoid = from_spec(spec)
-    return build_transfer_matrix(from_table(monoid.table, monoid.identity))
-
-
-SYMMETRIC = [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if from_spec(s).automorphisms]
+SYMMETRIC = [
+    s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if _automorphism_generators(from_spec(s).table)
+]
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC)
 def test_orbit_rows_match_a_build_without_automorphisms(spec):
-    matrix, plain = _matrix(spec), _stripped(spec)
-    assert plain.orbits == _trivial(plain.size)
-    assert matrix.lattice.members == plain.lattice.members
-    # The plain quotient lumps every row of W over one orbit per member;
-    # the rows are shared with the other full-row tests.
+    matrix = _matrix(spec)
+    # The reference keeps the lattice with one orbit per member, and its
+    # quotient lumps every row of W; the rows are shared with the other
+    # full-row tests instead of being built again.
+    plain = TransferMatrix(matrix.lattice, _trivial(matrix.size))
     assert matrix.quotient == _lump(_entries(spec), plain.orbits)
     full = walk(_entries(spec), [1] * plain.size, 6)
     assert list(count_sequence(matrix, 6).values[1:]) == [sum(v) for v in full]
@@ -259,7 +258,7 @@ def test_orbit_rows_match_plain_rows_on_large_groups(spec):
         columns = ((j, members[j]) for j in below[::10] + [i])
         samples[i] = tuple(weight_row(monoid, members[i], columns))
     needed = {j for row in samples.values() for j, _ in row}
-    for g in monoid.automorphisms:
+    for g in _automorphism_generators(monoid.table):
         moved = {j: sum(1 << g[x] for x in bits_of(members[j])) for j in needed}
         for i, row in samples.items():
             assert moved[i] in matrix.lattice.index_of
@@ -268,7 +267,15 @@ def test_orbit_rows_match_plain_rows_on_large_groups(spec):
 
 @pytest.mark.parametrize(
     "spec, k, orbits",
-    [("mk:9", 522, 12), ("cyclic:2 x mk:6", 877, 47), ("chain:5 x chain:1", 697, 697)],
+    [
+        ("mk:9", 522, 12),
+        ("cyclic:2 x mk:6", 877, 47),
+        ("chain:5 x chain:1", 697, 697),
+        # Symmetries that no single atom shows: equal atoms that are not
+        # adjacent, and mk:2 == bool:2, whose square is bool:4.
+        ("chain:1 x chain:2 x chain:1", 449, 259),
+        ("mk:2 x mk:2", 2480, 184),
+    ],
 )
 def test_orbit_counts(spec, k, orbits):
     matrix = _matrix(spec)
@@ -287,34 +294,80 @@ def test_no_generators_keep_one_row_per_member(spec):
     assert matrix.orbits == _trivial(matrix.size)
 
 
+def test_join_and_file_monoids_get_the_group_of_their_spec(tmp_path):
+    path = tmp_path / "mk9.json"
+    path.write_text(json.dumps(monoid_to_json(from_spec("mk:9"))))
+    cases = [
+        (join_monoid(semilattice_order(from_spec("mk:4"))), "mk:4", 21, 7),
+        (from_spec(f"file:{path}"), "mk:9", 522, 12),
+    ]
+    for monoid, spec, k, orbits in cases:
+        expected = _matrix(spec).orbits
+        # A fresh build: the spec's equal table shares its cache entry.
+        build_transfer_matrix.cache_clear()
+        found = build_transfer_matrix(monoid).orbits
+        assert (len(found.orbit_of), len(found.reps)) == (k, orbits)
+        assert found == expected
+
+
+def _full_group(monoid):
+    """Every automorphism of ``monoid``, by trying every permutation."""
+    n, table = monoid.size, monoid.table
+    return [
+        p for p in permutations(range(n))
+        if all(p[table[x][y]] == table[p[x]][p[y]] for x in range(n) for y in range(n))
+    ]
+
+
+def _check_generators(monoid):
+    """Each generator is a bijection that respects every product."""
+    n, table = monoid.size, monoid.table
+    for g in _automorphism_generators(table):
+        assert sorted(g) == list(range(n))
+        assert all(g[table[x][y]] == table[g[x]][g[y]] for x in range(n) for y in range(n))
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("bool:4", "mk:12"))
+def test_generators_are_automorphisms(spec):
+    _check_generators(from_spec(spec))
+
+
+def _check_against_the_full_group(monoid):
+    _check_generators(monoid)
+    # The generators' orbits on the submonoids are the full group's.
+    matrix = build_transfer_matrix(monoid)
+    members, index_of = matrix.lattice.members, matrix.lattice.index_of
+    orbit_of = matrix.orbits.orbit_of
+    group = _full_group(monoid)
+    for i, a in enumerate(members):
+        images = {index_of[sum(1 << g[x] for x in bits_of(a))] for g in group}
+        assert images == {j for j, o in enumerate(orbit_of) if o == orbit_of[i]}
+
+
 @pytest.mark.parametrize(
-    "bad, witness",
-    [
-        ((0, 2, 1), (0, 1, 2)),  # swaps 1 and 2 of the chain 0 < 1 < 2
-        ((0, 1, 1), (0,)),  # not a permutation
-        ((0, 1), (0,)),  # too short
-    ],
+    "monoid",
+    [from_spec(s) for s in DEFAULT_MONOIDS]
+    + [join_monoid(semilattice_order(from_spec(s))) for s in DEFAULT_LATTICES],
 )
-def test_generator_that_is_not_an_automorphism_raises(bad, witness):
-    chain = replace(make_chain(2), automorphisms=(bad,))
-    with pytest.raises(AutomorphismViolation) as caught:
-        build_transfer_matrix(chain)
-    assert caught.value.witness == witness
+def test_generators_give_the_orbits_of_the_full_group(monoid):
+    assert monoid.size <= 7
+    _check_against_the_full_group(monoid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_commutative_monoids(max_size=7))
+def test_generators_give_the_orbits_of_the_full_group_on_random_monoids(monoid):
+    _check_against_the_full_group(monoid)
 
 
 def test_build_is_cached_and_shared():
     monoid = from_spec("mk:3")
     assert build_transfer_matrix(monoid) is build_transfer_matrix(from_spec("mk:3"))
+    # Keyed by (monoid, max_size), however the budget is passed.
+    budget = DEFAULT_MAX_MONOID_SIZE
+    assert build_transfer_matrix(monoid, budget) is build_transfer_matrix(monoid, max_size=budget)
+    assert build_transfer_matrix(monoid, budget) is build_transfer_matrix(monoid)
     assert build_transfer_matrix.cache_info().maxsize == CACHE_SIZE
-
-
-def test_cache_key_names_the_generators():
-    # Equal monoids with a bad generator must not hit the good one's entry.
-    build_transfer_matrix(from_spec("mk:3"))
-    bad = replace(from_spec("mk:3"), automorphisms=((1, 0, 2, 3, 4),))
-    assert bad == from_spec("mk:3")
-    with pytest.raises(AutomorphismViolation):
-        build_transfer_matrix(bad)
 
 
 def test_cache_key_names_the_budget():
