@@ -37,7 +37,7 @@ from .monoid import (
 from .oracle import brute_force_submonoid_count
 from .spectral import eigenvalues, ogf, spectrum_of, verify_recurrence
 from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order, mask_to_hex
-from .transfer import build_transfer_matrix, count_sequence
+from .transfer import CountSequence, build_transfer_matrix, count_sequence, walk_counts
 from .transfersystems import (
     DEFAULT_MAX_ST_SIZE,
     _check_budget,
@@ -261,7 +261,9 @@ def _suite_recurrence(args) -> int:
     for spec in specs:
         matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
         eigs = eigenvalues(matrix)
-        seq = count_sequence(matrix, 2 * len(eigs) - 1, label=spec)
+        # Walked terms only: count_sequence extends past the first
+        # len(eigs) by the very recurrence checked here.
+        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(eigs) - 1)), spec)
         ok, witness = verify_recurrence(eigs, seq)
         if not ok:
             return _fail(f"{spec}: recurrence fails at n={witness}", 1)

@@ -375,6 +375,8 @@ def from_spec(text: str, max_product_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
 def _parse_atom(token: str, max_size: int) -> CayleyMonoid:
     head, sep, arg = token.partition(":")
     if head == "n5" and not sep:
+        if max_size < 5:
+            raise _over_budget(token, max_size)
         return make_n5()
     if head == "file" and sep:
         try:
@@ -398,11 +400,13 @@ def _parse_atom(token: str, max_size: int) -> CayleyMonoid:
         except ValueError:
             raise MonoidSpecError(f"bad numeric argument in {token!r}") from None
         if over_budget(value):
-            raise SizeLimitExceeded(
-                f"atom {token!r} exceeds the product budget of {max_size} elements"
-            )
+            raise _over_budget(token, max_size)
         try:
             return make(value)
         except ValueError as exc:
             raise MonoidSpecError(f"bad atom {token!r}: {exc}") from exc
     raise MonoidSpecError(f"unknown monoid atom {token!r}")
+
+
+def _over_budget(token: str, max_size: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(f"atom {token!r} exceeds the product budget of {max_size} elements")

@@ -27,7 +27,14 @@ from .errors import (
 )
 from .monoid import is_idempotent, make_chain
 from .submonoids import bits_of
-from .transfer import CountSequence, TransferMatrix, build_transfer_matrix, count_sequence
+from .transfer import (
+    CountSequence,
+    TransferMatrix,
+    build_transfer_matrix,
+    count_sequence,
+    diagonal_chains,
+    recurrence_poly,
+)
 
 
 @dataclass(frozen=True)
@@ -50,22 +57,21 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
     Only valid for idempotent monoids, where the matrix is diagonalizable:
     submonoids sharing a diagonal value are incomparable, so the weight
     blocks between them vanish.  That certificate is checked here, on the
-    lumped quotient: a class holds no two comparable submonoids and the
-    weights are positive, so W has a nonzero entry between two submonoids
-    with equal diagonals exactly when the quotient has one between two
-    classes.
+    lumped quotient, as m_v == 1 for every diagonal value v (see
+    ``diagonal_chains``): a class holds no two comparable submonoids and
+    the weights are positive, so W has a nonzero entry between two
+    submonoids with equal diagonals exactly when the quotient has one
+    between two classes.  Then the count annihilator has D distinct roots.
     """
     if not is_idempotent(matrix.lattice.monoid):
         raise NotIdempotent("spectral form requires an idempotent monoid")
-    rows, _ = matrix.quotient
-    diag = [row[-1][1] for row in rows]
-    for a, row in enumerate(rows):
-        for b, w in row[:-1]:
-            if w and diag[b] == diag[a]:
-                raise InvariantViolation(
-                    f"equal-diagonal block is not diagonal between classes {a} and {b}"
-                )
-    return sorted(set(diag))
+    chains = diagonal_chains(matrix.quotient[0])
+    for v, m in chains.items():
+        if m > 1:
+            raise InvariantViolation(
+                f"equal-diagonal block is not diagonal: {m} chained classes have diagonal {v}"
+            )
+    return sorted(chains)
 
 
 def solve_coefficients(eigs, prefix) -> tuple[Fraction, ...]:
@@ -82,7 +88,7 @@ def solve_coefficients(eigs, prefix) -> tuple[Fraction, ...]:
     if len(prefix) != len(eigs):
         raise ValueError("need exactly one sequence term per eigenvalue")
     # prod(x - u), highest power first, is prod(1 - u*x) lowest power first.
-    full = _recurrence_poly(eigs)
+    full = recurrence_poly(eigs)
     out = []
     for v in eigs:
         # Synthetic division by (x - v) yields a_(k-1), a_(k-2), ..., a_0.
@@ -137,16 +143,6 @@ def closed_form_eval(spectrum: Spectrum, n: int) -> int:
     return int(total)
 
 
-def _recurrence_poly(eigs) -> list[int]:
-    coeffs = [1]
-    for v in eigs:
-        nxt = coeffs + [0]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] -= v * c
-        coeffs = nxt
-    return coeffs
-
-
 def verify_recurrence(eigs, sequence: CountSequence):
     """Check the constant recurrence driven by prod(1 - v*x) over the
     eigenvalues.  Returns (True, None) or (False, first failing index)."""
@@ -155,7 +151,7 @@ def verify_recurrence(eigs, sequence: CountSequence):
     values = sequence.values
     if len(values) < 2 * k:
         raise ValueError(f"need at least {2 * k} terms, got {len(values)}")
-    poly = _recurrence_poly(eigs)
+    poly = recurrence_poly(eigs)
     for n in range(k, len(values)):
         acc = sum(poly[i] * values[n - i] for i in range(k + 1))
         if acc != 0:
@@ -172,7 +168,7 @@ class RationalOGF:
 
     def expand(self, n_max: int) -> list[int]:
         """First ``n_max + 1`` series coefficients, by exact long division."""
-        den = _recurrence_poly(self.denominator_roots)
+        den = recurrence_poly(self.denominator_roots)
         out = []
         for n in range(n_max + 1):
             value = self.numerator[n] if n < len(self.numerator) else 0
@@ -193,6 +189,14 @@ def ogf(
     which is checked up to degree 2k.  The spectrum must be the set of
     diagonal values of the lumped quotient, which is W's: each class has
     one diagonal value.  The round trip always runs: it costs O(k^2) and checks the output.
+
+    From ``count_sequence(matrix, 2k)``, as ``ogf`` on the command line
+    takes it, only S_0..S_k are walked: for idempotent M the annihilator
+    is prod(1 - v*x) over these k eigenvalues, so S_(k+1)..S_2k are
+    extended by this same recurrence.  The degree-k product term is then
+    the one decided by walked values alone, and the terms above it check
+    the extension, not the walk.  ``verify recurrence`` and the tests
+    check the recurrence against walked terms only.
     """
     diag = sorted({row[-1][1] for row in matrix.quotient[0]})
     if list(spectrum.eigenvalues) != diag:
@@ -201,7 +205,7 @@ def ogf(
     values = sequence.values
     if len(values) < 2 * k + 1:
         raise ValueError(f"need at least {2 * k + 1} terms, got {len(values)}")
-    den = _recurrence_poly(spectrum.eigenvalues)
+    den = recurrence_poly(spectrum.eigenvalues)
     product = [
         sum(den[i] * values[n - i] for i in range(min(n, k) + 1))
         for n in range(2 * k + 1)

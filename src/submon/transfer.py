@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import IndexOutOfRange, InvariantViolation
 from .monoid import CACHE_SIZE, CayleyMonoid
@@ -227,6 +228,49 @@ def walk(rows, vector, steps: int):
         yield vector
 
 
+def walk_counts(matrix: TransferMatrix, steps: int) -> list[int]:
+    """S_0..S_steps by walking the lumped quotient: S_n is the sum over
+    classes C of |C| * (Q^n 1)[C]."""
+    rows, sizes = matrix.quotient
+    return [matrix.size] + [sum(map(mul, sizes, v)) for v in walk(rows, [1] * len(rows), steps)]
+
+
+def diagonal_chains(rows) -> dict[int, int]:
+    """m_v for each diagonal value v of the quotient ``rows``: the most
+    classes with diagonal v on one chain of direct nonzero edges, found in
+    one bottom-up pass.  W(A, B) is nonzero for every B inside A, so the
+    support of W, and of Q, is transitive: every path's classes with
+    diagonal v are joined by direct edges, and m_v is also the most
+    classes with diagonal v on any path."""
+    diagonal = [row[-1][1] for row in rows]
+    longest = []
+    for row, v in zip(rows, diagonal):
+        below = (longest[j] for j, w in row[:-1] if w and diagonal[j] == v)
+        longest.append(1 + max(below, default=0))
+    chains = {}
+    for v, m in zip(diagonal, longest):
+        chains[v] = max(chains.get(v, 0), m)
+    return chains
+
+
+def annihilator(rows) -> tuple[int, ...]:
+    """The roots of prod over v of (1 - v*x)**m_v for the quotient
+    ``rows``, ascending, each diagonal value v repeated m_v times."""
+    chains = diagonal_chains(rows)
+    return tuple(v for v in sorted(chains) for _ in range(chains[v]))
+
+
+def recurrence_poly(roots) -> list[int]:
+    """The coefficients of prod(1 - v*x) over ``roots``, lowest power first."""
+    coeffs = [1]
+    for v in roots:
+        nxt = coeffs + [0]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] -= v * c
+        coeffs = nxt
+    return coeffs
+
+
 def _lump(rows, orbits: Orbits):
     """Lump W's rows into classes on which every W^n 1 is constant.
 
@@ -273,24 +317,41 @@ def _lump(rows, orbits: Orbits):
 def count_sequence(
     matrix: TransferMatrix, n_max: int, label: str = ""
 ) -> CountSequence:
-    """S_n for n = 0..n_max by iterated matrix-vector products.
+    """S_n for n = 0..n_max: D terms walked, the rest by recurrence.
 
-    The walk runs on the lumped quotient of W: S_n = sum over classes C
-    of |C| * u_n[C].  Every intermediate term is kept, which the
-    recurrence checks need.
+    Q, the lumped quotient of W, is lower triangular, so by the
+    transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7)
+    the counts have the generating function P(x) / A(x) with
+    A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
+    and deg P < D = sum of m_v.  So S_n for n >= D is fixed by the D
+    terms before it.  S_0..S_min(n_max, D) come from :func:`walk_counts`,
+    at one multiply-add per quotient nonzero per step; each later term
+    costs D multiply-adds.
 
-    The monotonicity check always runs: it costs one comparison per term
-    next to a walk over the whole quotient, and it is the only check on
-    the count path that catches a quotient whose walk shrinks, as a zero
-    weight makes it.
+    When n_max >= D the recurrence's value of the walked S_D is checked.
+    It is the x**D coefficient of A times the series, which vanishes
+    for a valid A.  If A lacks one factor (1 - v*x), it is
+    v**(D-1) * R(1/v) with R the polynomial that A times the series
+    makes, and it is zero exactly when the shorter A is still valid.  So
+    this one term catches any single missing root or multiplicity
+    without walking past D; the tests compare every term with the walk.
+
+    The monotonicity check always runs over every term: it costs one
+    comparison per term, and it is the only check on the count path that
+    catches a quotient whose walk shrinks, as a zero weight makes it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows, sizes = matrix.quotient
-    values = [matrix.size]
-    values += [
-        sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), n_max)
-    ]
+    poly = recurrence_poly(annihilator(matrix.quotient[0]))
+    order = len(poly) - 1
+    values = walk_counts(matrix, min(n_max, order))
+    tail = [-a for a in reversed(poly[1:])]
+    for n in range(order, n_max + 1):
+        predicted = sum(map(mul, tail, values[n - order:n]))
+        if n > order:
+            values.append(predicted)
+        elif predicted != values[n]:
+            raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{n}")
     for n, (prev, nxt) in enumerate(zip(values, values[1:])):
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")
@@ -332,19 +393,11 @@ class AsymptoticProfile:
 
 
 def asymptotics(matrix: TransferMatrix) -> AsymptoticProfile:
-    entries = matrix.entries
-    diag = [row[-1][1] for row in entries]
-    base = max(diag)
-    attaining = [i for i, d in enumerate(diag) if d == base]
-    attaining_set = set(attaining)
-    longest = {}
-    for i in attaining:
-        best = 0
-        for j, _ in entries[i][:-1]:
-            if j in attaining_set:
-                best = max(best, longest[j] + 1)
-        longest[i] = best
-    degree = max(longest.values()) if longest else 0
-    return AsymptoticProfile(
-        base=base, multiplicity=len(attaining), degree_bound=degree
-    )
+    """The profile from the quotient alone: ``base`` is the largest class
+    diagonal, ``multiplicity`` the summed sizes of its classes, and
+    ``degree_bound`` is m_base - 1 (see :func:`diagonal_chains`)."""
+    rows, sizes = matrix.quotient
+    chains = diagonal_chains(rows)
+    base = max(chains)
+    multiplicity = sum(s for row, s in zip(rows, sizes) if row[-1][1] == base)
+    return AsymptoticProfile(base=base, multiplicity=multiplicity, degree_bound=chains[base] - 1)

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from submon import cli
 from submon import monoid as monoid_module
 from submon.cli import DEFAULT_LATTICES, main
 from submon.monoid import from_spec, join_monoid, make_chain, monoid_to_json, semilattice_order
@@ -178,6 +179,17 @@ def test_atom_over_budget_exits_before_its_table_is_built(capsys):
     assert peak < 1 << 20
 
 
+def test_n5_is_refused_by_the_spec_budget(capsys, monkeypatch):
+    # n5 was the one atom the spec budget missed: its table was built and
+    # enumeration refused it, as "monoid has 5 elements, enumeration budget 3".
+    def refuse():
+        raise AssertionError("built n5 over the budget")
+
+    monkeypatch.setattr(monoid_module, "make_n5", refuse)
+    code, out, err = run(capsys, "count", "--monoid", "n5", "--n", "2", "--max-monoid-size", "3")
+    assert (code, out, err) == (3, "", "error: atom 'n5' exceeds the product budget of 3 elements\n")
+
+
 def test_file_atom_over_the_enumeration_budget_is_never_validated(capsys, tmp_path, monkeypatch):
     # The cubic validation of a 401-element table took 4.9 s before the
     # 20-element budget of count refused it.
@@ -190,6 +202,18 @@ def test_file_atom_over_the_enumeration_budget_is_never_validated(capsys, tmp_pa
     monkeypatch.setattr(monoid_module, "validate", refuse)
     code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
     assert (code, out, err) == (3, "", "error: JSON monoid has 401 elements, budget 20\n")
+
+
+def test_verify_recurrence_reads_walked_terms_only(capsys, monkeypatch):
+    # count_sequence extends its terms past D by the recurrence the suite
+    # checks, so terms taken from it would check the tail against itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence suite read count_sequence")
+
+    monkeypatch.setattr(cli, "count_sequence", refuse)
+    code, out, err = run(capsys, "verify", "recurrence")
+    assert code == 0, err
+    assert out.count("ok recurrence") == 8
 
 
 def test_not_idempotent_exit_code(capsys):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_oracle import small_commutative_monoids
 
 from submon import transfer
@@ -16,6 +21,7 @@ from submon.errors import (
 from submon.monoid import (
     CACHE_SIZE,
     from_spec,
+    is_idempotent,
     join_monoid,
     make_chain,
     make_cyclic_group,
@@ -24,11 +30,13 @@ from submon.monoid import (
     semilattice_order,
 )
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
-from submon.spectral import ogf, spectrum_of
+from submon.spectral import eigenvalues, ogf, spectrum_of
 from submon.submonoids import DEFAULT_MAX_MONOID_SIZE, bits_of, enumerate_submonoids, weight_row
 from submon.transfer import (
+    AsymptoticProfile,
     Orbits,
     TransferMatrix,
+    annihilator,
     asymptotics,
     build_transfer_matrix,
     count_sequence,
@@ -423,3 +431,134 @@ def test_streamed_quotient_matches_eager_rows(spec):
 def test_streamed_quotient_matches_eager_rows_on_random_monoids(monoid):
     streamed, eager = _quotients(monoid)
     assert streamed == eager
+
+
+def _walked(matrix, n):
+    """S_0..S_n by the plain walk of the quotient, with no recurrence."""
+    rows, sizes = matrix.quotient
+    vectors = walk(rows, [1] * len(rows), n)
+    return [matrix.size] + [sum(s * u for s, u in zip(sizes, v)) for v in vectors]
+
+
+def _order(matrix):
+    """D, the order of the count recurrence."""
+    return len(annihilator(matrix.quotient[0]))
+
+
+# The recurrence tail against the plain walk at every n up to max(2D, 30),
+# and with n_max just below, at and just above D, where the tail starts.
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
+def test_count_tail_matches_the_walk(spec):
+    matrix = _matrix(spec)
+    order = _order(matrix)
+    top = max(2 * order, 30)
+    walked = _walked(matrix, top)
+    assert list(count_sequence(matrix, top).values) == walked
+    for n in range(max(order - 1, 0), order + 2):
+        assert list(count_sequence(matrix, n).values) == walked[: n + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_commutative_monoids(max_size=10), st.integers(1, 12))
+def test_count_tail_matches_the_walk_on_random_monoids(monoid, extra):
+    matrix = build_transfer_matrix(monoid)
+    top = _order(matrix) + extra
+    assert list(count_sequence(matrix, top).values) == _walked(matrix, top)
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        ("cyclic:2 x mk:5", 35),
+        ("cyclic:2 x chain:3 x chain:1", 80),
+        ("cyclic:2 x bool:3", 62),
+        ("cyclic:2 x mk:6", 44),
+        ("cyclic:3 x mk:4", 27),
+    ],
+)
+def test_order_of_the_long_walk_recurrences(spec, order):
+    assert _order(_matrix(spec)) == order
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in DEFAULT_MONOIDS + BENCHMARK_MONOIDS if is_idempotent(from_spec(s))]
+)
+def test_idempotent_annihilators_have_the_eigenvalues_as_simple_roots(spec):
+    matrix = _matrix(spec)
+    assert list(annihilator(matrix.quotient[0])) == eigenvalues(matrix)
+
+
+def _drop_root(monkeypatch, v):
+    """Make count_sequence use an annihilator with one root v removed."""
+    keep = transfer.annihilator
+
+    def dropped(rows):
+        roots = list(keep(rows))
+        roots.remove(v)
+        return tuple(roots)
+
+    monkeypatch.setattr(transfer, "annihilator", dropped)
+
+
+@pytest.mark.parametrize("spec", ["n5", "cyclic:2 x mk:5", "chain:4 x chain:1"])
+def test_an_annihilator_missing_a_root_raises(spec, monkeypatch):
+    matrix = _matrix(spec)
+    for v in sorted(set(annihilator(matrix.quotient[0]))):
+        with monkeypatch.context() as patch:
+            _drop_root(patch, v)
+            with pytest.raises(InvariantViolation, match="annihilator"):
+                count_sequence(matrix, 2 * _order(matrix) + 2)
+
+
+def test_a_root_the_counts_do_not_need_may_be_dropped(monkeypatch):
+    # mk:3's coefficient at eigenvalue 4 vanishes, so the recurrence holds
+    # without that root: the S_D check passes exactly when the tail is right.
+    matrix = _matrix("mk:3")
+    _drop_root(monkeypatch, 4)
+    assert list(count_sequence(matrix, 20).values) == _walked(matrix, 20)
+
+
+def test_an_annihilator_missing_a_root_raises_under_dash_o():
+    script = (
+        "import sys\n"
+        "from submon import transfer\n"
+        "from submon.errors import InvariantViolation\n"
+        "from submon.monoid import from_spec\n"
+        "if __debug__: sys.exit(2)\n"
+        "keep = transfer.annihilator\n"
+        "transfer.annihilator = lambda rows: keep(rows)[1:]\n"
+        "matrix = transfer.build_transfer_matrix(from_spec('cyclic:2 x mk:5'))\n"
+        "try:\n"
+        "    transfer.count_sequence(matrix, 80)\n"
+        "except InvariantViolation:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(transfer.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+
+
+def _asymptotics_from_entries(entries):
+    """The growth profile from every row of W: the base is the largest
+    diagonal, the multiplicity the members attaining it, and the degree
+    bound the longest path among them."""
+    diag = [row[-1][1] for row in entries]
+    base = max(diag)
+    attaining = [i for i, d in enumerate(diag) if d == base]
+    longest = {}
+    for i in attaining:
+        longest[i] = max((longest[j] + 1 for j, _ in entries[i][:-1] if j in longest), default=0)
+    return AsymptoticProfile(base, len(attaining), max(longest.values()))
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
+def test_asymptotics_match_every_row_of_w(spec):
+    assert asymptotics(_matrix(spec)) == _asymptotics_from_entries(_entries(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_commutative_monoids(max_size=10))
+def test_asymptotics_match_every_row_of_w_on_random_monoids(monoid):
+    matrix = build_transfer_matrix(monoid)
+    assert asymptotics(matrix) == _asymptotics_from_entries(matrix.entries)
