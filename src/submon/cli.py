@@ -54,6 +54,9 @@ VERIFY_SUITES = (
     "appendix",
 )
 
+# Budgets below 1 would refuse every input, or check nothing, so they exit 2.
+BUDGET_FLAGS = ("--max-monoid-size", "--max-st-size", "--max-oracle-size")
+
 # Default sweeps for the verify suites.
 DEFAULT_MONOIDS = (
     "chain:0",
@@ -452,6 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in BUDGET_FLAGS:
+        budget = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if budget is not None and budget < 1:
+            return _fail(f"error: {flag} must be at least 1, got {budget}", 2)
     try:
         return args.func(args)
     except (MonoidSpecError, ValueError) as exc:

@@ -84,10 +84,10 @@ class _LatticeContext:
     meet: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[int, int], ...]
     between: tuple[tuple[int, ...], ...]
-    # forced[x][z]: the (row, column bit) entries other than x R z itself
-    # that restriction and saturation require once x R z holds; empty
-    # unless x < z.
-    forced: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    # required[x][z]: the entries other than x R z itself and the diagonal
+    # that restriction and saturation require once x R z holds, as
+    # (row, column mask) pairs, one per row; empty unless x < z.
+    required: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -104,20 +104,26 @@ def _lattice_context(order: PartialOrder) -> _LatticeContext:
     between = tuple(
         tuple(order.up[x] & down[z] for z in range(n)) for x in range(n)
     )
-    forced = [[() for _ in range(n)] for _ in range(n)]
+    required = [[() for _ in range(n)] for _ in range(n)]
     for x in range(n):
         for z in bits_of(order.up[x] & ~(1 << x)):
-            pairs = {(meet[x][y], meet[z][y]) for y in range(n)}
+            masks = [0] * n
+            for y in range(n):
+                masks[meet[x][y]] |= 1 << meet[z][y]
+            # Restriction along each y between x and z already gives x R y,
+            # so saturation adds only y R z.
             for y in bits_of(between[x][z] & ~(1 << x) & ~(1 << z)):
-                pairs.update(((x, y), (y, z)))
-            pairs.discard((x, z))
-            forced[x][z] = tuple(sorted((a, 1 << b) for a, b in pairs if a != b))
+                masks[y] |= 1 << z
+            masks[x] &= ~(1 << z)
+            required[x][z] = tuple(
+                (r, mask & ~(1 << r)) for r, mask in enumerate(masks) if mask & ~(1 << r)
+            )
     return _LatticeContext(
         order=order,
         meet=meet,
         covers=tuple(covers),
         between=between,
-        forced=tuple(map(tuple, forced)),
+        required=tuple(map(tuple, required)),
     )
 
 
@@ -128,6 +134,12 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     transitive, is closed under restriction (x R z implies
     meet(x, y) R meet(z, y) for every y), and is saturated (x R z with
     x <= y <= z implies x R y and y R z).
+
+    This is the reference check: it reads each clause off the meet table.
+    Enumeration checks its systems against the requirement table instead,
+    which is faster but is read by ``_grow`` too, so this stays: it names
+    the clause a rejected system breaks, and the tests hold the two checks
+    equal on every enumerated system and every single-bit change of it.
     """
     ctx = _lattice_context(order)
     n = order.size
@@ -161,32 +173,56 @@ def _grow(ctx: _LatticeContext, rows, cols, x: int, z: int):
     ``rows`` and the pair x R z, as its rows and its column masks (bit w of
     ``cols[c]`` is set iff w R c); ``cols`` are those of ``rows``.
 
-    Adding a pair (a, b) to a transitive relation relates everything that
-    relates to a with everything b relates to; each pair that is genuinely
-    new then queues only the pairs restriction and saturation force from it.
+    Adding pairs (a, b) to a transitive relation relates everything that
+    relates to a with everything each b relates to; each pair that is
+    genuinely new then queues only the entries of ``ctx.required`` that it
+    does not already hold, one column mask per row.
     """
     rows = list(rows)
     cols = list(cols)
-    forced = ctx.forced
+    required = ctx.required
     pending = [(x, 1 << z)]
     while pending:
-        a, b_bit = pending.pop()
-        if rows[a] & b_bit:
+        a, mask = pending.pop()
+        mask &= ~rows[a]
+        if not mask:
             continue
-        targets = rows[b_bit.bit_length() - 1]
+        targets = 0
+        for b in bits_of(mask):
+            targets |= rows[b]
         for w in bits_of(cols[a]):
             new = targets & ~rows[w]
             if not new:
                 continue
             rows[w] |= new
             w_bit = 1 << w
-            forced_w = forced[w]
+            required_w = required[w]
             for c in bits_of(new):
                 cols[c] |= w_bit
-                for r, c_bit in forced_w[c]:
-                    if not rows[r] & c_bit:
-                        pending.append((r, c_bit))
+                for r, c_mask in required_w[c]:
+                    if c_mask & ~rows[r]:
+                        pending.append((r, c_mask))
     return tuple(rows), tuple(cols)
+
+
+def _holds_requirements(ctx: _LatticeContext, rows) -> bool:
+    """Whether ``rows`` is reflexive, refines the order, is transitive and
+    holds ``ctx.required`` for each pair it contains: a saturated transfer
+    system, as :func:`is_saturated_transfer_system` decides, from the table
+    alone and without ``_grow``'s propagation."""
+    up = ctx.order.up
+    required = ctx.required
+    for x, row in enumerate(rows):
+        if not row >> x & 1 or row & ~up[x]:
+            return False
+        required_x = required[x]
+        for z in bits_of(row & ~(1 << x)):
+            if rows[z] & ~row:
+                return False
+            for r, mask in required_x[z]:
+                if mask & ~rows[r]:
+                    return False
+    return True
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -196,9 +232,17 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     Every system is the closure of its own cover pairs, so the systems are
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
     from the discrete system one cover at a time by incremental closure,
-    carrying each system's rows and column masks.  Every system is
-    validated on every call: the engine's pruning trusts ``_grow`` to be
-    a monotone closure, which only the tests check otherwise.
+    carrying each system's rows and column masks.
+
+    Every system is validated on every call.  Fast Close-by-One prunes on
+    the assumption that ``_grow`` is a monotone closure; a ``_grow`` that
+    misses a forced pair would return wrong systems without any error, and
+    nothing else in the library would notice.  The check reads the
+    requirement table that ``_grow`` also reads, but none of its
+    propagation; a wrong table is caught by the tests, which hold it
+    against :func:`is_saturated_transfer_system` on every enumerated
+    system and every single-bit change of it.  Only a system that fails is
+    passed to that clause validator, to name the violated clause.
     """
     ctx = _lattice_context(order)
     covers = ctx.covers
@@ -211,9 +255,12 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     start = tuple(1 << x for x in range(order.size))
     systems = [rows for rows, _ in closed_sets((start, start), 0, len(covers), extend)]
     for rows in systems:
-        ok, violation = is_saturated_transfer_system(order, rows)
-        if not ok:
-            raise InvariantViolation(f"enumerated an invalid system: {violation}")
+        if not _holds_requirements(ctx, rows):
+            violation = is_saturated_transfer_system(order, rows)[1]
+            raise InvariantViolation(
+                "enumerated an invalid system: "
+                f"{violation or 'the requirement table and the clause validator disagree'}"
+            )
     return tuple(sorted(systems, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
@@ -272,14 +319,24 @@ def _cylinder_order(order: PartialOrder) -> PartialOrder:
     return semilattice_order(product)
 
 
-def _layer(cyl_rows, size: int, level: int) -> tuple[int, ...]:
+# _EVEN_BITS[b]: bits 0, 2, 4 and 6 of the byte b, packed into bits 0-3.
+_EVEN_BITS = tuple(
+    sum(1 << i for i in range(4) if b >> 2 * i & 1) for b in range(256)
+)
+
+
+def _layer(cyl_rows, level: int) -> tuple[int, ...]:
+    """The system on P at one level of a cylinder system: bit y of row x
+    is bit 2 * y + level of cylinder row 2 * x + level, gathered a byte at
+    a time."""
     rows = []
-    for x in range(size):
-        src = cyl_rows[2 * x + level]
-        row = 0
-        for y in range(size):
-            if src >> (2 * y + level) & 1:
-                row |= 1 << y
+    for src in cyl_rows[level::2]:
+        src >>= level
+        row = shift = 0
+        while src:
+            row |= _EVEN_BITS[src & 0xFF] << shift
+            src >>= 8
+            shift += 4
         rows.append(row)
     return tuple(rows)
 
@@ -292,8 +349,8 @@ def _st_data(order: PartialOrder):
     index = {rows: i for i, rows in enumerate(systems)}
     counts = [Counter() for _ in systems]
     for cyl_rows in _saturated_rows(_cylinder_order(order)):
-        top = _layer(cyl_rows, order.size, 1)
-        bottom = _layer(cyl_rows, order.size, 0)
+        top = _layer(cyl_rows, 1)
+        bottom = _layer(cyl_rows, 0)
         counts[index[top]][index[bottom]] += 1
     return systems, index, tuple(tuple(sorted(row.items())) for row in counts)
 

@@ -290,6 +290,34 @@ def test_verify_oracle_rejects_runs_that_check_nothing(capsys):
     assert code == 2 and out == "" and "--max-oracle-size" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sattr", "--lattice", "chain:2", "--n", "2", "--max-st-size", "-5"), "--max-st-size"),
+        (("sattr", "--lattice", "chain:2", "--list", "--max-st-size", "0"), "--max-st-size"),
+        (
+            ("count", "--monoid", "chain:2", "--n", "2", "--oracle", "--max-oracle-size", "-1"),
+            "--max-oracle-size",
+        ),
+        (("count", "--monoid", "chain:2", "--n", "2", "--max-monoid-size", "0"), "--max-monoid-size"),
+        (("spectrum", "--monoid", "chain:2", "--max-monoid-size", "-3"), "--max-monoid-size"),
+        (("verify", "transfer-iso", "--max-st-size", "0"), "--max-st-size"),
+        (("verify", "triangular", "--max-monoid-size", "-1"), "--max-monoid-size"),
+    ],
+)
+def test_budgets_below_one_exit_2_naming_the_flag(capsys, argv, flag):
+    # A budget below 1 refused every spec with exit 3, or, for the oracle,
+    # checked no term and exited 0.
+    code, out, err = run(capsys, *argv)
+    budget = argv[argv.index(flag) + 1]
+    assert (code, out, err) == (2, "", f"error: {flag} must be at least 1, got {budget}\n")
+
+
+def test_budget_of_one_is_accepted(capsys):
+    code, out, _ = run(capsys, "count", "--monoid", "chain:0", "--n", "1", "--max-monoid-size", "1")
+    assert (code, out) == (0, "n,count\n0,1\n1,2\n")
+
+
 @pytest.mark.parametrize("spec", ["mk:2 x chain:1", "chain:2 x chain:1"])
 def test_cached_queries_print_the_same_in_any_order(capsys, spec):
     # The queries share one cached build per monoid; whichever runs first

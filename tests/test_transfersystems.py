@@ -348,6 +348,82 @@ def test_grow_matches_reference_closure(spec, cylinder):
 BENCHMARK_LATTICES = ["n5", "chain:2 x chain:1", "chain:1 x chain:2", "mk:4", "chain:4", "chain:5"]
 
 
+def _transitive_closure_only(ctx, rows, cols, x, z):
+    """A broken ``_grow``: adds x R z and closes under transitivity only,
+    with nothing that restriction or saturation forces."""
+    rows = list(rows)
+    rows[x] |= 1 << z
+    changed = True
+    while changed:
+        changed = False
+        for w in range(len(rows)):
+            reach = rows[w]
+            for y in bits_of(rows[w]):
+                reach |= rows[y]
+            if reach != rows[w]:
+                rows[w] = reach
+                changed = True
+    return tuple(rows), _transpose(rows)
+
+
+@pytest.mark.parametrize("spec", ["chain:1 x chain:1", "n5", "mk:3"])
+def test_enumeration_rejects_systems_missing_required_pairs(monkeypatch, spec):
+    monkeypatch.setattr(transfersystems, "_grow", _transitive_closure_only)
+    with pytest.raises(InvariantViolation, match="restriction|saturation"):
+        transfersystems._saturated_rows.__wrapped__(_order(spec))
+
+
+def _single_bit_changes(rows):
+    """Every relation that differs from ``rows`` in exactly one bit."""
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            changed = list(rows)
+            changed[x] ^= 1 << y
+            yield tuple(changed)
+
+
+@pytest.mark.parametrize(
+    "spec, cylinder",
+    [(spec, False) for spec in BENCHMARK_LATTICES + ["bool:3", "mk:5"]] + [("n5", True)],
+)
+def test_requirement_table_agrees_with_the_clause_validator(spec, cylinder):
+    order = _lattice_or_cylinder(spec, cylinder)
+    ctx = transfersystems._lattice_context(order)
+    systems = set(transfersystems._saturated_rows(order))
+    for rows in systems:
+        assert transfersystems._holds_requirements(ctx, rows)
+        assert is_saturated_transfer_system(order, rows) == (True, None)
+        for changed in _single_bit_changes(rows):
+            expected = is_saturated_transfer_system(order, changed)[0]
+            assert transfersystems._holds_requirements(ctx, changed) == expected, changed
+            # and the enumeration missed no system next to one it found
+            assert not expected or changed in systems
+
+
+def _layer_bit_by_bit(cyl_rows, size, level):
+    """Reference for ``_layer``: test each of the size * size bit pairs."""
+    rows = []
+    for x in range(size):
+        src = cyl_rows[2 * x + level]
+        row = 0
+        for y in range(size):
+            if src >> (2 * y + level) & 1:
+                row |= 1 << y
+        rows.append(row)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("spec", sorted(set(DEFAULT_LATTICES) | set(BENCHMARK_LATTICES)))
+def test_layer_matches_bit_by_bit_reference(spec):
+    order = _order(spec)
+    cylinder = transfersystems._cylinder_order(order)
+    for cyl_rows in transfersystems._saturated_rows(cylinder):
+        for level in (0, 1):
+            expected = _layer_bit_by_bit(cyl_rows, order.size, level)
+            assert transfersystems._layer(cyl_rows, level) == expected
+
+
 def test_grow_call_count_on_benchmark_lattices(monkeypatch):
     # Plain Close-by-One called _grow 13,034 times here for 2,630 systems;
     # the failed-test pruning leaves 2,937 calls.
