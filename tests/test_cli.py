@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +341,71 @@ def test_cached_queries_print_the_same_in_any_order(capsys, spec):
         build_transfer_matrix.cache_clear()
         for i in order + order:
             assert run(capsys, *queries[i]) == fresh[i]
+
+
+# Every command, a usage error (exit 2), a budget below 1 (exit 2), an
+# enumeration budget error (exit 3) and a domain error (exit 4).
+MIXED_QUERIES = [
+    ("count", "--monoid", "chain:2 x chain:1", "--n", "5"),
+    ("count", "--monoid", "chain:1"),
+    ("spectrum", "--monoid", "mk:3", "--format", "json"),
+    ("count", "--monoid", "bool:5", "--n", "1"),
+    ("matrix", "--monoid", "chain:1 x chain:1"),
+    ("ogf", "--monoid", "chain:2"),
+    ("spectrum", "--monoid", "cyclic:2"),
+    ("polybernoulli", "--m", "3", "--n", "4"),
+    ("sattr", "--lattice", "chain:1 x chain:1", "--n", "4"),
+    ("sattr", "--lattice", "n5", "--list"),
+    ("count", "--monoid", "mk:2", "--n", "2", "--max-monoid-size", "0"),
+    ("verify", "recurrence", "--monoid", "chain:2"),
+    ("verify", "no-such-suite"),
+    ("frobnicate",),
+    ("count", "--monoid", "chain:2 x chain:1", "--n", "5"),
+]
+
+
+def _run_exiting(capsys, argv):
+    """``run``, with argparse's SystemExit read as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_prints_as_fresh_parsers(capsys, monkeypatch):
+    kept = [_run_exiting(capsys, argv) for argv in MIXED_QUERIES]
+    assert {code for code, _, _ in kept} == {0, 2, 3, 4}
+    builds = []
+
+    def fresh():
+        builds.append(1)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", fresh)
+    assert [_run_exiting(capsys, argv) for argv in MIXED_QUERIES] == kept
+    assert len(builds) == len(MIXED_QUERIES)
+
+
+def test_parser_is_built_on_first_use_only(monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["polybernoulli", "--m", "1", "--n", "1"], ["count", "--monoid", "chain:0", "--n", "1"]):
+        assert main(argv) == 0
+    assert len(builds) == 1
+    # Importing the CLI builds no parser.
+    script = "import submon.cli as cli; raise SystemExit(cli._parser.cache_info().currsize)"
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_full_row_queries_keep_no_rows_in_the_cache(capsys):

@@ -14,7 +14,9 @@ from submon.oracle import (
     brute_force_weight,
 )
 from submon.submonoids import enumerate_submonoids, weight
-from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
+from submon.transfer import (
+    Orbits, TransferMatrix, _lump, build_transfer_matrix, count_sequence, walk,
+)
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -129,8 +131,11 @@ def test_random_monoids_match_oracle(monoid):
         # The lumped walk against the walk over every row of W.
         full = walk(matrix.entries, [1] * matrix.size, 3)
         assert list(counts[1:]) == [sum(v) for v in full]
-    # The orbit quotient against the same submonoids with one orbit per member.
+    # Three routes to one quotient: orbits and shapes, shapes over one
+    # orbit per member, and orbits with every representative's row lumped
+    # by its signature alone.
     ids = tuple(range(matrix.size))
     plain = TransferMatrix(matrix.lattice, Orbits(ids, ids))
     assert matrix.quotient == plain.quotient
+    assert matrix.quotient == _lump(matrix._row, matrix.orbits, lambda i: i)
     assert counts == count_sequence(plain, 3).values

@@ -225,7 +225,9 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     # Set on a fresh matrix: the built one is cached and shared.
     trivial = Orbits(tuple(range(7)), tuple(range(7)))
     tampered = TransferMatrix(lattice=grid.lattice, orbits=trivial)
-    vars(tampered)["quotient"] = _lump(rows, trivial)
+    # Lumped by signatures alone: row 2 shares row 1's shape, which would
+    # skip it.
+    vars(tampered)["quotient"] = _lump(rows.__getitem__, trivial, lambda i: i)
     with pytest.raises(InvariantViolation):
         eigenvalues(tampered)
 

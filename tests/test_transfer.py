@@ -44,6 +44,7 @@ from submon.transfer import (
     walk,
     _automorphism_generators,
     _lump,
+    _shape,
 )
 
 GRID = make_product(make_chain(1), make_chain(1))
@@ -154,7 +155,7 @@ def test_count_sequence_rejects_decreasing_counts():
     trivial = Orbits((0,), (0,))
     # Set on a fresh matrix: a built one is cached and shared.
     tampered = TransferMatrix(lattice=lattice, orbits=trivial)
-    vars(tampered)["quotient"] = _lump((((0, 0),),), trivial)
+    vars(tampered)["quotient"] = _shape_free((((0, 0),),).__getitem__, trivial)
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -195,6 +196,12 @@ def _trivial(k):
     return Orbits(ids, ids)
 
 
+def _shape_free(row, orbits):
+    """Lumping by signatures alone: each representative is its own shape,
+    so every representative's row is built and none is skipped."""
+    return _lump(row, orbits, lambda i: i)
+
+
 # The monoids of the long-walk and spectrum jobs.
 BENCHMARK_MONOIDS = (
     "cyclic:2 x mk:5",
@@ -224,7 +231,7 @@ def test_lumped_counts_match_full_walk(spec, n):
 
 @pytest.mark.parametrize("spec, k, classes", [("mk:9", 522, 11), ("cyclic:2 x mk:6", 877, 44)])
 def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
-    rows, sizes = _lump(_entries(spec), _trivial(k))
+    rows, sizes = _shape_free(_entries(spec).__getitem__, _trivial(k))
     assert (sum(sizes), len(rows)) == (k, classes)
     # Lumping the representatives' rows over their orbits gives the same classes.
     assert _matrix(spec).quotient == (rows, sizes)
@@ -246,7 +253,7 @@ def test_orbit_rows_match_a_build_without_automorphisms(spec):
     # quotient lumps every row of W; the rows are shared with the other
     # full-row tests instead of being built again.
     plain = TransferMatrix(matrix.lattice, _trivial(matrix.size))
-    assert matrix.quotient == _lump(_entries(spec), plain.orbits)
+    assert matrix.quotient == _shape_free(_entries(spec).__getitem__, plain.orbits)
     full = walk(_entries(spec), [1] * plain.size, 6)
     assert list(count_sequence(matrix, 6).values[1:]) == [sum(v) for v in full]
 
@@ -385,9 +392,22 @@ def test_cache_key_names_the_budget():
         build_transfer_matrix(monoid, max_size=monoid.size - 1)
 
 
-@pytest.mark.parametrize("spec", ["chain:2 x chain:1", "mk:4"])
+def _first_of_each_shape(matrix):
+    """The representatives whose shape no earlier representative had."""
+    table, members = matrix.lattice.monoid.table, matrix.lattice.members
+    seen, firsts = set(), []
+    for r in matrix.orbits.reps:
+        key = _shape(table, members[r])
+        if key not in seen:
+            seen.add(key)
+            firsts.append(r)
+    return firsts
+
+
+@pytest.mark.parametrize("spec", ["chain:2 x chain:1", "mk:4", "chain:3 x chain:1", "bool:3"])
 def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
-    # Together they build each representative's row once, and keep none.
+    # Together they build one row per distinct shape among the
+    # representatives, in representative order, and keep none.
     built = []
 
     def counted(monoid, a, columns):
@@ -399,7 +419,9 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     matrix = build_transfer_matrix(from_spec(spec))
     spectrum = spectrum_of(matrix)
     ogf(matrix, spectrum, count_sequence(matrix, 2 * len(spectrum.eigenvalues)))
-    assert built == [matrix.lattice.members[r] for r in matrix.orbits.reps]
+    firsts = _first_of_each_shape(matrix)
+    assert built == [matrix.lattice.members[r] for r in firsts]
+    assert len(firsts) < len(matrix.orbits.reps)
     assert set(vars(matrix)) == {"lattice", "orbits", "quotient"}
 
     # A second query on the cached monoid neither enumerates nor builds rows.
@@ -413,11 +435,81 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     assert count_sequence(again, 3).values == count_sequence(matrix, 3).values
 
 
+@pytest.mark.parametrize(
+    "spec, orbits, rows, classes",
+    [
+        ("chain:5 x chain:1", 697, 106, 106),
+        ("chain:4 x chain:1", 227, 48, 48),
+        ("cyclic:2 x chain:3 x chain:1", 450, 172, 166),
+        ("bool:4", 184, 143, 139),
+    ],
+)
+def test_rows_built_per_shape(spec, orbits, rows, classes, monkeypatch):
+    matrix = _matrix(spec)
+    built = []
+
+    def counted(monoid, a, columns):
+        built.append(a)
+        return weight_row(monoid, a, columns)
+
+    monkeypatch.setattr(transfer, "weight_row", counted)
+    quotient, _ = TransferMatrix(matrix.lattice, matrix.orbits).quotient
+    assert (len(matrix.orbits.reps), len(built), len(quotient)) == (orbits, rows, classes)
+
+
+# The shape-keyed quotient against lumping every representative's row by
+# its signature alone.
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("chain:3 x chain:1",))
+def test_shape_keyed_quotient_matches_signature_lumping(spec):
+    matrix = _matrix(spec)
+    assert matrix.quotient == _shape_free(matrix._row, matrix.orbits)
+
+
+@pytest.mark.parametrize(
+    "spec, coarse",
+    [
+        ("chain:2 x chain:1", lambda table, mask: mask.bit_count()),
+        # The divisibility preorder alone fixes A's row but not its
+        # columns' classes: it cannot tell the subgroups Z4 and Z2 x Z2 apart.
+        ("cyclic:4 x cyclic:2", lambda table, mask: _preorder_shape(table, mask)),
+    ],
+)
+def test_a_coarser_shape_lumps_a_different_quotient(spec, coarse, monkeypatch):
+    matrix = _matrix(spec)
+    monkeypatch.setattr(transfer, "_shape", coarse)
+    coarsened = TransferMatrix(matrix.lattice, matrix.orbits).quotient
+    assert coarsened != _shape_free(matrix._row, matrix.orbits)
+
+
+def _preorder_shape(table, mask):
+    """Which element divides which in the submonoid, relabelled in order."""
+    elements = tuple(bits_of(mask))
+    return tuple(
+        tuple(any(table[x][a] == y for a in elements) for y in elements) for x in elements
+    )
+
+
+def test_shapes_of_large_submonoids():
+    # Local labels above 255 need two bytes each: a one-byte key would
+    # fail, or wrap 256 onto 0 and confuse the two tables below.
+    table = from_spec("cyclic:257").table
+    full = (1 << 257) - 1
+    key = _shape(table, full)
+    assert len(key) == 2 * 257 * 258 // 2
+    changed = list(table)
+    changed[1] = table[1][:255] + (0,) + table[1][256:]
+    assert table[1][255] == 256
+    assert _shape(changed, full) != key
+    assert _shape(make_chain(256).table, full) != key
+    # Exactly 256 elements still fit one byte per product.
+    assert len(_shape(from_spec("cyclic:256").table, full >> 1)) == 256 * 257 // 2
+
+
 def _quotients(monoid):
     """The quotient, streamed from the representatives' rows, and the
     lumping of every row of W with one orbit per member."""
     matrix = build_transfer_matrix(monoid)
-    return matrix.quotient, _lump(matrix.entries, _trivial(matrix.size))
+    return matrix.quotient, _shape_free(matrix.entries.__getitem__, _trivial(matrix.size))
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
