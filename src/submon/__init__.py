@@ -8,7 +8,6 @@ finite lattices.  All arithmetic is exact (big integers and fractions).
 """
 
 from .closedforms import (
-    ChainCountVector,
     abelian_group_count,
     chain_coefficient,
     chain_counts,
@@ -17,7 +16,6 @@ from .closedforms import (
     mk_eigenvalues,
     poly_bernoulli,
     stirling2,
-    subsemigroup_count,
 )
 from .errors import SubmonError
 from .monoid import (
@@ -54,15 +52,10 @@ from .spectral import (
 )
 from .submonoids import (
     SubmonoidLattice,
-    closure,
     condense,
-    count_upsets_containing,
     divisibility_preorder,
-    enumerate_ideals,
     enumerate_submonoids,
     inclusion_order,
-    is_submonoid,
-    weight,
     weight_row,
 )
 from .transfer import (
@@ -72,7 +65,6 @@ from .transfer import (
     asymptotics,
     build_transfer_matrix,
     count_sequence,
-    counts_by_projection,
 )
 from .transfersystems import (
     TransferRelation,
@@ -80,7 +72,6 @@ from .transfersystems import (
     enumerate_saturated_transfer_systems,
     is_saturated_transfer_system,
     st_count_sequence,
-    st_weight,
     verify_graph_isomorphism,
 )
 

@@ -37,11 +37,10 @@ from .monoid import (
 )
 from .oracle import brute_force_submonoid_count
 from .spectral import eigenvalues, ogf, spectrum_of, verify_recurrence
-from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order, mask_to_hex
+from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order
 from .transfer import CountSequence, build_transfer_matrix, count_sequence, walk_counts
 from .transfersystems import (
     DEFAULT_MAX_ST_SIZE,
-    _check_budget,
     enumerate_saturated_transfer_systems,
     verify_graph_isomorphism,
 )
@@ -160,7 +159,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_matrix(args) -> int:
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
-    legend = [mask_to_hex(m) for m in matrix.lattice.members]
+    legend = [hex(m) for m in matrix.lattice.members]
     table = matrix.dense()
     if args.format == "json":
         _emit(
@@ -183,9 +182,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_ogf(args) -> int:
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
-    spectrum = spectrum_of(matrix)
-    seq = count_sequence(matrix, 2 * len(spectrum.eigenvalues), label=args.monoid)
-    result = ogf(matrix, spectrum, seq)
+    result = ogf(matrix)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -222,7 +219,6 @@ def cmd_sattr(args) -> int:
         _emit(json.dumps(payload))
         return 0
     # Systems on P x [n] correspond to submonoids of (P, join) x [n].
-    _check_budget(order, args.max_st_size)
     matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_st_size)
     seq = count_sequence(matrix, args.n, label=args.lattice)
     _print_counts(seq, "lattice", args.format)
@@ -435,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,
-        help="largest lattice to list; for --n, the largest the cylinder route can cross-check",
+        help="largest lattice, in elements, that --list or --n accepts",
     )
     p.set_defaults(func=cmd_sattr)
 

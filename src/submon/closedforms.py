@@ -8,7 +8,6 @@ ladders, and the bottom/middles/top lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -16,18 +15,11 @@ from math import comb, factorial
 from .errors import FormulaMismatch, IndexOutOfRange
 from .monoid import PartialOrder
 
-@dataclass(frozen=True)
-class ChainCountVector:
-    """counts[m] is the number of chains x_0 < x_1 < ... < x_m in a poset.
 
-    counts[0] is the element count; the vector stops at the poset height.
-    """
-
-    counts: tuple[int, ...]
-
-
-def chain_counts(order: PartialOrder) -> ChainCountVector:
-    """Chain counts via powers of the strict-order adjacency matrix."""
+def chain_counts(order: PartialOrder) -> tuple[int, ...]:
+    """Chain counts via powers of the strict-order adjacency matrix:
+    entry m is the number of chains x_0 < x_1 < ... < x_m, so entry 0 is
+    the element count, and the tuple stops at the poset height."""
     n = order.size
     strict = [order.up[x] & ~(1 << x) for x in range(n)]
     counts = [n]
@@ -44,22 +36,22 @@ def chain_counts(order: PartialOrder) -> ChainCountVector:
             nxt[x] = total
         total = sum(nxt)
         if total == 0:
-            return ChainCountVector(counts=tuple(counts))
+            return tuple(counts)
         counts.append(total)
         vector = nxt
 
 
-def abelian_group_count(chains: ChainCountVector, n: int) -> int:
+def abelian_group_count(chains: tuple[int, ...], n: int) -> int:
     """Submonoid count of (group) x (chain of length n):
 
-        sum over m of  counts[m] * 2**(n - m) * C(n, m),
+        sum over m of  chains[m] * 2**(n - m) * C(n, m),
 
     with C(n, m) == 0 once m exceeds n, keeping the sum exact for small n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 0
-    for m, c in enumerate(chains.counts):
+    for m, c in enumerate(chains):
         if m > n:
             break
         total += c * 2 ** (n - m) * comb(n, m)
@@ -147,9 +139,3 @@ def mk_eigenvalues(k: int) -> set[int]:
     if k < 1:
         raise ValueError("k must be >= 1")
     return {2} | {2**i + 2 for i in range(k + 1)}
-
-
-def subsemigroup_count(submonoid_count: int) -> int:
-    """A join-semilattice has exactly twice as many subsemigroups as
-    submonoids (drop or keep the identity)."""
-    return 2 * submonoid_count

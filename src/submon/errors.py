@@ -32,10 +32,6 @@ class NotIdempotent(SubmonError):
     """Raised when an operation requires x*x == x for every element."""
 
 
-class NotASubmonoid(SubmonError):
-    """A subset was passed where a closed, identity-containing one is required."""
-
-
 class NotALattice(SubmonError):
     """A partial order is missing a meet or a join."""
 

@@ -42,9 +42,6 @@ class CayleyMonoid:
     table: tuple[tuple[int, ...], ...]
     identity: int
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
 
 @dataclass(frozen=True)
 class PartialOrder:
@@ -345,6 +342,8 @@ def monoid_from_json(data: dict, max_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
         raise MonoidSpecError(f"JSON monoid is missing field {exc}") from exc
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise MonoidSpecError("JSON monoid: table must be a list of row lists")
+    if type(size) is not int:
+        raise MonoidSpecError("JSON monoid: size must be an integer")
     if len(table) != size:
         raise MonoidSpecError("JSON monoid: size does not match the table")
     if size > max_size:

@@ -179,33 +179,27 @@ class RationalOGF:
         return out
 
 
-def ogf(
-    matrix: TransferMatrix, spectrum: Spectrum, sequence: CountSequence
-) -> RationalOGF:
+def ogf(matrix: TransferMatrix) -> RationalOGF:
     """The generating function of the counts, verified by a series round trip.
 
-    The numerator is the degree < k truncation of the series times
-    prod(1 - v*x); since the recurrence holds, higher product terms vanish,
-    which is checked up to degree 2k.  The spectrum must be the set of
-    diagonal values of the lumped quotient, which is W's: each class has
-    one diagonal value.  The round trip always runs: it costs O(k^2) and checks the output.
+    The denominator roots are :func:`eigenvalues`, so a non-idempotent
+    monoid raises :class:`NotIdempotent`.  The numerator is the degree < k
+    truncation of the series of ``count_sequence(matrix, 2k)`` times
+    prod(1 - v*x) over the k eigenvalues; since the recurrence holds,
+    higher product terms vanish, which is checked up to degree 2k.  The
+    round trip always runs: it costs O(k^2) and checks the output.
 
-    From ``count_sequence(matrix, 2k)``, as ``ogf`` on the command line
-    takes it, only S_0..S_k are walked: for idempotent M the annihilator
-    is prod(1 - v*x) over these k eigenvalues, so S_(k+1)..S_2k are
-    extended by this same recurrence.  The degree-k product term is then
-    the one decided by walked values alone, and the terms above it check
-    the extension, not the walk.  ``verify recurrence`` and the tests
-    check the recurrence against walked terms only.
+    Only S_0..S_k are walked: for idempotent M the annihilator is
+    prod(1 - v*x) over these k eigenvalues, so S_(k+1)..S_2k are extended
+    by this same recurrence.  The degree-k product term is then the one
+    decided by walked values alone, and the terms above it check the
+    extension, not the walk.  ``verify recurrence`` and the tests check
+    the recurrence against walked terms only.
     """
-    diag = sorted({row[-1][1] for row in matrix.quotient[0]})
-    if list(spectrum.eigenvalues) != diag:
-        raise ValueError("spectrum does not belong to this matrix")
-    k = len(spectrum.eigenvalues)
-    values = sequence.values
-    if len(values) < 2 * k + 1:
-        raise ValueError(f"need at least {2 * k + 1} terms, got {len(values)}")
-    den = recurrence_poly(spectrum.eigenvalues)
+    eigs = tuple(eigenvalues(matrix))
+    k = len(eigs)
+    values = count_sequence(matrix, 2 * k).values
+    den = recurrence_poly(eigs)
     product = [
         sum(den[i] * values[n - i] for i in range(min(n, k) + 1))
         for n in range(2 * k + 1)
@@ -213,11 +207,8 @@ def ogf(
     for n in range(k, 2 * k + 1):
         if product[n] != 0:
             raise SeriesMismatch(f"series product has degree-{n} term {product[n]}")
-    result = RationalOGF(
-        numerator=tuple(product[:k]),
-        denominator_roots=spectrum.eigenvalues,
-    )
-    if result.expand(2 * k) != list(values[: 2 * k + 1]):
+    result = RationalOGF(numerator=tuple(product[:k]), denominator_roots=eigs)
+    if result.expand(2 * k) != list(values):
         raise SeriesMismatch("series expansion does not reproduce the counts")
     return result
 

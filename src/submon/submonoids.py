@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubmonoid, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .monoid import CayleyMonoid, PartialOrder, down_masks
 
 DEFAULT_MAX_MONOID_SIZE = 20
@@ -64,25 +64,6 @@ def mask_of(elements) -> int:
     return out
 
 
-def mask_to_hex(mask: int) -> str:
-    return hex(mask)
-
-
-def mask_from_hex(text: str) -> int:
-    return int(text, 16)
-
-
-def closure(monoid: CayleyMonoid, seed: int) -> int:
-    """Smallest submonoid containing ``seed``: start from the identity and
-    add the elements of ``seed`` one at a time."""
-    if seed >> monoid.size:
-        raise ValueError("seed has bits beyond the monoid")
-    mask = 1 << monoid.identity
-    for x in bits_of(seed):
-        mask = _add_element(monoid.table, mask, x)
-    return mask
-
-
 def _add_element(table, mask: int, x: int) -> int:
     """Smallest submonoid containing the submonoid ``mask`` and element ``x``.
 
@@ -101,18 +82,6 @@ def _add_element(table, mask: int, x: int) -> int:
                 mask |= 1 << p
                 pending.append(p)
     return mask
-
-
-def is_submonoid(monoid: CayleyMonoid, mask: int) -> bool:
-    if mask >> monoid.size or not mask >> monoid.identity & 1:
-        return False
-    els = list(bits_of(mask))
-    for i, x in enumerate(els):
-        row = monoid.table[x]
-        for y in els[i:]:
-            if not mask >> row[y] & 1:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -280,54 +249,6 @@ class UpsetCounter:
         return total
 
 
-def count_upsets_containing(cond: CondensedPreorder, required: int) -> int:
-    """Number of up-closed class sets containing the class set ``required``.
-
-    ``required`` must itself be up-closed; the count equals the number of
-    upsets of the subposet induced on its complement.
-    """
-    for c in bits_of(required):
-        if cond.order.up[c] & ~required:
-            raise ValueError("required class set is not up-closed")
-    free = cond.order.full_mask & ~required
-    return UpsetCounter(cond.order).count(free)
-
-
-def _iter_upsets(order: PartialOrder, free: int, down):
-    if free == 0:
-        yield 0
-        return
-    top_index = free.bit_length() - 1
-    top = 1 << top_index
-    for upset in _iter_upsets(order, free ^ top, down):
-        yield upset | top
-    for upset in _iter_upsets(order, free & ~down[top_index], down):
-        yield upset
-
-
-def enumerate_ideals(monoid: CayleyMonoid, submonoid: int) -> list[int]:
-    """All subsets I of the submonoid with I*A == I, as element masks.
-
-    Includes the empty set and the submonoid itself; sorted by
-    (popcount, mask value).
-    """
-    cond = condense(divisibility_preorder(monoid, submonoid))
-    down = down_masks(cond.order)
-    ideals = []
-    for upset in _iter_upsets(cond.order, cond.order.full_mask, down):
-        mask = 0
-        for c in bits_of(upset):
-            mask |= mask_of(cond.classes[c])
-        ideals.append(mask)
-    ideals.sort(key=lambda m: (m.bit_count(), m))
-    return ideals
-
-
-def _require_submonoid(monoid, mask, label):
-    if not is_submonoid(monoid, mask):
-        raise NotASubmonoid(f"{label} mask {hex(mask)} is not a submonoid")
-
-
 def weight_row(monoid: CayleyMonoid, a: int, columns):
     """Yield (j, W(a, b)) for each (j, b) of ``columns`` with b a subset of
     the submonoid ``a``, in the order given; the one home of the weight.
@@ -351,16 +272,3 @@ def weight_row(monoid: CayleyMonoid, a: int, columns):
                 required |= ups[c]
         yield j, counter.count(full & ~required)
 
-
-def weight(monoid: CayleyMonoid, a: int, b: int) -> int:
-    """Number of ideals I of the submonoid ``a`` with I union ``b`` == ``a``.
-
-    Zero whenever ``b`` is not contained in ``a``; otherwise the one entry
-    of :func:`weight_row`.
-    """
-    _require_submonoid(monoid, a, "first")
-    _require_submonoid(monoid, b, "second")
-    if b & ~a:
-        return 0
-    ((_, w),) = weight_row(monoid, a, [(0, b)])
-    return w

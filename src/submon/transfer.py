@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .errors import IndexOutOfRange, InvariantViolation
+from .errors import InvariantViolation
 from .monoid import CACHE_SIZE, CayleyMonoid
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
@@ -397,25 +397,6 @@ def count_sequence(
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")
     return CountSequence(values=tuple(values), label=label)
-
-
-def counts_by_projection(matrix: TransferMatrix, n: int, row: int, col: int) -> int:
-    """Entry (row, col) of the n-th power of the matrix.
-
-    Counts submonoids of the n-fold chain product whose top-layer
-    projection is ``row``'s submonoid and whose next projection is
-    ``col``'s.
-    """
-    k = matrix.size
-    if not 0 <= row < k or not 0 <= col < k:
-        raise IndexOutOfRange(f"indices ({row}, {col}) outside 0..{k - 1}")
-    if n < 0:
-        raise IndexOutOfRange("power must be >= 0")
-    vector = [0] * k
-    vector[col] = 1
-    for vector in walk(matrix.entries, vector, n):
-        pass
-    return vector[row]
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ class TransferRelation:
     order: PartialOrder
     rows: tuple[int, ...]
 
-    def contains(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
     def pairs(self) -> list[tuple[int, int]]:
         """Non-reflexive related pairs, sorted; the serialization form."""
         out = []
@@ -60,9 +57,6 @@ class TransferRelation:
             for y in bits_of(row & ~(1 << x)):
                 out.append((x, y))
         return out
-
-    def refines(self, other: TransferRelation) -> bool:
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
     @classmethod
     def from_pairs(cls, order: PartialOrder, pairs) -> TransferRelation:
@@ -353,23 +347,6 @@ def _st_data(order: PartialOrder):
         bottom = _layer(cyl_rows, 0)
         counts[index[top]][index[bottom]] += 1
     return systems, index, tuple(tuple(sorted(row.items())) for row in counts)
-
-
-def st_weight(
-    order: PartialOrder,
-    top: TransferRelation,
-    bottom: TransferRelation,
-    max_size: int = DEFAULT_MAX_ST_SIZE,
-) -> int:
-    """Number of saturated transfer systems on (lattice x chain of length 1)
-    whose level-0 layer is ``bottom`` and level-1 layer is ``top``."""
-    _check_budget(order, max_size)
-    _, index, rows = _st_data(order)
-    try:
-        i, j = index[top.rows], index[bottom.rows]
-    except KeyError:
-        raise ValueError("arguments are not saturated transfer systems") from None
-    return dict(rows[i]).get(j, 0)
 
 
 def verify_graph_isomorphism(

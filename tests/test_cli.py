@@ -152,6 +152,20 @@ def test_sattr_counts_budget(capsys):
     assert code == 0
 
 
+def test_sattr_n_refuses_an_atom_over_the_st_budget(capsys):
+    # The spec is parsed under --max-st-size, so no larger lattice is counted.
+    code, out, err = run(capsys, "sattr", "--lattice", "chain:9", "--n", "2")
+    refused = "error: atom 'chain:9' exceeds the product budget of 8 elements\n"
+    assert (code, out, err) == (3, "", refused)
+
+
+def test_sattr_n_refuses_a_file_lattice_over_the_st_budget(capsys, tmp_path):
+    path = tmp_path / "chain8.json"
+    path.write_text(json.dumps(monoid_to_json(make_chain(8))))
+    code, out, err = run(capsys, "sattr", "--lattice", f"file:{path}", "--n", "2")
+    assert (code, out, err) == (3, "", "error: JSON monoid has 9 elements, budget 8\n")
+
+
 def test_sattr_list(capsys):
     code, out, _ = run(capsys, "sattr", "--lattice", "chain:1", "--list")
     assert code == 0
@@ -278,6 +292,18 @@ def test_json_table_rejects_non_integer_input(capsys, tmp_path, table, identity)
     path.write_text(json.dumps({"size": 2, "identity": identity, "table": table}))
     code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "size, table",
+    [(True, [[0]]), (2.0, [[0, 1], [1, 1]]), ("2", [[0, 1], [1, 1]])],
+)
+def test_json_size_must_be_an_integer(capsys, tmp_path, size, table):
+    # A bool or float size used to compare equal to the row count and load.
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"size": size, "identity": 0, "table": table}))
+    code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
+    assert (code, out, err) == (2, "", "error: JSON monoid: size must be an integer\n")
 
 
 def test_verify_oracle_rejects_jobs_below_one(capsys):

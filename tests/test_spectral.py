@@ -12,7 +12,8 @@ from submon.errors import (
     InvariantViolation,
     NotIdempotent,
 )
-from submon.monoid import from_spec, make_chain, make_cyclic_group
+from submon.cli import DEFAULT_MONOIDS
+from submon.monoid import from_spec, is_idempotent, make_chain, make_cyclic_group
 from submon.spectral import (
     chain_eigenmatrix,
     closed_form_eval,
@@ -29,6 +30,7 @@ from submon.transfer import (
     TransferMatrix,
     build_transfer_matrix,
     count_sequence,
+    walk_counts,
     _lump,
 )
 
@@ -153,9 +155,8 @@ def test_recurrence_for_all_test_monoids():
 
 def test_ogf_chain():
     matrix = _matrix("chain:1")
-    spectrum = spectrum_of(matrix)
     seq = count_sequence(matrix, 5)
-    result = ogf(matrix, spectrum, seq)
+    result = ogf(matrix)
     assert result.numerator == (2, -3)
     assert result.denominator_roots == (2, 3)
     assert result.expand(5) == list(seq.values)
@@ -163,18 +164,43 @@ def test_ogf_chain():
 
 def test_ogf_trivial_monoid():
     matrix = _matrix("chain:0")
-    result = ogf(matrix, spectrum_of(matrix), count_sequence(matrix, 4))
+    result = ogf(matrix)
     assert result.numerator == (1,)
     assert result.denominator_roots == (2,)
 
 
 def test_ogf_grid_shape():
     matrix = _matrix("chain:1 x chain:1")
-    spectrum = spectrum_of(matrix)
-    seq = count_sequence(matrix, 8)
-    result = ogf(matrix, spectrum, seq)
+    result = ogf(matrix)
     assert len(result.numerator) == 4
     assert result.numerator[0] == 7
+
+
+# The idempotent verify monoids and the lattices of the lattice-spectra
+# benchmark workload.
+OGF_SPECS = [s for s in DEFAULT_MONOIDS if is_idempotent(from_spec(s))] + [
+    "chain:4 x chain:1",
+    "mk:9",
+    "chain:5 x chain:1",
+    "mk:4 x chain:1",
+    "bool:3",
+]
+
+
+@pytest.mark.parametrize("spec", OGF_SPECS)
+def test_ogf_expands_to_walked_counts(spec):
+    # ogf checks its series against S_0..S_2k; walked terms up to 3k check
+    # it past that, with no recurrence between the walk and the series.
+    matrix = _matrix(spec)
+    result = ogf(matrix)
+    top = 3 * len(result.denominator_roots)
+    assert result.denominator_roots == tuple(eigenvalues(matrix))
+    assert result.expand(top) == walk_counts(matrix, top)
+
+
+def test_ogf_rejects_non_idempotent():
+    with pytest.raises(NotIdempotent):
+        ogf(_matrix("cyclic:2"))
 
 
 def test_chain_eigenmatrix_small():
