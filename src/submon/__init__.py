@@ -59,10 +59,8 @@ from .submonoids import (
     weight_row,
 )
 from .transfer import (
-    AsymptoticProfile,
     CountSequence,
     TransferMatrix,
-    asymptotics,
     build_transfer_matrix,
     count_sequence,
 )

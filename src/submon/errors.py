@@ -60,10 +60,6 @@ class NonIntegerCount(SubmonError):
     """A closed-form count failed to be an integer (arithmetic bug)."""
 
 
-class SeriesMismatch(SubmonError):
-    """A generating function did not reproduce the sequence it came from."""
-
-
 class FormulaMismatch(SubmonError):
     """Two formulas that must agree returned different values."""
 

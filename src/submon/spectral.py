@@ -6,8 +6,9 @@ antichains of the submonoids), and the counts satisfy
 
     S_n = sum over distinct eigenvalues v of  c_v * v**n
 
-for rational coefficients c_v.  The coefficients are recovered exactly
-from the first terms of the sequence by a closed-form Vandermonde identity.
+for rational coefficients c_v.  The coefficients are the residues of the
+counts' generating function, ``TransferMatrix.series``, which every
+commutative monoid has.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from .errors import (
     NonIntegerCount,
     NonIntegerNormalization,
     NotIdempotent,
-    SeriesMismatch,
 )
 from .monoid import is_idempotent, make_chain
 from .submonoids import bits_of
 from .transfer import (
     CountSequence,
+    RationalOGF,
     TransferMatrix,
     build_transfer_matrix,
-    count_sequence,
     diagonal_chains,
     recurrence_poly,
 )
@@ -74,29 +74,28 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
     return sorted(chains)
 
 
-def solve_coefficients(eigs, prefix) -> tuple[Fraction, ...]:
-    """Coefficients c with sum(c_j * eig_j**r) == prefix[r] for r < len(eigs).
+def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:
+    """Coefficients c with sum(c_v * v**n) == ``series.expand(n)[n]`` for
+    every n, one per root v, for distinct roots and a numerator of degree
+    below their number D.
 
-    The system is Vandermonde in the eigenvalues, hence uniquely solvable
-    when they are distinct.  With p_v(x) = prod over u != v of (x - u)
-    = sum of a_r * x**r, which vanishes at every other eigenvalue,
-    sum of a_r * prefix[r] = c_v * p_v(v).
+    They are the residues of the partial fractions,
+    c_v = P(1/v) / prod over u != v of (1 - u/v)
+        = v**(D-1) * P(1/v) / prod over u != v of (v - u),
+    with v**(D-1) * P(1/v) one Horner pass over the numerator.
     """
-    eigs = list(eigs)
-    if len(set(eigs)) != len(eigs):
-        raise DegenerateSystem("eigenvalues must be distinct")
-    if len(prefix) != len(eigs):
-        raise ValueError("need exactly one sequence term per eigenvalue")
-    # prod(x - u), highest power first, is prod(1 - u*x) lowest power first.
-    full = recurrence_poly(eigs)
+    roots = series.denominator_roots
+    if len(set(roots)) != len(roots):
+        raise DegenerateSystem("denominator roots must be distinct")
+    if len(series.numerator) > len(roots):
+        raise ValueError("need a numerator of degree below the number of roots")
+    numerator = series.numerator + (0,) * (len(roots) - len(series.numerator))
     out = []
-    for v in eigs:
-        # Synthetic division by (x - v) yields a_(k-1), a_(k-2), ..., a_0.
-        acc = total = 0
-        for c, s in zip(full, reversed(prefix)):
-            acc = acc * v + c
-            total += acc * s
-        out.append(Fraction(total, prod(v - u for u in eigs if u != v)))
+    for v in roots:
+        acc = 0
+        for p in numerator:
+            acc = acc * v + p
+        out.append(Fraction(acc, prod(v - u for u in roots if u != v)))
     return tuple(out)
 
 
@@ -122,8 +121,7 @@ def spectrum_of(matrix: TransferMatrix) -> Spectrum:
     """Full pipeline: eigenvalues, exact coefficients, normalized values.
     The coefficient sum always runs: k additions catch a wrong solve."""
     eigs = eigenvalues(matrix)
-    prefix = count_sequence(matrix, len(eigs) - 1).values
-    coefficients = solve_coefficients(eigs, prefix)
+    coefficients = solve_coefficients(ogf(matrix))
     if sum(coefficients) != matrix.size:
         raise FormulaMismatch(f"coefficients sum to {sum(coefficients)}, not S_0")
     return Spectrum(
@@ -159,58 +157,12 @@ def verify_recurrence(eigs, sequence: CountSequence):
     return True, None
 
 
-@dataclass(frozen=True)
-class RationalOGF:
-    """Ordinary generating function as numerator over prod(1 - v*x)."""
-
-    numerator: tuple[int, ...]
-    denominator_roots: tuple[int, ...]
-
-    def expand(self, n_max: int) -> list[int]:
-        """First ``n_max + 1`` series coefficients, by exact long division."""
-        den = recurrence_poly(self.denominator_roots)
-        out = []
-        for n in range(n_max + 1):
-            value = self.numerator[n] if n < len(self.numerator) else 0
-            value -= sum(
-                den[i] * out[n - i] for i in range(1, min(n, len(den) - 1) + 1)
-            )
-            out.append(value)
-        return out
-
-
 def ogf(matrix: TransferMatrix) -> RationalOGF:
-    """The generating function of the counts, verified by a series round trip.
-
-    The denominator roots are :func:`eigenvalues`, so a non-idempotent
-    monoid raises :class:`NotIdempotent`.  The numerator is the degree < k
-    truncation of the series of ``count_sequence(matrix, 2k)`` times
-    prod(1 - v*x) over the k eigenvalues; since the recurrence holds,
-    higher product terms vanish, which is checked up to degree 2k.  The
-    round trip always runs: it costs O(k^2) and checks the output.
-
-    Only S_0..S_k are walked: for idempotent M the annihilator is
-    prod(1 - v*x) over these k eigenvalues, so S_(k+1)..S_2k are extended
-    by this same recurrence.  The degree-k product term is then the one
-    decided by walked values alone, and the terms above it check the
-    extension, not the walk.  ``verify recurrence`` and the tests check
-    the recurrence against walked terms only.
-    """
-    eigs = tuple(eigenvalues(matrix))
-    k = len(eigs)
-    values = count_sequence(matrix, 2 * k).values
-    den = recurrence_poly(eigs)
-    product = [
-        sum(den[i] * values[n - i] for i in range(min(n, k) + 1))
-        for n in range(2 * k + 1)
-    ]
-    for n in range(k, 2 * k + 1):
-        if product[n] != 0:
-            raise SeriesMismatch(f"series product has degree-{n} term {product[n]}")
-    result = RationalOGF(numerator=tuple(product[:k]), denominator_roots=eigs)
-    if result.expand(2 * k) != list(values):
-        raise SeriesMismatch("series expansion does not reproduce the counts")
-    return result
+    """The generating function of the counts, for every commutative
+    monoid: ``matrix.series``, whose denominator is the count annihilator
+    and whose walked S_D is checked when it is built.  For idempotent M
+    its roots are the :func:`eigenvalues`, each once."""
+    return matrix.series
 
 
 def chain_eigenmatrix(m: int) -> tuple[tuple[int, ...], ...]:

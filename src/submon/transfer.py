@@ -46,8 +46,8 @@ class TransferMatrix:
     automorphism s of the monoid gives W(sA, sB) == W(A, B), so
     ``quotient`` streams only the rows of the orbit representatives
     whose :func:`_shape` no earlier representative had, and is the one
-    piece of W a matrix keeps.  ``entries`` builds every row on each
-    read.
+    piece of W a matrix keeps; ``series``, the counts' generating
+    function, is read off it.  ``entries`` builds every row on each read.
     """
 
     lattice: SubmonoidLattice
@@ -74,6 +74,33 @@ class TransferMatrix:
         table, members = self.lattice.monoid.table, self.lattice.members
         return _lump(self._row, self.orbits, lambda i: _shape(table, members[i]))
 
+    @cached_property
+    def series(self) -> RationalOGF:
+        """The counts' generating function P(x) / A(x), built from walked
+        terms on first read and kept.
+
+        Q, the lumped quotient of W, is lower triangular, so by the
+        transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7)
+        the counts have a generating function P(x) / A(x) with
+        A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
+        and deg P < D = sum of m_v.  S_0..S_D are walked, and P is the
+        degree < D part of A times that series.
+
+        The walked S_D is checked through the x**D coefficient of A times
+        the series, which vanishes for a valid A.  If A lacks one factor
+        (1 - v*x), it is v**(D-1) * R(1/v) with R the polynomial that A
+        times the series makes, and it is zero exactly when the shorter A
+        is still valid.  So this one term catches any single missing root
+        or multiplicity without walking past D; the tests compare every
+        term of the expansion with the walk.
+        """
+        roots = annihilator(self.quotient[0])
+        den, values = recurrence_poly(roots), walk_counts(self, len(roots))
+        product = [sum(map(mul, den, values[n::-1])) for n in range(len(values))]
+        if product.pop():
+            raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{len(roots)}")
+        return RationalOGF(numerator=tuple(product), denominator_roots=roots)
+
     def dense(self) -> tuple[tuple[int, ...], ...]:
         """The full k x k table, zeros included; built on each call."""
         table = []
@@ -91,6 +118,30 @@ class CountSequence:
 
     values: tuple[int, ...]
     label: str = ""
+
+
+@dataclass(frozen=True)
+class RationalOGF:
+    """Ordinary generating function as numerator over prod(1 - v*x)."""
+
+    numerator: tuple[int, ...]
+    denominator_roots: tuple[int, ...]
+
+    def expand(self, n_max: int) -> list[int]:
+        """The first ``n_max + 1`` series coefficients.  Each term is the
+        numerator's coefficient plus the recurrence that the denominator
+        gives over the terms before it, at most D multiply-adds: the one
+        routine that extends counts by a recurrence."""
+        den = recurrence_poly(self.denominator_roots)
+        order = len(den) - 1
+        tail = [-a for a in reversed(den[1:])]
+        numerator = self.numerator + (0,) * (order - len(self.numerator))
+        values = []
+        for n, p in enumerate(numerator[: n_max + 1]):
+            values.append(p + sum(map(mul, tail[max(order - n, 0):], values[max(n - order, 0):])))
+        for n in range(len(values), n_max + 1):
+            values.append(sum(map(mul, tail, values[n - order:])))
+        return values
 
 
 def _shift_groups(g) -> tuple[tuple[int, int], ...]:
@@ -358,24 +409,14 @@ def _lump(row, orbits: Orbits, shape):
 def count_sequence(
     matrix: TransferMatrix, n_max: int, label: str = ""
 ) -> CountSequence:
-    """S_n for n = 0..n_max: D terms walked, the rest by recurrence.
+    """S_n for n = 0..n_max: walked below D, else expanded from
+    ``matrix.series``.
 
-    Q, the lumped quotient of W, is lower triangular, so by the
-    transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7)
-    the counts have the generating function P(x) / A(x) with
-    A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
-    and deg P < D = sum of m_v.  So S_n for n >= D is fixed by the D
-    terms before it.  S_0..S_min(n_max, D) come from :func:`walk_counts`,
-    at one multiply-add per quotient nonzero per step; each later term
-    costs D multiply-adds.
-
-    When n_max >= D the recurrence's value of the walked S_D is checked.
-    It is the x**D coefficient of A times the series, which vanishes
-    for a valid A.  If A lacks one factor (1 - v*x), it is
-    v**(D-1) * R(1/v) with R the polynomial that A times the series
-    makes, and it is zero exactly when the shorter A is still valid.  So
-    this one term catches any single missing root or multiplicity
-    without walking past D; the tests compare every term with the walk.
+    S_n for n >= D is fixed by the D terms before it (see
+    ``TransferMatrix.series``).  Below D the quotient is walked n_max
+    steps, at one multiply-add per quotient nonzero per step; from D on
+    the series walks D steps once per matrix, and each later term costs
+    D multiply-adds.
 
     The monotonicity check always runs over every term: it costs one
     comparison per term, and it is the only check on the count path that
@@ -383,43 +424,11 @@ def count_sequence(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    poly = recurrence_poly(annihilator(matrix.quotient[0]))
-    order = len(poly) - 1
-    values = walk_counts(matrix, min(n_max, order))
-    tail = [-a for a in reversed(poly[1:])]
-    for n in range(order, n_max + 1):
-        predicted = sum(map(mul, tail, values[n - order:n]))
-        if n > order:
-            values.append(predicted)
-        elif predicted != values[n]:
-            raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{n}")
+    if n_max < len(annihilator(matrix.quotient[0])):
+        values = walk_counts(matrix, n_max)
+    else:
+        values = matrix.series.expand(n_max)
     for n, (prev, nxt) in enumerate(zip(values, values[1:])):
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")
     return CountSequence(values=tuple(values), label=label)
-
-
-@dataclass(frozen=True)
-class AsymptoticProfile:
-    """Growth data: counts grow like n**degree * base**n.
-
-    ``base`` is the largest diagonal entry (the maximal ideal count over
-    submonoids), ``multiplicity`` how many submonoids attain it, and
-    ``degree_bound`` the longest path length within the attaining set,
-    self-loops excluded.
-    """
-
-    base: int
-    multiplicity: int
-    degree_bound: int
-
-
-def asymptotics(matrix: TransferMatrix) -> AsymptoticProfile:
-    """The profile from the quotient alone: ``base`` is the largest class
-    diagonal, ``multiplicity`` the summed sizes of its classes, and
-    ``degree_bound`` is m_base - 1 (see :func:`diagonal_chains`)."""
-    rows, sizes = matrix.quotient
-    chains = diagonal_chains(rows)
-    base = max(chains)
-    multiplicity = sum(s for row, s in zip(rows, sizes) if row[-1][1] == base)
-    return AsymptoticProfile(base=base, multiplicity=multiplicity, degree_bound=chains[base] - 1)

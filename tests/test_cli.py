@@ -231,7 +231,8 @@ def test_verify_recurrence_reads_walked_terms_only(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_sequence", refuse)
     code, out, err = run(capsys, "verify", "recurrence")
     assert code == 0, err
-    assert out.count("ok recurrence") == 8
+    assert out.count("ok recurrence") == len(cli.DEFAULT_MONOIDS)
+    assert "ok recurrence cyclic:2\n" in out
 
 
 def test_not_idempotent_exit_code(capsys):
@@ -309,6 +310,53 @@ def test_json_size_must_be_an_integer(capsys, tmp_path, size, table):
 def test_verify_oracle_rejects_jobs_below_one(capsys):
     code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "0")
     assert code == 2 and out == "" and "--jobs" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker is started."""
+
+    def __init__(self, workers, max_workers):
+        workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_oracle_rejects_jobs_above_the_cpu_count(capsys, monkeypatch):
+    workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(workers, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "5")
+    assert (code, out, err) == (2, "", "error: --jobs must be at most the CPU count 4, got 5\n")
+    assert workers == []
+
+
+def test_verify_oracle_starts_no_more_workers_than_cases(capsys, monkeypatch):
+    workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(workers, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code, out, _ = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "2", "--jobs", "8")
+    assert code == 0 and out.count("ok oracle") == 3
+    assert workers == [3]
+
+
+def test_verify_triangular_reports_the_check_it_skips(capsys):
+    code, out, err = run(capsys, "verify", "triangular", "--monoid", "cyclic:2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "ok triangular cyclic:2\n"
+        "skip triangular cyclic:2 strict-increase: the monoid is not idempotent\n"
+    )
+    assert run(capsys, "verify", "triangular", "--monoid", "chain:2") == (0, "ok triangular chain:2\n", "")
+    code, out, _ = run(capsys, "verify", "triangular")
+    assert code == 0 and out.count("skip triangular") == 3
 
 
 def test_verify_oracle_rejects_runs_that_check_nothing(capsys):

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracle import small_commutative_monoids
 
 from submon import spectral
 from submon.errors import (
@@ -27,6 +28,7 @@ from submon.spectral import (
 from submon.transfer import (
     CountSequence,
     Orbits,
+    RationalOGF,
     TransferMatrix,
     build_transfer_matrix,
     count_sequence,
@@ -69,13 +71,17 @@ def test_eigenvalues_rejects_non_idempotent():
 
 
 def test_solve_coefficients_small():
-    assert solve_coefficients([2, 3], [2, 7]) == (Fraction(-1), Fraction(3))
+    # 2, 7, 23, ... = (2 - 3x) / ((1 - 2x)(1 - 3x)) = -1 * 2**n + 3 * 3**n.
+    assert solve_coefficients(RationalOGF((2, -3), (2, 3))) == (Fraction(-1), Fraction(3))
+    # The residues leave out the polynomial part of an improper fraction.
+    with pytest.raises(ValueError):
+        solve_coefficients(RationalOGF((2, -3, 1), (2, 3)))
 
 
 def test_solve_coefficients_grid():
-    matrix = _matrix("chain:1 x chain:1")
-    prefix = count_sequence(matrix, 3).values
-    assert solve_coefficients([2, 3, 4, 6], prefix) == (
+    series = ogf(_matrix("chain:1 x chain:1"))
+    assert series.denominator_roots == (2, 3, 4, 6)
+    assert solve_coefficients(series) == (
         Fraction(1, 2),
         Fraction(1),
         Fraction(-12),
@@ -85,7 +91,9 @@ def test_solve_coefficients_grid():
 
 def test_solve_coefficients_rejects_duplicates():
     with pytest.raises(DegenerateSystem):
-        solve_coefficients([2, 2, 3], [1, 2, 3])
+        solve_coefficients(RationalOGF((1, 2, 3), (2, 2, 3)))
+    with pytest.raises(DegenerateSystem):
+        solve_coefficients(ogf(_matrix("cyclic:2")))
 
 
 def test_mk3_has_a_vanishing_coefficient():
@@ -146,10 +154,11 @@ def test_verify_recurrence_needs_enough_terms():
 
 
 def test_recurrence_for_all_test_monoids():
+    # Walked terms only: count_sequence extends past D by this recurrence.
     for spec in IDEMPOTENT_SPECS:
         matrix = _matrix(spec)
         eigs = eigenvalues(matrix)
-        seq = count_sequence(matrix, 2 * len(eigs) - 1)
+        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(eigs) - 1)))
         assert verify_recurrence(eigs, seq) == (True, None)
 
 
@@ -176,31 +185,54 @@ def test_ogf_grid_shape():
     assert result.numerator[0] == 7
 
 
-# The idempotent verify monoids and the lattices of the lattice-spectra
-# benchmark workload.
-OGF_SPECS = [s for s in DEFAULT_MONOIDS if is_idempotent(from_spec(s))] + [
+# The verify monoids, the lattices of the lattice-spectra benchmark
+# workload, the groups and the monoids of the long-walks workload.
+OGF_SPECS = list(DEFAULT_MONOIDS) + [
     "chain:4 x chain:1",
     "mk:9",
     "chain:5 x chain:1",
     "mk:4 x chain:1",
     "bool:3",
+    "cyclic:6",
+    "cyclic:2 x cyclic:2",
+    "cyclic:2 x mk:5",
+    "cyclic:2 x chain:3 x chain:1",
+    "cyclic:2 x bool:3",
+    "cyclic:2 x mk:6",
+    "cyclic:3 x mk:4",
 ]
+
+
+def _expands_to_walked_counts(matrix):
+    # ogf checks its series against the walked S_0..S_D; walked terms up
+    # to 3D check it past that, with no recurrence between the walk and
+    # the series.
+    result = ogf(matrix)
+    top = 3 * len(result.denominator_roots)
+    assert result.expand(top) == walk_counts(matrix, top)
+    if is_idempotent(matrix.lattice.monoid):
+        assert result.denominator_roots == tuple(eigenvalues(matrix))
 
 
 @pytest.mark.parametrize("spec", OGF_SPECS)
 def test_ogf_expands_to_walked_counts(spec):
-    # ogf checks its series against S_0..S_2k; walked terms up to 3k check
-    # it past that, with no recurrence between the walk and the series.
-    matrix = _matrix(spec)
-    result = ogf(matrix)
-    top = 3 * len(result.denominator_roots)
-    assert result.denominator_roots == tuple(eigenvalues(matrix))
-    assert result.expand(top) == walk_counts(matrix, top)
+    _expands_to_walked_counts(_matrix(spec))
 
 
-def test_ogf_rejects_non_idempotent():
+@settings(max_examples=30, deadline=None)
+@given(small_commutative_monoids(max_size=10))
+def test_ogf_expands_to_walked_counts_on_random_monoids(monoid):
+    _expands_to_walked_counts(build_transfer_matrix(monoid))
+
+
+def test_ogf_of_a_non_idempotent_monoid():
+    # Z2's subgroups {0} and Z2 both have diagonal 2, on one chain, so 2 is
+    # a double root: S_n = (n + 4) * 2**(n - 1).
+    result = ogf(_matrix("cyclic:2"))
+    assert (result.numerator, result.denominator_roots) == ((2, -3), (2, 2))
+    assert result.expand(5) == [(n + 4) * 2**n // 2 for n in range(6)]
     with pytest.raises(NotIdempotent):
-        ogf(_matrix("cyclic:2"))
+        spectrum_of(_matrix("cyclic:2"))
 
 
 def test_chain_eigenmatrix_small():
@@ -223,12 +255,13 @@ def test_chain_eigenmatrix_up_to_five():
     data=st.data(),
 )
 def test_solve_round_trip_random(eigs, data):
-    prefix = [
-        data.draw(st.integers(-1000, 1000)) for _ in eigs
-    ]
-    coefficients = solve_coefficients(eigs, prefix)
-    for r, value in enumerate(prefix):
-        assert sum(c * v**r for c, v in zip(coefficients, eigs)) == value
+    # A numerator shorter than the denominator reads as padded with zeros.
+    size = data.draw(st.integers(0, len(eigs)))
+    numerator = tuple(data.draw(st.integers(-1000, 1000)) for _ in range(size))
+    series = RationalOGF(numerator, tuple(eigs))
+    coefficients = solve_coefficients(series)
+    for n, value in enumerate(series.expand(2 * len(eigs) + 3)):
+        assert sum(c * v**n for c, v in zip(coefficients, eigs)) == value
 
 
 def test_inverse_row_sums_are_half_factorials():
@@ -261,8 +294,8 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
 def test_spectrum_rejects_coefficients_not_summing_to_s0(monkeypatch):
     solve = spectral.solve_coefficients
 
-    def off_by_one(eigs, prefix):
-        first, *rest = solve(eigs, prefix)
+    def off_by_one(series):
+        first, *rest = solve(series)
         return (first + 1, *rest)
 
     monkeypatch.setattr(spectral, "solve_coefficients", off_by_one)

@@ -29,11 +29,9 @@ from submon.oracle import brute_force_projection_count, brute_force_submonoid_co
 from submon.spectral import eigenvalues, ogf, spectrum_of
 from submon.submonoids import DEFAULT_MAX_MONOID_SIZE, bits_of, enumerate_submonoids, weight_row
 from submon.transfer import (
-    AsymptoticProfile,
     Orbits,
     TransferMatrix,
     annihilator,
-    asymptotics,
     build_transfer_matrix,
     count_sequence,
     walk,
@@ -124,32 +122,30 @@ def test_projection_counts_partition_the_total():
         assert sum(row_sums) == count_sequence(matrix, n).values[n]
 
 
+def _growth(matrix):
+    """Counts grow like n**(m - 1) * base**n: base is the largest root of
+    the annihilator and m its multiplicity; also the number of
+    submonoids whose diagonal is base."""
+    rows, sizes = matrix.quotient
+    roots = annihilator(rows)
+    base = roots[-1]
+    attaining = sum(s for row, s in zip(rows, sizes) if row[-1][1] == base)
+    return base, attaining, roots.count(base) - 1
+
+
 def test_asymptotics_idempotent():
-    grid = build_transfer_matrix(GRID)
-    profile = asymptotics(grid)
-    assert profile.base == 6
-    assert profile.multiplicity == 1
-    assert profile.degree_bound == 0
+    assert _growth(build_transfer_matrix(GRID)) == (6, 1, 0)
 
 
 def test_asymptotics_group():
-    c2 = build_transfer_matrix(make_cyclic_group(2))
-    profile = asymptotics(c2)
-    assert profile.base == 2
-    assert profile.multiplicity == 2
-    assert profile.degree_bound == 1
-
-    c8 = build_transfer_matrix(make_cyclic_group(8))
-    profile = asymptotics(c8)
+    assert _growth(build_transfer_matrix(make_cyclic_group(2))) == (2, 2, 1)
     # Four nested subgroups, all with two ideals: a path of length three.
-    assert (profile.base, profile.multiplicity, profile.degree_bound) == (2, 4, 3)
+    assert _growth(build_transfer_matrix(make_cyclic_group(8))) == (2, 4, 3)
 
 
 def test_asymptotics_multiplicity_one_for_idempotent():
     for spec in ["chain:3", "mk:3", "n5", "chain:2 x chain:1"]:
-        profile = asymptotics(build_transfer_matrix(from_spec(spec)))
-        assert profile.multiplicity == 1
-        assert profile.degree_bound == 0
+        assert _growth(build_transfer_matrix(from_spec(spec)))[1:] == (1, 0)
 
 
 def test_count_sequence_rejects_decreasing_counts():
@@ -425,7 +421,7 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     firsts = _first_of_each_shape(matrix)
     assert built == [matrix.lattice.members[r] for r in firsts]
     assert len(firsts) < len(matrix.orbits.reps)
-    assert set(vars(matrix)) == {"lattice", "orbits", "quotient"}
+    assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "series"}
 
     # A second query on the cached monoid neither enumerates nor builds rows.
     def refuse(*args, **kwargs):
@@ -584,7 +580,7 @@ def test_idempotent_annihilators_have_the_eigenvalues_as_simple_roots(spec):
 
 
 def _drop_root(monkeypatch, v):
-    """Make count_sequence use an annihilator with one root v removed."""
+    """Make a series use an annihilator with one root v removed."""
     keep = transfer.annihilator
 
     def dropped(rows):
@@ -595,6 +591,14 @@ def _drop_root(monkeypatch, v):
     monkeypatch.setattr(transfer, "annihilator", dropped)
 
 
+def _unbuilt_series(matrix):
+    """A matrix sharing ``matrix``'s quotient but not its series: the
+    cached matrix may already hold the series of the full annihilator."""
+    fresh = TransferMatrix(matrix.lattice, matrix.orbits)
+    vars(fresh)["quotient"] = matrix.quotient
+    return fresh
+
+
 @pytest.mark.parametrize("spec", ["n5", "cyclic:2 x mk:5", "chain:4 x chain:1"])
 def test_an_annihilator_missing_a_root_raises(spec, monkeypatch):
     matrix = _matrix(spec)
@@ -602,7 +606,7 @@ def test_an_annihilator_missing_a_root_raises(spec, monkeypatch):
         with monkeypatch.context() as patch:
             _drop_root(patch, v)
             with pytest.raises(InvariantViolation, match="annihilator"):
-                count_sequence(matrix, 2 * _order(matrix) + 2)
+                count_sequence(_unbuilt_series(matrix), 2 * _order(matrix) + 2)
 
 
 def test_a_root_the_counts_do_not_need_may_be_dropped(monkeypatch):
@@ -610,7 +614,9 @@ def test_a_root_the_counts_do_not_need_may_be_dropped(monkeypatch):
     # without that root: the S_D check passes exactly when the tail is right.
     matrix = _matrix("mk:3")
     _drop_root(monkeypatch, 4)
-    assert list(count_sequence(matrix, 20).values) == _walked(matrix, 20)
+    fresh = _unbuilt_series(matrix)
+    assert list(count_sequence(fresh, 20).values) == _walked(matrix, 20)
+    assert len(fresh.series.denominator_roots) == 4
 
 
 def test_an_annihilator_missing_a_root_raises_under_dash_o():
@@ -634,26 +640,52 @@ def test_an_annihilator_missing_a_root_raises_under_dash_o():
     assert done.returncode == 0
 
 
-def _asymptotics_from_entries(entries):
-    """The growth profile from every row of W: the base is the largest
-    diagonal, the multiplicity the members attaining it, and the degree
-    bound the longest path among them."""
+def test_count_prints_the_walked_counts_under_dash_o():
+    # count --n 300 expands the series 220 terms past D = 80; a plain walk
+    # of the quotient must print the same lines.
+    script = (
+        "import contextlib, io, sys\n"
+        "from submon.cli import main\n"
+        "from submon.monoid import from_spec\n"
+        "from submon.transfer import build_transfer_matrix, walk\n"
+        "if __debug__: sys.exit(2)\n"
+        "spec = 'cyclic:2 x chain:3 x chain:1'\n"
+        "printed = io.StringIO()\n"
+        "with contextlib.redirect_stdout(printed):\n"
+        "    code = main(['count', '--monoid', spec, '--n', '300'])\n"
+        "matrix = build_transfer_matrix(from_spec(spec))\n"
+        "rows, sizes = matrix.quotient\n"
+        "walked = [matrix.size] + [sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), 300)]\n"
+        "lines = ['n,count'] + [f'{n},{value}' for n, value in enumerate(walked)]\n"
+        "sys.exit(code or printed.getvalue() != '\\n'.join(lines) + '\\n')\n"
+    )
+    src = str(Path(transfer.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+
+
+def _annihilator_from_entries(entries):
+    """The annihilator's roots from every row of W: each diagonal value v
+    repeated as often as the longest chain of direct nonzero edges
+    between members with diagonal v."""
     diag = [row[-1][1] for row in entries]
-    base = max(diag)
-    attaining = [i for i, d in enumerate(diag) if d == base]
-    longest = {}
-    for i in attaining:
-        longest[i] = max((longest[j] + 1 for j, _ in entries[i][:-1] if j in longest), default=0)
-    return AsymptoticProfile(base, len(attaining), max(longest.values()))
+    longest, chains = [], {}
+    for i, row in enumerate(entries):
+        longest.append(1 + max((longest[j] for j, _ in row[:-1] if diag[j] == diag[i]), default=0))
+        chains[diag[i]] = max(chains.get(diag[i], 0), longest[i])
+    return tuple(v for v in sorted(chains) for _ in range(chains[v]))
 
 
+# The annihilator, whose largest root and its multiplicity fix the
+# counts' growth, against every row of W: an independent reference for
+# diagonal_chains on the quotient.
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
 def test_asymptotics_match_every_row_of_w(spec):
-    assert asymptotics(_matrix(spec)) == _asymptotics_from_entries(_entries(spec))
+    assert annihilator(_matrix(spec).quotient[0]) == _annihilator_from_entries(_entries(spec))
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_commutative_monoids(max_size=10))
 def test_asymptotics_match_every_row_of_w_on_random_monoids(monoid):
     matrix = build_transfer_matrix(monoid)
-    assert asymptotics(matrix) == _asymptotics_from_entries(matrix.entries)
+    assert annihilator(matrix.quotient[0]) == _annihilator_from_entries(matrix.entries)
