@@ -261,7 +261,7 @@ def _suite_recurrence(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
         roots = ogf(matrix).denominator_roots
-        # Walked terms only: count_sequence extends past the first
+        # Solved terms only: count_sequence extends past the first
         # len(roots) by the very recurrence checked here.
         seq = CountSequence(tuple(walk_counts(matrix, 2 * len(roots) - 1)), spec)
         ok, witness = verify_recurrence(roots, seq)

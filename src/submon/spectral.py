@@ -160,7 +160,7 @@ def verify_recurrence(eigs, sequence: CountSequence):
 def ogf(matrix: TransferMatrix) -> RationalOGF:
     """The generating function of the counts, for every commutative
     monoid: ``matrix.series``, whose denominator is the count annihilator
-    and whose walked S_D is checked when it is built.  For idempotent M
+    and whose solved S_D is checked when it is built.  For idempotent M
     its roots are the :func:`eigenvalues`, each once."""
     return matrix.series
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import accumulate, chain, islice, repeat
+from operator import add, mul
 
 from .errors import InvariantViolation
 from .monoid import CACHE_SIZE, CayleyMonoid
@@ -46,8 +47,9 @@ class TransferMatrix:
     automorphism s of the monoid gives W(sA, sB) == W(A, B), so
     ``quotient`` streams only the rows of the orbit representatives
     whose :func:`_shape` no earlier representative had, and is the one
-    piece of W a matrix keeps; ``series``, the counts' generating
-    function, is read off it.  ``entries`` builds every row on each read.
+    piece of W a matrix keeps; ``roots``, the count annihilator, and
+    ``series``, the counts' generating function, are read off it.
+    ``entries`` builds every row on each read.
     """
 
     lattice: SubmonoidLattice
@@ -75,26 +77,33 @@ class TransferMatrix:
         return _lump(self._row, self.orbits, lambda i: _shape(table, members[i]))
 
     @cached_property
+    def roots(self) -> tuple[int, ...]:
+        """:func:`annihilator` of the quotient, read once and kept: D, the
+        order of the count recurrence, is its length."""
+        return annihilator(self.quotient[0])
+
+    @cached_property
     def series(self) -> RationalOGF:
-        """The counts' generating function P(x) / A(x), built from walked
+        """The counts' generating function P(x) / A(x), built from solved
         terms on first read and kept.
 
         Q, the lumped quotient of W, is lower triangular, so by the
         transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7)
         the counts have a generating function P(x) / A(x) with
         A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
-        and deg P < D = sum of m_v.  S_0..S_D are walked, and P is the
-        degree < D part of A times that series.
+        and deg P < D = sum of m_v.  S_0..S_D come from
+        :func:`walk_counts`, and P is the degree < D part of A times that
+        series.
 
-        The walked S_D is checked through the x**D coefficient of A times
+        The solved S_D is checked through the x**D coefficient of A times
         the series, which vanishes for a valid A.  If A lacks one factor
         (1 - v*x), it is v**(D-1) * R(1/v) with R the polynomial that A
         times the series makes, and it is zero exactly when the shorter A
         is still valid.  So this one term catches any single missing root
-        or multiplicity without walking past D; the tests compare every
+        or multiplicity without solving past D; the tests compare every
         term of the expansion with the walk.
         """
-        roots = annihilator(self.quotient[0])
+        roots = self.roots
         den, values = recurrence_poly(roots), walk_counts(self, len(roots))
         product = [sum(map(mul, den, values[n::-1])) for n in range(len(values))]
         if product.pop():
@@ -128,20 +137,15 @@ class RationalOGF:
     denominator_roots: tuple[int, ...]
 
     def expand(self, n_max: int) -> list[int]:
-        """The first ``n_max + 1`` series coefficients.  Each term is the
-        numerator's coefficient plus the recurrence that the denominator
-        gives over the terms before it, at most D multiply-adds: the one
-        routine that extends counts by a recurrence."""
-        den = recurrence_poly(self.denominator_roots)
-        order = len(den) - 1
-        tail = [-a for a in reversed(den[1:])]
-        numerator = self.numerator + (0,) * (order - len(self.numerator))
-        values = []
-        for n, p in enumerate(numerator[: n_max + 1]):
-            values.append(p + sum(map(mul, tail[max(order - n, 0):], values[max(n - order, 0):])))
-        for n in range(len(values), n_max + 1):
-            values.append(sum(map(mul, tail, values[n - order:])))
-        return values
+        """The first ``n_max + 1`` series coefficients: the numerator,
+        followed by zeros, divided by one factor (1 - v*x) at a time.  Each
+        division is the first-order pass y[n] = v*y[n-1] + p[n], which
+        multiplies only by the small root v: the one routine that extends
+        counts by a recurrence."""
+        values = islice(chain(self.numerator, repeat(0)), n_max + 1)
+        for v in self.denominator_roots:
+            values = accumulate(values, lambda y, p, v=v: v * y + p)
+        return list(values)
 
 
 def _shift_groups(g) -> tuple[tuple[int, int], ...]:
@@ -285,10 +289,79 @@ def walk(rows, vector, steps: int):
 
 
 def walk_counts(matrix: TransferMatrix, steps: int) -> list[int]:
-    """S_0..S_steps by walking the lumped quotient: S_n is the sum over
-    classes C of |C| * (Q^n 1)[C]."""
-    rows, sizes = matrix.quotient
-    return [matrix.size] + [sum(map(mul, sizes, v)) for v in walk(rows, [1] * len(rows), steps)]
+    """S_0..S_steps, S_n the sum over classes C of |C| * (Q^n 1)[C] for
+    the lumped quotient Q, by :func:`_packed_solve`: one packed big-integer
+    multiply-add per quotient nonzero and ``steps`` small steps per class,
+    where a walk takes one multiply-add per nonzero per step.  :func:`walk`
+    stays the reference that the tests hold it against."""
+    return _packed_solve(*matrix.quotient, steps)
+
+
+def _repack(packed: list[int], slots: int, old: int, new: int) -> None:
+    """Widen every slot of the integers ``packed``, each ``slots``
+    little-endian slots of ``old`` bytes, to ``new`` bytes in place: one
+    slice copy per byte of the old width."""
+    for i, value in enumerate(packed):
+        narrow, wide = value.to_bytes(slots * old, "little"), bytearray(slots * new)
+        for k in range(old):
+            wide[k::new] = narrow[k::old]
+        packed[i] = int.from_bytes(wide, "little")
+
+
+def _packed_solve(rows, sizes, steps: int) -> list[int]:
+    """S_0..S_steps for the lower-triangular quotient ``rows`` (sparse
+    (column, weight) pairs, diagonal last) with class sizes ``sizes``.
+
+    Class C's sequence F[n] = (Q^n 1)[C] starts at F[0] = 1 and obeys
+    F[n+1] = d*F[n] + g[n], with d its diagonal and g[n] the sum of
+    w * F_j[n] over its off-diagonal pairs (j, w), so it depends only on
+    the classes below C; they are solved first, in row order.  A solved
+    class keeps F[0..steps-1] as one integer with ``width``-byte slots,
+    slot n holding F[n] (Kronecker substitution), so the sum of
+    w * packed_j is one big-integer multiply-add per nonzero and, while
+    no slot carries, its slots are g[0..steps-1].
+
+    The width is checked, never estimated.  With weights and diagonals
+    at least 1 every F_j is nondecreasing, so every slot of that sum is
+    at most the sum of w * F_j[steps-1], which is checked against the
+    width before the sum is taken; F[steps-1], the largest of the terms
+    packed, is checked before they are.  A failed check widens the slots
+    by at least a quarter, so that few widenings happen, and repacks the
+    classes solved so far.  A row whose premises fail, a weight or a
+    diagonal below 1, raises InvariantViolation.
+    """
+    if not steps:
+        return [sum(sizes)]
+    width, packed, tops, totals = 1, [], [], [0] * (steps + 1)
+
+    def fit(bits):
+        """Widen the slots, repacking the classes solved so far, unless
+        values of ``bits`` bits already fit."""
+        nonlocal width
+        if bits > 8 * width:
+            new = max(-(-bits // 8), width + width // 4)
+            _repack(packed, steps, width, new)
+            width = new
+
+    for c, (row, size) in enumerate(zip(rows, sizes)):
+        *below, (_, d) = row
+        if d < 1 or any(w < 1 for _, w in below):
+            raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
+        fit(sum(w * tops[j] for j, w in below).bit_length())
+        g = sum(w * packed[j] for j, w in below).to_bytes(steps * width, "little")
+        slots = map(slice, range(0, len(g), width), range(width, len(g) + width, width))
+        f = list(accumulate(
+            map(int.from_bytes, map(g.__getitem__, slots), repeat("little")),
+            lambda y, x: d * y + x,
+            initial=1,
+        ))
+        fit(f[-2].bit_length())
+        packed.append(int.from_bytes(b"".join(
+            map(int.to_bytes, f[:-1], repeat(width), repeat("little"))
+        ), "little"))
+        tops.append(f[-2])
+        totals = list(map(add, totals, map(mul, repeat(size), f)))
+    return totals
 
 
 def diagonal_chains(rows) -> dict[int, int]:
@@ -409,22 +482,23 @@ def _lump(row, orbits: Orbits, shape):
 def count_sequence(
     matrix: TransferMatrix, n_max: int, label: str = ""
 ) -> CountSequence:
-    """S_n for n = 0..n_max: walked below D, else expanded from
-    ``matrix.series``.
+    """S_n for n = 0..n_max: solved by :func:`walk_counts` below D, else
+    expanded from ``matrix.series``.
 
     S_n for n >= D is fixed by the D terms before it (see
-    ``TransferMatrix.series``).  Below D the quotient is walked n_max
-    steps, at one multiply-add per quotient nonzero per step; from D on
-    the series walks D steps once per matrix, and each later term costs
-    D multiply-adds.
+    ``TransferMatrix.series``).  Below D the quotient is solved to n_max
+    steps, at one packed multiply-add per quotient nonzero plus n_max
+    small steps per class; from D on the series solves D steps once per
+    matrix, and each later term costs D small steps.
 
     The monotonicity check always runs over every term: it costs one
-    comparison per term, and it is the only check on the count path that
-    catches a quotient whose walk shrinks, as a zero weight makes it.
+    comparison per term, and it is the one check on the count path that
+    holds the expanded terms, not only the solved ones, to the shape of
+    every count sequence.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max < len(annihilator(matrix.quotient[0])):
+    if n_max < len(matrix.roots):
         values = walk_counts(matrix, n_max)
     else:
         values = matrix.series.expand(n_max)

@@ -35,8 +35,10 @@ from submon.transfer import (
     build_transfer_matrix,
     count_sequence,
     walk,
+    walk_counts,
     _automorphism_generators,
     _lump,
+    _packed_solve,
     _shape,
 )
 
@@ -421,7 +423,7 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     firsts = _first_of_each_shape(matrix)
     assert built == [matrix.lattice.members[r] for r in firsts]
     assert len(firsts) < len(matrix.orbits.reps)
-    assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "series"}
+    assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "roots", "series"}
 
     # A second query on the cached monoid neither enumerates nor builds rows.
     def refuse(*args, **kwargs):
@@ -536,15 +538,22 @@ def _order(matrix):
     return len(annihilator(matrix.quotient[0]))
 
 
+@cache
+def _walked_far(spec):
+    """S_0..S_max(2D, 30) of ``spec`` by the plain walk, shared by the
+    tests that check the packed solve and the recurrence tail."""
+    matrix = _matrix(spec)
+    return _walked(matrix, max(2 * _order(matrix), 30))
+
+
 # The recurrence tail against the plain walk at every n up to max(2D, 30),
 # and with n_max just below, at and just above D, where the tail starts.
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
 def test_count_tail_matches_the_walk(spec):
     matrix = _matrix(spec)
     order = _order(matrix)
-    top = max(2 * order, 30)
-    walked = _walked(matrix, top)
-    assert list(count_sequence(matrix, top).values) == walked
+    walked = _walked_far(spec)
+    assert list(count_sequence(matrix, len(walked) - 1).values) == walked
     for n in range(max(order - 1, 0), order + 2):
         assert list(count_sequence(matrix, n).values) == walked[: n + 1]
 
@@ -555,6 +564,89 @@ def test_count_tail_matches_the_walk_on_random_monoids(monoid, extra):
     matrix = build_transfer_matrix(monoid)
     top = _order(matrix) + extra
     assert list(count_sequence(matrix, top).values) == _walked(matrix, top)
+
+
+def _solve_steps(order):
+    """The step counts at which the packed solve is held against the
+    walk: the edges 0, 1 and 2, D, and 2D - 1, the most that
+    ``verify recurrence`` solves."""
+    return sorted({0, 1, 2, order, max(2 * order - 1, 0)})
+
+
+# The packed solve against the plain walk of the quotient: every default
+# monoid, and the monoids of the long-walk and spectrum jobs.
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
+def test_packed_solve_matches_the_walk(spec):
+    matrix, walked = _matrix(spec), _walked_far(spec)
+    for steps in _solve_steps(_order(matrix)):
+        assert walk_counts(matrix, steps) == walked[: steps + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_commutative_monoids(max_size=10))
+def test_packed_solve_matches_the_walk_on_random_monoids(monoid):
+    matrix = build_transfer_matrix(monoid)
+    steps = _solve_steps(_order(matrix))
+    walked = _walked(matrix, steps[-1])
+    for n in steps:
+        assert walk_counts(matrix, n) == walked[: n + 1]
+
+
+# A quotient whose first rows fit one-byte slots and whose last rows need
+# far wider ones: a diagonal of 1000, then a weight of 10**40.
+GROWING_ROWS = (
+    ((0, 1),),
+    ((0, 1), (1, 1)),
+    ((0, 2), (1, 3), (2, 2)),
+    ((1, 1), (2, 5), (3, 1000)),
+    ((0, 1), (3, 10**40), (4, 7)),
+)
+
+
+def test_packed_solve_widens_a_narrow_start(monkeypatch):
+    widenings = []
+    repack = transfer._repack
+
+    def recorded(packed, slots, old, new):
+        widenings.append((len(packed), old, new))
+        repack(packed, slots, old, new)
+
+    monkeypatch.setattr(transfer, "_repack", recorded)
+    sizes, steps = (1, 2, 3, 4, 5), 12
+    walked = [sum(sizes)] + [
+        sum(s * u for s, u in zip(sizes, v)) for v in walk(GROWING_ROWS, [1] * 5, steps)
+    ]
+    assert _packed_solve(GROWING_ROWS, sizes, steps) == walked
+    # At least two widenings repacked classes already solved, each to
+    # wider slots than the one before.
+    assert len([w for w in widenings if w[0]]) >= 2
+    assert all(old < new for _, old, new in widenings)
+    assert [old for _, old, _ in widenings[1:]] == [new for _, _, new in widenings[:-1]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (((0, 1),), ((0, 0), (1, 2))),  # a zero weight
+        (((0, 1),), ((0, 1), (1, 0))),  # a zero diagonal
+    ],
+    ids=["zero-weight", "zero-diagonal"],
+)
+def test_packed_solve_rejects_broken_premises_under_dash_o(rows):
+    script = (
+        "import sys\n"
+        "from submon.errors import InvariantViolation\n"
+        "from submon.transfer import _packed_solve\n"
+        "if __debug__: sys.exit(2)\n"
+        "try:\n"
+        f"    _packed_solve({rows!r}, (1, 1), 3)\n"
+        "except InvariantViolation:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(transfer.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 @pytest.mark.parametrize(
@@ -658,6 +750,25 @@ def test_count_prints_the_walked_counts_under_dash_o():
         "walked = [matrix.size] + [sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), 300)]\n"
         "lines = ['n,count'] + [f'{n},{value}' for n, value in enumerate(walked)]\n"
         "sys.exit(code or printed.getvalue() != '\\n'.join(lines) + '\\n')\n"
+    )
+    src = str(Path(transfer.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+
+
+def test_shape_keyed_counts_equal_the_full_w_walk_under_dash_o():
+    # chain:6 x chain:1 has no nontrivial automorphism, and its quotient
+    # builds one row per shape: 227 classes for 2,123 submonoids.  The
+    # counts and the packed solve must both equal a walk over every row of W.
+    script = (
+        "import sys\n"
+        "from submon.monoid import from_spec\n"
+        "from submon.transfer import build_transfer_matrix, count_sequence, walk, walk_counts\n"
+        "if __debug__: sys.exit(2)\n"
+        "matrix = build_transfer_matrix(from_spec('chain:6 x chain:1'))\n"
+        "if (matrix.size, len(matrix.quotient[0])) != (2123, 227): sys.exit(3)\n"
+        "full = [matrix.size] + [sum(v) for v in walk(matrix.entries, [1] * matrix.size, 30)]\n"
+        "sys.exit(list(count_sequence(matrix, 30).values) != full or walk_counts(matrix, 30) != full)\n"
     )
     src = str(Path(transfer.__file__).parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
