@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from . import oracle, reference
@@ -106,22 +104,24 @@ def _monoid(spec: str, args):
     return from_spec(spec, min(args.max_monoid_size, DEFAULT_MAX_PRODUCT_SIZE))
 
 
+def _oracle_terms(monoid, values, budget):
+    """``(n, values[n], brute-force count)`` for each n with (n + 1) * |M|
+    within the oracle ``budget``; no larger product is brute-forced."""
+    for n, value in enumerate(values[: budget // monoid.size]):
+        yield n, value, brute_force_submonoid_count(monoid, n, max_size=budget)
+
+
 def cmd_count(args) -> int:
     monoid = _monoid(args.monoid, args)
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
     seq = count_sequence(matrix, args.n, label=args.monoid)
     if args.oracle:
-        # The terms n with (n + 1) * |M| within the oracle budget.
-        fits = seq.values[: max(0, args.max_oracle_size // monoid.size)]
-        for n, value in enumerate(fits):
-            expected = brute_force_submonoid_count(monoid, n, max_size=args.max_oracle_size)
-            if expected != value:
-                return _fail(
-                    f"oracle mismatch at n={n}: pipeline {value}, "
-                    f"brute force {expected}",
-                    1,
-                )
-        checked, total = len(fits), len(seq.values)
+        checked = 0
+        for n, got, want in _oracle_terms(monoid, seq.values, args.max_oracle_size):
+            if got != want:
+                return _fail(f"oracle mismatch at n={n}: pipeline {got}, brute force {want}", 1)
+            checked += 1
+        total = len(seq.values)
         terms = f"n=0..{checked - 1}" if checked else "no terms"
         print(
             f"oracle checked {terms}; skipped {total - checked} of {total} "
@@ -226,12 +226,6 @@ def cmd_sattr(args) -> int:
     return 0
 
 
-def _oracle_case(item):
-    spec, n, max_oracle = item
-    monoid = from_spec(spec)
-    return brute_force_submonoid_count(monoid, n, max_size=max_oracle)
-
-
 def _suite_triangular(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
@@ -272,37 +266,26 @@ def _suite_recurrence(args) -> int:
 
 
 def _suite_oracle(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    # A fork pool starts all its workers at the first submit.
-    cpus = os.cpu_count() or 1
-    if args.jobs > cpus:
-        raise ValueError(f"--jobs must be at most the CPU count {cpus}, got {args.jobs}")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be at least 0, got {args.n}")
-    specs = [args.monoid] if args.monoid else list(DEFAULT_MONOIDS)
-    top = args.n if args.n is not None else args.max_oracle_size
-    cases, tops = [], {}
-    for spec in specs:
+    budget = args.max_oracle_size
+    top = args.n if args.n is not None else budget
+    cases = []  # every spec is parsed before any line is printed
+    for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
+        monoid = _monoid(spec, args)
         # No larger n has (n + 1) * |M| within the oracle budget.
-        tops[spec] = min(top, args.max_oracle_size // _monoid(spec, args).size - 1)
-        cases += [(spec, n, args.max_oracle_size) for n in range(tops[spec] + 1)]
+        last = min(top, budget // monoid.size - 1)
+        if last >= 0:
+            cases.append((spec, monoid, last))
     if not cases:
-        raise ValueError(f"no oracle case fits --max-oracle-size {args.max_oracle_size}")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
-            expected = list(pool.map(_oracle_case, cases))
-    else:
-        expected = [_oracle_case(item) for item in cases]
-    counts = {}  # walk each monoid once, to its largest n
-    for (spec, n, _), want in zip(cases, expected):
-        if spec not in counts:
-            matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
-            counts[spec] = count_sequence(matrix, tops[spec]).values
-        got = counts[spec][n]
-        if got != want:
-            return _fail(f"{spec}: n={n} pipeline {got}, brute force {want}", 1)
-        print(f"ok oracle {spec} n={n} count={got}")
+        raise ValueError(f"no oracle case fits --max-oracle-size {budget}")
+    for spec, monoid, last in cases:
+        matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
+        values = count_sequence(matrix, last).values
+        for n, got, want in _oracle_terms(monoid, values, budget):
+            if got != want:
+                return _fail(f"{spec}: n={n} pipeline {got}, brute force {want}", 1)
+            print(f"ok oracle {spec} n={n} count={got}")
     return 0
 
 
@@ -444,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monoid", help="restrict the sweep to one monoid")
     p.add_argument("--n", type=int, help="largest chain length for the oracle suite")
     p.add_argument("--slow", action="store_true", help="include the large table rows")
-    p.add_argument("--jobs", type=int, default=1, help="parallel oracle workers")
     p.add_argument("--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE)
     p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
     p.add_argument("--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE)

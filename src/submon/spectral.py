@@ -32,7 +32,6 @@ from .transfer import (
     RationalOGF,
     TransferMatrix,
     build_transfer_matrix,
-    diagonal_chains,
     recurrence_poly,
 )
 
@@ -56,22 +55,23 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
 
     Only valid for idempotent monoids, where the matrix is diagonalizable:
     submonoids sharing a diagonal value are incomparable, so the weight
-    blocks between them vanish.  That certificate is checked here, on the
-    lumped quotient, as m_v == 1 for every diagonal value v (see
-    ``diagonal_chains``): a class holds no two comparable submonoids and
-    the weights are positive, so W has a nonzero entry between two
-    submonoids with equal diagonals exactly when the quotient has one
-    between two classes.  Then the count annihilator has D distinct roots.
+    blocks between them vanish.  That certificate is checked here as "no
+    repeated root" in ``matrix.roots``, the annihilator of the lumped
+    quotient, where v is repeated m_v times: a class holds no two
+    comparable submonoids and the weights are positive, so W has a nonzero
+    entry between two submonoids with equal diagonals exactly when the
+    quotient has one between two classes.  Then the count annihilator has
+    D distinct roots.
     """
     if not is_idempotent(matrix.lattice.monoid):
         raise NotIdempotent("spectral form requires an idempotent monoid")
-    chains = diagonal_chains(matrix.quotient[0])
-    for v, m in chains.items():
-        if m > 1:
+    roots = matrix.roots
+    for v, u in zip(roots, roots[1:]):
+        if v == u:
             raise InvariantViolation(
-                f"equal-diagonal block is not diagonal: {m} chained classes have diagonal {v}"
+                f"equal-diagonal block is not diagonal: {roots.count(v)} chained classes have diagonal {v}"
             )
-    return sorted(chains)
+    return list(roots)
 
 
 def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:

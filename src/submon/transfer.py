@@ -364,28 +364,21 @@ def _packed_solve(rows, sizes, steps: int) -> list[int]:
     return totals
 
 
-def diagonal_chains(rows) -> dict[int, int]:
-    """m_v for each diagonal value v of the quotient ``rows``: the most
-    classes with diagonal v on one chain of direct nonzero edges, found in
-    one bottom-up pass.  W(A, B) is nonzero for every B inside A, so the
-    support of W, and of Q, is transitive: every path's classes with
-    diagonal v are joined by direct edges, and m_v is also the most
-    classes with diagonal v on any path."""
+def annihilator(rows) -> tuple[int, ...]:
+    """The roots of prod over v of (1 - v*x)**m_v for the quotient
+    ``rows``, ascending, each diagonal value v repeated m_v times.
+
+    m_v is the most classes with diagonal v on one chain of direct nonzero
+    edges, found in one bottom-up pass.  W(A, B) is nonzero for every B
+    inside A, so the support of W, and of Q, is transitive: every path's
+    classes with diagonal v are joined by direct edges, and m_v is also
+    the most classes with diagonal v on any path."""
     diagonal = [row[-1][1] for row in rows]
-    longest = []
+    longest, chains = [], {}
     for row, v in zip(rows, diagonal):
         below = (longest[j] for j, w in row[:-1] if w and diagonal[j] == v)
         longest.append(1 + max(below, default=0))
-    chains = {}
-    for v, m in zip(diagonal, longest):
-        chains[v] = max(chains.get(v, 0), m)
-    return chains
-
-
-def annihilator(rows) -> tuple[int, ...]:
-    """The roots of prod over v of (1 - v*x)**m_v for the quotient
-    ``rows``, ascending, each diagonal value v repeated m_v times."""
-    chains = diagonal_chains(rows)
+        chains[v] = max(chains.get(v, 0), longest[-1])
     return tuple(v for v in sorted(chains) for _ in range(chains[v]))
 
 

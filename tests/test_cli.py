@@ -270,14 +270,6 @@ def test_verify_oracle_stops_at_the_oracle_budget(capsys):
     )
 
 
-def test_verify_oracle_parallel(capsys):
-    code, out, _ = run(
-        capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "2", "--jobs", "2"
-    )
-    assert code == 0
-    assert out.count("ok oracle") == 3
-
-
 @pytest.mark.parametrize(
     "table, identity",
     [
@@ -307,46 +299,6 @@ def test_json_size_must_be_an_integer(capsys, tmp_path, size, table):
     assert (code, out, err) == (2, "", "error: JSON monoid: size must be an integer\n")
 
 
-def test_verify_oracle_rejects_jobs_below_one(capsys):
-    code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "0")
-    assert code == 2 and out == "" and "--jobs" in err
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so no worker is started."""
-
-    def __init__(self, workers, max_workers):
-        workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_verify_oracle_rejects_jobs_above_the_cpu_count(capsys, monkeypatch):
-    workers = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(workers, max_workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code, out, err = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--jobs", "5")
-    assert (code, out, err) == (2, "", "error: --jobs must be at most the CPU count 4, got 5\n")
-    assert workers == []
-
-
-def test_verify_oracle_starts_no_more_workers_than_cases(capsys, monkeypatch):
-    workers = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(workers, max_workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    code, out, _ = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "2", "--jobs", "8")
-    assert code == 0 and out.count("ok oracle") == 3
-    assert workers == [3]
-
-
 def test_verify_triangular_reports_the_check_it_skips(capsys):
     code, out, err = run(capsys, "verify", "triangular", "--monoid", "cyclic:2")
     assert (code, err) == (0, "")
@@ -357,6 +309,55 @@ def test_verify_triangular_reports_the_check_it_skips(capsys):
     assert run(capsys, "verify", "triangular", "--monoid", "chain:2") == (0, "ok triangular chain:2\n", "")
     code, out, _ = run(capsys, "verify", "triangular")
     assert code == 0 and out.count("skip triangular") == 3
+
+
+def test_oracle_mismatches_exit_1_at_the_first_wrong_term(capsys, monkeypatch):
+    # count --oracle and verify oracle check the same terms and say so
+    # each in their own words.
+    brute_force = cli.brute_force_submonoid_count
+    monkeypatch.setattr(
+        cli, "brute_force_submonoid_count",
+        lambda monoid, n, max_size: brute_force(monoid, n, max_size=max_size) + (n == 1),
+    )
+    assert run(capsys, "count", "--monoid", "chain:1", "--n", "3", "--oracle") == (
+        1, "", "oracle mismatch at n=1: pipeline 7, brute force 8\n"
+    )
+    assert run(capsys, "verify", "oracle", "--monoid", "chain:1") == (
+        1, "ok oracle chain:1 n=0 count=2\n", "chain:1: n=1 pipeline 7, brute force 8\n"
+    )
+
+
+def test_verify_oracle_takes_no_jobs_flag(capsys):
+    # The sweep runs in this process: no flag starts a worker process.
+    code, out, err = _run_exiting(capsys, ("verify", "oracle", "--monoid", "chain:1", "--jobs", "2"))
+    assert (code, out) == (2, "") and "unrecognized arguments: --jobs 2" in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    script = (
+        "import sys, submon.cli\n"
+        "sys.exit(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))) or None)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_a_file_table_counts_as_its_spec_does_under_dash_o(tmp_path):
+    # A file: table gets its automorphisms from the table, as its spec does.
+    spec, path = "mk:4 x chain:1", tmp_path / "monoid.json"
+    path.write_text(json.dumps(monoid_to_json(from_spec(spec))))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    file_out, spec_out = (
+        subprocess.run(
+            [sys.executable, "-O", "-m", "submon", "count", "--monoid", monoid, "--n", "30"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for monoid in (f"file:{path}", spec)
+    )
+    assert file_out == spec_out and len(file_out.splitlines()) == 32
 
 
 def test_verify_oracle_rejects_runs_that_check_nothing(capsys):

@@ -11,11 +11,14 @@ from submon.errors import (
     DegenerateSystem,
     FormulaMismatch,
     InvariantViolation,
+    NonIntegerCount,
+    NonIntegerNormalization,
     NotIdempotent,
 )
 from submon.cli import DEFAULT_MONOIDS
 from submon.monoid import from_spec, is_idempotent, make_chain, make_cyclic_group
 from submon.spectral import (
+    Spectrum,
     chain_eigenmatrix,
     closed_form_eval,
     eigenvalues,
@@ -287,8 +290,19 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     # Lumped by signatures alone: row 2 shares row 1's shape, which would
     # skip it.
     vars(tampered)["quotient"] = _lump(rows.__getitem__, trivial, lambda i: i)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="equal-diagonal block"):
         eigenvalues(tampered)
+
+
+def test_normalization_rejects_a_coefficient_left_fractional():
+    # 1/3 times the gap 3 - 2 stays 1/3: no spectrum has these.
+    with pytest.raises(NonIntegerNormalization, match="at eigenvalue 2 is 1/3"):
+        normalize_coefficients((2, 3), (Fraction(1, 3), Fraction(2, 3)))
+
+
+def test_closed_form_rejects_a_fractional_count():
+    with pytest.raises(NonIntegerCount, match="gave 1/2 at n=0"):
+        closed_form_eval(Spectrum((2,), (Fraction(1, 2),), (1,)), 0)
 
 
 def test_spectrum_rejects_coefficients_not_summing_to_s0(monkeypatch):

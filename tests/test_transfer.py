@@ -789,7 +789,7 @@ def _annihilator_from_entries(entries):
 
 # The annihilator, whose largest root and its multiplicity fix the
 # counts' growth, against every row of W: an independent reference for
-# diagonal_chains on the quotient.
+# annihilator on the quotient.
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS)
 def test_asymptotics_match_every_row_of_w(spec):
     assert annihilator(_matrix(spec).quotient[0]) == _annihilator_from_entries(_entries(spec))

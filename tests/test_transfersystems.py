@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from submon import transfersystems
 from submon.cli import DEFAULT_LATTICES
-from submon.errors import InvariantViolation, NotALattice, SizeLimitExceeded
+from submon.errors import InvariantViolation, NonUniqueMinimal, NotALattice, SizeLimitExceeded
 from submon.monoid import (
     PartialOrder,
     from_spec,
@@ -117,6 +117,14 @@ def test_chi_extremes():
     order = _order("chain:1 x chain:1")
     assert chi(order, _discrete(order)) == order.full_mask
     assert chi(order, _full(order)) == 0b0001
+
+
+def test_chi_rejects_a_component_with_two_minima():
+    # 1 R 3 and 2 R 3 join 1, 2 and 3 in one component, and nothing
+    # relates to 1 or to 2: no transfer system has such a component.
+    order = _order("mk:2")
+    with pytest.raises(NonUniqueMinimal, match=r"component \[1, 2, 3\] has minima \[1, 2\]"):
+        chi(order, TransferRelation(order, (1, 0b1010, 0b1100, 0b1000)))
 
 
 def test_chi_is_an_order_reversing_bijection():
