@@ -55,6 +55,7 @@ from .submonoids import (
     condense,
     divisibility_preorder,
     enumerate_submonoids,
+    ideal_row,
     inclusion_order,
     weight_row,
 )

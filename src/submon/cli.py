@@ -210,8 +210,8 @@ def cmd_polybernoulli(args) -> int:
 
 
 def cmd_sattr(args) -> int:
-    order = semilattice_order(from_spec(args.lattice, args.max_st_size))
     if args.list:
+        order = semilattice_order(from_spec(args.lattice, args.max_st_size))
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
         payload = {
             "lattice": args.lattice,
@@ -219,34 +219,45 @@ def cmd_sattr(args) -> int:
         }
         _emit(json.dumps(payload))
         return 0
-    # Systems on P x [n] correspond to submonoids of (P, join) x [n].
-    matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_st_size)
+    # Systems on P x [n] correspond to submonoids of (P, join) x [n], so
+    # they are counted as count counts them, under its budget.
+    order = semilattice_order(_monoid(args.lattice, args))
+    matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_monoid_size)
     seq = count_sequence(matrix, args.n, label=args.lattice)
     _print_counts(seq, "lattice", args.format)
     return 0
 
 
 def _suite_triangular(args) -> int:
+    """W row by row, keeping only the diagonal: each row ends with a
+    diagonal of at least 2, has no column above it, and its nonzero
+    columns are exactly the members inside its submonoid, as
+    ``below`` gives them from the lattice alone.  So on an idempotent
+    monoid the strict increase of the diagonal along inclusion is
+    checked on each row's own columns."""
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
-        entries = matrix.entries
-        diag = [row[-1][1] for row in entries]
-        for i, row in enumerate(entries):
-            if row[-1][0] != i or diag[i] < 2:
+        lattice, diag = matrix.lattice, []
+        idempotent = is_idempotent(lattice.monoid)
+        for i in range(matrix.size):
+            row = matrix._row(i)
+            if not row or row[-1][0] != i or row[-1][1] < 2:
                 return _fail(f"{spec}: diagonal entry {i} is {dict(row).get(i, 0)}", 1)
-            for j, _ in row:
+            numeral = bytearray(b"0" * (i + 1))
+            for j, w in row:
                 if j > i:
                     return _fail(f"{spec}: nonzero entry above diagonal at ({i},{j})", 1)
-        if is_idempotent(matrix.lattice.monoid):
-            order = inclusion_order(matrix.lattice)
-            for i in range(matrix.size):
-                for j in range(matrix.size):
-                    if i != j and order.leq(i, j) and diag[i] >= diag[j]:
-                        return _fail(
-                            f"{spec}: diagonal not strictly increasing at ({i},{j})", 1
-                        )
+                if w:
+                    numeral[i - j] = ord("1")
+            if int(numeral, 2) != lattice.below(i):
+                return _fail(f"{spec}: row {i}'s nonzero columns are not the members inside it", 1)
+            diag.append(row[-1][1])
+            if idempotent:
+                for j, _ in row[:-1]:
+                    if diag[j] >= diag[i]:
+                        return _fail(f"{spec}: diagonal not strictly increasing at ({j},{i})", 1)
         print(f"ok triangular {spec}")
-        if not is_idempotent(matrix.lattice.monoid):
+        if not idempotent:
             print(f"skip triangular {spec} strict-increase: the monoid is not idempotent")
     return 0
 
@@ -418,7 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,
-        help="largest lattice, in elements, that --list or --n accepts",
+        help="largest lattice, in elements, that --list accepts",
+    )
+    p.add_argument(
+        "--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE,
+        help="largest lattice, in elements, that --n accepts",
     )
     p.set_defaults(func=cmd_sattr)
 

@@ -7,6 +7,9 @@ Subsets of a monoid are plain integer bitmasks: bit ``i`` marks element
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add, mul
 
 from .errors import SizeLimitExceeded
 from .monoid import CayleyMonoid, PartialOrder, down_masks
@@ -98,6 +101,27 @@ class SubmonoidLattice:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def containing(self) -> tuple[int, ...]:
+        """One bitset per element x of the monoid: bit j of
+        ``containing[x]`` is set iff member j contains x.  Built from one
+        string of the members' masks, one ``size``-digit binary numeral
+        per member, whose strided slices are the bitsets' numerals: time
+        and memory linear in k times the monoid's size, in C loops."""
+        n = self.monoid.size
+        numerals = "".join(map(format, reversed(self.members), repeat(f"0{n}b")))
+        return tuple(int(numerals[n - 1 - x :: n], 2) for x in range(n))
+
+    def below(self, i: int) -> int:
+        """The members contained in member i, bit i included, as a bitset
+        over member indices: the members up to i with no element outside
+        it.  Every such member has index at most i, since the member
+        order extends inclusion."""
+        upto, outside = (2 << i) - 1, 0
+        for x in bits_of(((1 << self.monoid.size) - 1) & ~self.members[i]):
+            outside |= self.containing[x] & upto
+        return upto ^ outside
 
 
 def enumerate_submonoids(
@@ -272,3 +296,83 @@ def weight_row(monoid: CayleyMonoid, a: int, columns):
                 required |= ups[c]
         yield j, counter.count(full & ~required)
 
+
+# Maps the ASCII digits of a binary numeral to the byte values 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _spread(bits: int, width: int) -> int:
+    """``bits`` with bit j moved to the low bit of byte j, for j < width."""
+    return int.from_bytes(format(bits, f"0{width}b").encode().translate(_DIGITS), "big")
+
+
+def _count_ideals(free: int, multiples, divisors, memo: dict) -> int:
+    """The leaves of the ideal walk below a node whose undecided elements
+    are ``free``: the ways to put each in or out of the ideal, branching
+    on the highest as :func:`ideal_row` does.  Memoised in ``memo``."""
+    total = memo.get(free)
+    if total is None:
+        x = free.bit_length() - 1
+        total = memo[free] = _count_ideals(
+            free & ~multiples[x], multiples, divisors, memo
+        ) + _count_ideals(free & ~divisors[x], multiples, divisors, memo)
+    return total
+
+
+def ideal_row(lattice: SubmonoidLattice, i: int):
+    """Row i of W, summed over the ideals of A = ``members[i]``: its
+    diagonal W(A, A), the indices j of the members B_j strictly inside A,
+    ascending, and the weights W(A, B_j) in the same order.
+
+    W(A, B) counts the ideals I of A with A minus I inside B.  A
+    depth-first walk over A's ideals branches on a free element x: put x
+    in I, which puts x*A in too, or leave x out, which leaves out every
+    divisor of x in A and keeps only the columns that contain those
+    divisors.  The columns are one bitset over member indices, starting
+    from the members strictly inside A, so each leaf, one ideal, adds its
+    column set to bit-sliced counters (plane p holds bit p of every
+    column's count); the diagonal is the number of leaves.  A subtree
+    whose column set is empty adds only its memoised leaf count.  Both
+    branches of every node hold an ideal (all free elements in, or all
+    out), so the walk visits fewer than twice as many nodes as A has
+    ideals, however many columns the row has.  The counters are decoded
+    eight planes at a time, one byte per column, and the bytes of the
+    members inside A are picked out with ``compress``.
+    """
+    a, containing, table = lattice.members[i], lattice.containing, lattice.monoid.table
+    start = lattice.below(i) ^ 1 << i
+    elements = tuple(bits_of(a))
+    multiples, divisors = [0] * lattice.monoid.size, [0] * lattice.monoid.size
+    # The columns that leaving y out keeps: those holding its divisors.
+    keeps = [start] * lattice.monoid.size
+    for x in elements:
+        for y in set(map(table[x].__getitem__, elements)):
+            multiples[x] |= 1 << y
+            divisors[y] |= 1 << x
+            keeps[y] &= containing[x]
+    planes, memo = [], {0: 1}
+
+    def walk(free, columns):
+        if not columns:
+            return _count_ideals(free, multiples, divisors, memo)
+        if not free:
+            carry = columns
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+            return 1
+        x = free.bit_length() - 1
+        return walk(free & ~multiples[x], columns) + walk(free & ~divisors[x], columns & keeps[x])
+
+    diagonal = walk(a, start)
+    where = _spread(start, i).to_bytes(i, "little")
+    weights = ()
+    for p in range(0, len(planes), 8):
+        byte_plane = sum(_spread(plane, i) << s for s, plane in enumerate(planes[p : p + 8]))
+        part = compress(byte_plane.to_bytes(i, "little"), where)
+        weights = map(add, weights, map(mul, part, repeat(1 << p))) if p else part
+    return diagonal, compress(range(i), where), weights

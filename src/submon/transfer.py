@@ -22,6 +22,7 @@ from .submonoids import (
     SubmonoidLattice,
     bits_of,
     enumerate_submonoids,
+    ideal_row,
     weight_row,
 )
 
@@ -45,11 +46,12 @@ class TransferMatrix:
     W(A, B) is nonzero exactly when B is a subset of A, so the rows are
     lower triangular and each ends with its diagonal pair.  Every
     automorphism s of the monoid gives W(sA, sB) == W(A, B), so
-    ``quotient`` streams only the rows of the orbit representatives
-    whose :func:`_shape` no earlier representative had, and is the one
-    piece of W a matrix keeps; ``roots``, the count annihilator, and
-    ``series``, the counts' generating function, are read off it.
-    ``entries`` builds every row on each read.
+    ``quotient`` sums, over their ideals, only the rows of the orbit
+    representatives whose :func:`_shape` no earlier representative had,
+    and is the one piece of W a matrix keeps; ``roots``, the count
+    annihilator, and ``series``, the counts' generating function, are
+    read off it.  ``entries`` builds every row with :func:`weight_row`,
+    column by column, on each read.
     """
 
     lattice: SubmonoidLattice
@@ -71,10 +73,9 @@ class TransferMatrix:
     @cached_property
     def quotient(self):
         """W lumped by :func:`_lump` over the orbits, keyed by shape: the
-        quotient rows and class sizes.  Rows are built as they are
-        consumed, and only for representatives of a new shape."""
-        table, members = self.lattice.monoid.table, self.lattice.members
-        return _lump(self._row, self.orbits, lambda i: _shape(table, members[i]))
+        quotient rows and class sizes.  Rows are summed only for
+        representatives of a new shape, and none is kept."""
+        return _lump(self.lattice, self.orbits)
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
@@ -406,62 +407,51 @@ def _shape(table, mask: int) -> bytes:
     return bytes(products) if len(elements) <= 256 else array("H", products).tobytes()
 
 
-def _lump(row, orbits: Orbits, shape):
-    """Lump W's rows into classes on which every W^n 1 is constant.
+def _lump(lattice: SubmonoidLattice, orbits: Orbits):
+    """Lump W's rows into classes on which every W^n 1 is constant, and
+    return the quotient rows and the class sizes.
 
-    ``row(i)`` builds member i's row and ``shape(i)`` gives its key; both
-    are read for orbit representatives only, in orbit order.  An
-    automorphism keeps every weight, so a member's row is its
-    representative's with the columns moved within their orbits.  A
-    row's signature is its diagonal weight and the sorted (class, summed
-    weight) pairs of its off-diagonal columns, whose orbits' classes are
-    already known since those columns lie below the row; orbits with
-    equal signatures share a class.  (W v)[A] depends only on A's
-    signature when v is constant on classes, so by induction W^n 1 is
-    too.  A row's classes below it were all formed before its own, so
-    the quotient (each class's signature with its diagonal pair appended
-    last) keeps the row contract of ``entries``.  Returns the quotient
-    rows and the class sizes.
+    Representatives are read in orbit order.  An automorphism keeps
+    every weight, so a member's row is its representative's with the
+    columns moved within their orbits.  A row's signature is its
+    diagonal weight and the sorted (class, summed weight) pairs of its
+    off-diagonal columns, whose orbits' classes are already known since
+    those columns lie below the row; orbits with equal signatures share
+    a class.  (W v)[A] depends only on A's signature when v is constant
+    on classes, so by induction W^n 1 is too.  A row's classes below it
+    were all formed before its own, so the quotient (each class's
+    signature with its diagonal pair appended last) keeps the row
+    contract of ``entries``.  The rows are summed by :func:`ideal_row`,
+    over each representative's ideals, and lumped column by column.
 
-    A representative whose shape an earlier one had takes that one's
-    class, and its row is never built.  With :func:`_shape` this gives
-    exactly the class its signature would.  Equal shapes make the
-    order-preserving bijection phi: A -> A' an isomorphism, so the key is
-    its own certificate, and W depends only on the abstract monoid A
-    and B as a subset of it: W(A', phi(B)) == W(A, B).  phi restricted
-    to a column B is again order-preserving and multiplicative, so B
-    and phi(B) have equal shapes too, and by induction on |A| equal
-    classes.  So A and A' have equal signatures, and the quotient is
-    the one that lumping every representative's row gives.  Shapes need
-    no isomorphism search, but they only see isomorphisms that keep the
-    element order, so the orbits stay: bool:4 has 1,191 shapes among its
-    2,480 members, and 143 among its 184 orbit representatives.  A key
-    that merged non-isomorphic submonoids would lump wrongly without any
-    error, so the tests hold this quotient against signature-only
-    lumping.
-
-    Both row-contract checks run on every row built, since a row that
-    breaks them lumps into a wrong quotient without any error: a
-    diagonal pair not last would be summed as an off-diagonal weight,
-    and a column not below the row would read a class formed for another
-    orbit, or none.
+    A representative whose :func:`_shape` an earlier one had takes that
+    one's class, and its row is never summed.  This gives exactly the
+    class its signature would.  Equal shapes make the order-preserving
+    bijection phi: A -> A' an isomorphism, so the key is its own
+    certificate, and W depends only on the abstract monoid A and B as a
+    subset of it: W(A', phi(B)) == W(A, B).  phi restricted to a column
+    B is again order-preserving and multiplicative, so B and phi(B) have
+    equal shapes too, and by induction on |A| equal classes.  So A and
+    A' have equal signatures, and the quotient is the one that lumping
+    every representative's row gives.  Shapes need no isomorphism
+    search, but they only see isomorphisms that keep the element order,
+    so the orbits stay: bool:4 has 1,191 shapes among its 2,480 members,
+    and 143 among its 184 orbit representatives.  A key that merged
+    non-isomorphic submonoids would lump wrongly without any error, so
+    the tests hold this quotient against signature-only lumping of
+    :func:`weight_row`'s rows.
     """
-    orbit_of = orbits.orbit_of
+    table, members, orbit_of = lattice.monoid.table, lattice.members, orbits.orbit_of
     classes, quotient, index, class_of_shape = [], [], {}, {}
     for r in orbits.reps:
-        key = shape(r)
+        key = _shape(table, members[r])
         c = class_of_shape.get(key)
         if c is None:
-            built = row(r)
-            if not built or built[-1][0] != r:
-                raise InvariantViolation(f"row {r} does not end with its diagonal")
+            diagonal, columns, weights = ideal_row(lattice, r)
             sums = {}
-            for j, w in built[:-1]:
-                if not 0 <= j < r:
-                    raise InvariantViolation(f"row {r} has column {j} not below it")
-                b = classes[orbit_of[j]]
+            for b, w in zip(map(classes.__getitem__, map(orbit_of.__getitem__, columns)), weights):
                 sums[b] = sums.get(b, 0) + w
-            diagonal, below = built[-1][1], tuple(sorted(sums.items()))
+            below = tuple(sorted(sums.items()))
             c = class_of_shape[key] = index.setdefault((diagonal, below), len(quotient))
             if c == len(quotient):
                 quotient.append(below + ((c, diagonal),))

@@ -8,8 +8,9 @@ the order-reversing correspondence onto submonoids under join.  Systems on
 P x [n] correspond to submonoids of (P, join) x [n], which ``sattr --n``
 counts.  The cylinder weights and :func:`st_count_sequence` count them
 independently, for ``verify transfer-iso`` and the tests.  The lattice
-budget (``--max-st-size``) bounds every enumeration, on P or its cylinder,
-and so the lattices whose counts ``sattr --n`` prints.
+budget (``--max-st-size``) bounds every enumeration, on P or its
+cylinder; ``sattr --n`` enumerates no system, and counts under the
+submonoid budget (``--max-monoid-size``), as ``count`` does.
 """
 
 from __future__ import annotations

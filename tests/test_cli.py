@@ -12,7 +12,7 @@ from submon import cli
 from submon import monoid as monoid_module
 from submon.cli import DEFAULT_LATTICES, main
 from submon.monoid import from_spec, join_monoid, make_chain, monoid_to_json, semilattice_order
-from submon.transfer import build_transfer_matrix
+from submon.transfer import TransferMatrix, build_transfer_matrix
 from submon.transfersystems import st_count_sequence
 
 
@@ -143,27 +143,54 @@ def test_sattr_counts_json(capsys):
 
 
 def test_sattr_counts_budget(capsys):
+    # --n parses and counts under --max-monoid-size, as count does.
     argv = ("sattr", "--lattice", "chain:8", "--n", "2")
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--max-monoid-size", "8")
     refused = "error: atom 'chain:8' exceeds the product budget of 8 elements\n"
     assert (code, out, err) == (3, "", refused)
-    code, out, err = run(capsys, *argv, "--max-st-size", "9")
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == run(capsys, "count", "--monoid", "chain:8", "--n", "2")
     assert code == 0
 
 
-def test_sattr_n_refuses_an_atom_over_the_st_budget(capsys):
-    # The spec is parsed under --max-st-size, so no larger lattice is counted.
-    code, out, err = run(capsys, "sattr", "--lattice", "chain:9", "--n", "2")
-    refused = "error: atom 'chain:9' exceeds the product budget of 8 elements\n"
+@pytest.mark.parametrize("spec", ["chain:2 x chain:2", "bool:4"])
+def test_sattr_n_counts_lattices_over_the_st_budget(capsys, spec):
+    # 9 and 16 elements: over --max-st-size, within the count budget.
+    code, out, err = run(capsys, "sattr", "--lattice", spec, "--n", "3")
+    assert (code, out, err) == run(capsys, "count", "--monoid", spec, "--n", "3")
+    assert code == 0 and err == ""
+    if spec == "chain:2 x chain:2":
+        assert out == "n,count\n0,115\n1,6547\n2,234366\n3,6716329\n"
+
+
+def test_sattr_n_refuses_an_atom_over_the_monoid_budget(capsys):
+    # The spec is parsed under --max-monoid-size, so no larger lattice is counted.
+    code, out, err = run(capsys, "sattr", "--lattice", "chain:20", "--n", "2")
+    refused = "error: atom 'chain:20' exceeds the product budget of 20 elements\n"
     assert (code, out, err) == (3, "", refused)
 
 
-def test_sattr_n_refuses_a_file_lattice_over_the_st_budget(capsys, tmp_path):
-    path = tmp_path / "chain8.json"
-    path.write_text(json.dumps(monoid_to_json(make_chain(8))))
+def test_sattr_n_refuses_a_file_lattice_over_the_monoid_budget(capsys, tmp_path):
+    path = tmp_path / "chain20.json"
+    path.write_text(json.dumps(monoid_to_json(make_chain(20))))
     code, out, err = run(capsys, "sattr", "--lattice", f"file:{path}", "--n", "2")
-    assert (code, out, err) == (3, "", "error: JSON monoid has 9 elements, budget 8\n")
+    assert (code, out, err) == (3, "", "error: JSON monoid has 21 elements, budget 20\n")
+
+
+def test_sattr_list_refuses_a_lattice_over_the_st_budget(capsys):
+    # --list still enumerates under --max-st-size: 9 elements exit 3.
+    code, out, err = run(capsys, "sattr", "--lattice", "chain:2 x chain:2", "--list")
+    assert (code, out, err) == (3, "", "error: product has 9 elements, budget 8\n")
+
+
+def test_sattr_n_and_transfer_iso_share_one_build(capsys):
+    # Both build the join monoid's matrix under the default budget of
+    # 20, so transfer-iso enumerates no submonoid again.
+    build_transfer_matrix.cache_clear()
+    assert run(capsys, "sattr", "--lattice", "chain:1 x chain:2", "--n", "3")[0] == 0
+    misses = build_transfer_matrix.cache_info().misses
+    assert run(capsys, "verify", "transfer-iso", "--monoid", "chain:1 x chain:2")[0] == 0
+    assert build_transfer_matrix.cache_info().misses == misses
 
 
 def test_sattr_list(capsys):
@@ -311,6 +338,28 @@ def test_verify_triangular_reports_the_check_it_skips(capsys):
     assert code == 0 and out.count("skip triangular") == 3
 
 
+# Row 4 of the 2x2 grid's W is ((0, 2), (1, 3), (3, 2), (4, 4)): members
+# 0, 1 and 3 lie inside member 4, and rows 1 and 3 have diagonal 3.
+NOT_INSIDE = "row 4's nonzero columns are not the members inside it"
+
+
+@pytest.mark.parametrize(
+    "row4, message",
+    [
+        (((1, 3), (3, 2), (4, 4)), NOT_INSIDE),
+        (((0, 0), (1, 3), (3, 2), (4, 4)), NOT_INSIDE),
+        (((0, 2), (1, 3), (2, 1), (3, 2), (4, 4)), NOT_INSIDE),
+        (((0, 2), (1, 3), (3, 2), (4, 3)), "diagonal not strictly increasing at (1,4)"),
+        (((0, 2), (1, 3), (3, 2), (5, 1), (4, 4)), "nonzero entry above diagonal at (4,5)"),
+    ],
+)
+def test_verify_triangular_rejects_a_tampered_row(capsys, monkeypatch, row4, message):
+    row = TransferMatrix._row
+    monkeypatch.setattr(TransferMatrix, "_row", lambda self, i: row4 if i == 4 else row(self, i))
+    code, out, err = run(capsys, "verify", "triangular", "--monoid", "chain:1 x chain:1")
+    assert (code, out, err) == (1, "", f"chain:1 x chain:1: {message}\n")
+
+
 def test_oracle_mismatches_exit_1_at_the_first_wrong_term(capsys, monkeypatch):
     # count --oracle and verify oracle check the same terms and say so
     # each in their own words.
@@ -382,6 +431,7 @@ def test_verify_oracle_rejects_runs_that_check_nothing(capsys):
         (("spectrum", "--monoid", "chain:2", "--max-monoid-size", "-3"), "--max-monoid-size"),
         (("verify", "transfer-iso", "--max-st-size", "0"), "--max-st-size"),
         (("verify", "triangular", "--max-monoid-size", "-1"), "--max-monoid-size"),
+        (("sattr", "--lattice", "chain:2", "--n", "2", "--max-monoid-size", "0"), "--max-monoid-size"),
     ],
 )
 def test_budgets_below_one_exit_2_naming_the_flag(capsys, argv, flag):

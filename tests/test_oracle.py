@@ -14,9 +14,9 @@ from submon.oracle import (
     brute_force_weight,
 )
 from submon.submonoids import enumerate_submonoids
-from submon.transfer import (
-    Orbits, TransferMatrix, _lump, build_transfer_matrix, count_sequence, walk,
-)
+from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
+
+from reference_quotient import shape_free
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -133,10 +133,10 @@ def test_random_monoids_match_oracle(monoid):
         full = walk(matrix.entries, [1] * matrix.size, 3)
         assert list(counts[1:]) == [sum(v) for v in full]
     # Three routes to one quotient: orbits and shapes, shapes over one
-    # orbit per member, and orbits with every representative's row lumped
-    # by its signature alone.
+    # orbit per member, and orbits with every representative's
+    # weight_row row lumped by its signature alone.
     ids = tuple(range(matrix.size))
     plain = TransferMatrix(matrix.lattice, Orbits(ids, ids))
     assert matrix.quotient == plain.quotient
-    assert matrix.quotient == _lump(matrix._row, matrix.orbits, lambda i: i)
+    assert matrix.quotient == shape_free(matrix._row, matrix.orbits)
     assert counts == count_sequence(plain, 3).values

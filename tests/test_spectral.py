@@ -36,8 +36,9 @@ from submon.transfer import (
     build_transfer_matrix,
     count_sequence,
     walk_counts,
-    _lump,
 )
+
+from reference_quotient import shape_free
 
 IDEMPOTENT_SPECS = [
     "chain:0",
@@ -289,7 +290,7 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     tampered = TransferMatrix(lattice=grid.lattice, orbits=trivial)
     # Lumped by signatures alone: row 2 shares row 1's shape, which would
     # skip it.
-    vars(tampered)["quotient"] = _lump(rows.__getitem__, trivial, lambda i: i)
+    vars(tampered)["quotient"] = shape_free(rows.__getitem__, trivial)
     with pytest.raises(InvariantViolation, match="equal-diagonal block"):
         eigenvalues(tampered)
 

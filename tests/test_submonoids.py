@@ -24,6 +24,7 @@ from submon.submonoids import (
     condense,
     divisibility_preorder,
     enumerate_submonoids,
+    ideal_row,
     inclusion_order,
     weight_row,
 )
@@ -204,6 +205,30 @@ def test_weight_matches_brute_force_everywhere():
         for a in members:
             for b in members:
                 assert weight(m, a, b) == brute_force_weight(m, a, b)
+
+
+def test_ideal_rows_match_brute_force_weights():
+    # Every row summed over ideals against brute-force ideal counting,
+    # which shares nothing with either weight routine.
+    for m in SWEEP:
+        lattice = enumerate_submonoids(m)
+        members = lattice.members
+        for i, a in enumerate(members):
+            diagonal, columns, weights = ideal_row(lattice, i)
+            inside = [j for j in range(i) if not members[j] & ~a]
+            assert list(columns) == inside
+            assert list(weights) == [brute_force_weight(m, a, members[j]) for j in inside]
+            assert diagonal == brute_force_weight(m, a, a)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + ("bool:3", "mk:2 x chain:1"))
+def test_member_bitsets(spec):
+    lattice = enumerate_submonoids(from_spec(spec))
+    members = lattice.members
+    for x, bitset in enumerate(lattice.containing):
+        assert bitset == sum(1 << j for j, b in enumerate(members) if b >> x & 1)
+    for i, a in enumerate(members):
+        assert lattice.below(i) == sum(1 << j for j, b in enumerate(members) if not b & ~a)
 
 
 def _antichain_count(order, subset):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_oracle import small_commutative_monoids
 
-from submon import transfer
+from submon import submonoids, transfer
 from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS
 from submon.errors import InvariantViolation, SizeLimitExceeded
 from submon.monoid import (
@@ -27,7 +27,13 @@ from submon.monoid import (
 )
 from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
 from submon.spectral import eigenvalues, ogf, spectrum_of
-from submon.submonoids import DEFAULT_MAX_MONOID_SIZE, bits_of, enumerate_submonoids, weight_row
+from submon.submonoids import (
+    DEFAULT_MAX_MONOID_SIZE,
+    bits_of,
+    enumerate_submonoids,
+    ideal_row,
+    weight_row,
+)
 from submon.transfer import (
     Orbits,
     TransferMatrix,
@@ -37,10 +43,11 @@ from submon.transfer import (
     walk,
     walk_counts,
     _automorphism_generators,
-    _lump,
     _packed_solve,
     _shape,
 )
+
+from reference_quotient import shape_free
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -156,7 +163,7 @@ def test_count_sequence_rejects_decreasing_counts():
     trivial = Orbits((0,), (0,))
     # Set on a fresh matrix: a built one is cached and shared.
     tampered = TransferMatrix(lattice=lattice, orbits=trivial)
-    vars(tampered)["quotient"] = _shape_free((((0, 0),),).__getitem__, trivial)
+    vars(tampered)["quotient"] = shape_free((((0, 0),),).__getitem__, trivial)
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -172,9 +179,10 @@ def test_count_sequence_rejects_decreasing_counts():
 )
 def test_count_sequence_rejects_broken_row_contract(entries, message, monkeypatch):
     lattice = enumerate_submonoids(make_chain(1))
-    # A fresh matrix lumps these rows in place of W's into its quotient.
+    # A fresh matrix lumps these rows in place of W's into its quotient,
+    # by the reference lumping of weight_row's rows, which checks them.
     monkeypatch.setattr(
-        transfer, "weight_row", lambda monoid, a, columns: entries[lattice.index_of[a]]
+        transfer, "_lump", lambda lattice, orbits: shape_free(entries.__getitem__, orbits)
     )
     tampered = TransferMatrix(lattice=lattice, orbits=Orbits((0, 1), (0, 1)))
     with pytest.raises(InvariantViolation, match=message):
@@ -195,12 +203,6 @@ def _entries(spec):
 def _trivial(k):
     ids = tuple(range(k))
     return Orbits(ids, ids)
-
-
-def _shape_free(row, orbits):
-    """Lumping by signatures alone: each representative is its own shape,
-    so every representative's row is built and none is skipped."""
-    return _lump(row, orbits, lambda i: i)
 
 
 # The monoids of the long-walk and spectrum jobs.
@@ -232,7 +234,7 @@ def test_lumped_counts_match_full_walk(spec, n):
 
 @pytest.mark.parametrize("spec, k, classes", [("mk:9", 522, 11), ("cyclic:2 x mk:6", 877, 44)])
 def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
-    rows, sizes = _shape_free(_entries(spec).__getitem__, _trivial(k))
+    rows, sizes = shape_free(_entries(spec).__getitem__, _trivial(k))
     assert (sum(sizes), len(rows)) == (k, classes)
     # Lumping the representatives' rows over their orbits gives the same classes.
     assert _matrix(spec).quotient == (rows, sizes)
@@ -254,7 +256,7 @@ def test_orbit_rows_match_a_build_without_automorphisms(spec):
     # quotient lumps every row of W; the rows are shared with the other
     # full-row tests instead of being built again.
     plain = TransferMatrix(matrix.lattice, _trivial(matrix.size))
-    assert matrix.quotient == _shape_free(_entries(spec).__getitem__, plain.orbits)
+    assert matrix.quotient == shape_free(_entries(spec).__getitem__, plain.orbits)
     full = walk(_entries(spec), [1] * plain.size, 6)
     assert list(count_sequence(matrix, 6).values[1:]) == [sum(v) for v in full]
 
@@ -405,32 +407,41 @@ def _first_of_each_shape(matrix):
     return firsts
 
 
+def _counting_rows(monkeypatch):
+    """The members whose rows the quotient sums, in the order summed."""
+    summed = []
+
+    def counted(lattice, i):
+        summed.append(lattice.members[i])
+        return ideal_row(lattice, i)
+
+    monkeypatch.setattr(transfer, "ideal_row", counted)
+    return summed
+
+
 @pytest.mark.parametrize("spec", ["chain:2 x chain:1", "mk:4", "chain:3 x chain:1", "bool:3"])
 def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
-    # Together they build one row per distinct shape among the
-    # representatives, in representative order, and keep none.
-    built = []
+    # Together they sum one row per distinct shape among the
+    # representatives, in representative order, and keep none; no row
+    # of W is built.
+    summed = _counting_rows(monkeypatch)
 
-    def counted(monoid, a, columns):
-        built.append(a)
-        return weight_row(monoid, a, columns)
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or rebuilt rows")
 
-    monkeypatch.setattr(transfer, "weight_row", counted)
+    monkeypatch.setattr(transfer, "weight_row", refuse)
     build_transfer_matrix.cache_clear()
     matrix = build_transfer_matrix(from_spec(spec))
     spectrum_of(matrix)
     ogf(matrix)
     firsts = _first_of_each_shape(matrix)
-    assert built == [matrix.lattice.members[r] for r in firsts]
+    assert summed == [matrix.lattice.members[r] for r in firsts]
     assert len(firsts) < len(matrix.orbits.reps)
     assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "roots", "series"}
 
-    # A second query on the cached monoid neither enumerates nor builds rows.
-    def refuse(*args, **kwargs):
-        raise AssertionError("rebuilt a cached monoid")
-
+    # A second query on the cached monoid neither enumerates nor sums rows.
     monkeypatch.setattr(transfer, "enumerate_submonoids", refuse)
-    monkeypatch.setattr(transfer, "weight_row", refuse)
+    monkeypatch.setattr(transfer, "ideal_row", refuse)
     again = build_transfer_matrix(from_spec(spec))
     assert again is matrix
     assert count_sequence(again, 3).values == count_sequence(matrix, 3).values
@@ -447,23 +458,72 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
 )
 def test_rows_built_per_shape(spec, orbits, rows, classes, monkeypatch):
     matrix = _matrix(spec)
-    built = []
-
-    def counted(monoid, a, columns):
-        built.append(a)
-        return weight_row(monoid, a, columns)
-
-    monkeypatch.setattr(transfer, "weight_row", counted)
+    summed = _counting_rows(monkeypatch)
     quotient, _ = TransferMatrix(matrix.lattice, matrix.orbits).quotient
-    assert (len(matrix.orbits.reps), len(built), len(quotient)) == (orbits, rows, classes)
+    assert (len(matrix.orbits.reps), len(summed), len(quotient)) == (orbits, rows, classes)
 
 
-# The shape-keyed quotient against lumping every representative's row by
-# its signature alone.
-@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("chain:3 x chain:1",))
+# The shape-keyed quotient, summed over ideals, against lumping every
+# representative's weight_row row by its signature alone.
+@pytest.mark.parametrize(
+    "spec",
+    DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("chain:3 x chain:1", "chain:3 x chain:3", "mk:12"),
+)
 def test_shape_keyed_quotient_matches_signature_lumping(spec):
     matrix = _matrix(spec)
-    assert matrix.quotient == _shape_free(matrix._row, matrix.orbits)
+    assert matrix.quotient == shape_free(matrix._row, matrix.orbits)
+
+
+def _ideal_rows(lattice):
+    """Every row of W by :func:`ideal_row`, in the form of ``entries``."""
+    rows = []
+    for i in range(len(lattice)):
+        diagonal, columns, weights = ideal_row(lattice, i)
+        rows.append((*zip(columns, weights), (i, diagonal)))
+    return tuple(rows)
+
+
+# Every row summed over ideals against the row that weight_row builds.
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + ("mk:9", "cyclic:2 x mk:5", "bool:3"))
+def test_ideal_rows_match_weight_rows(spec):
+    assert _ideal_rows(_matrix(spec).lattice) == _entries(spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_commutative_monoids(max_size=10))
+def test_ideal_rows_match_weight_rows_on_random_monoids(monoid):
+    matrix = build_transfer_matrix(monoid)
+    assert _ideal_rows(matrix.lattice) == matrix.entries
+
+
+def test_ideal_rows_carry_past_one_byte():
+    # mk:9's top row has weights of 256 and more, which take a second
+    # byte plane of the counters to decode.
+    matrix = _matrix("mk:9")
+    top = len(matrix.lattice) - 1
+    diagonal, columns, weights = ideal_row(matrix.lattice, top)
+    row = (*zip(columns, weights), (top, diagonal))
+    assert max(w for _, w in row[:-1]) >= 256
+    assert row == matrix._row(top)
+
+
+def test_ideal_rows_prune_subtrees_with_no_column(monkeypatch):
+    # bool:3's top row: one subtree of its ideal walk keeps no column
+    # while an element is still undecided, so the memoised leaf count
+    # gives its leaves.
+    pruned = []
+    count = submonoids._count_ideals
+
+    def spied(free, *args):
+        pruned.append(free)
+        return count(free, *args)
+
+    monkeypatch.setattr(submonoids, "_count_ideals", spied)
+    matrix = _matrix("bool:3")
+    top = matrix.size - 1
+    diagonal, columns, weights = ideal_row(matrix.lattice, top)
+    assert any(pruned)
+    assert (*zip(columns, weights), (top, diagonal)) == matrix._row(top)
 
 
 @pytest.mark.parametrize(
@@ -479,7 +539,7 @@ def test_a_coarser_shape_lumps_a_different_quotient(spec, coarse, monkeypatch):
     matrix = _matrix(spec)
     monkeypatch.setattr(transfer, "_shape", coarse)
     coarsened = TransferMatrix(matrix.lattice, matrix.orbits).quotient
-    assert coarsened != _shape_free(matrix._row, matrix.orbits)
+    assert coarsened != shape_free(matrix._row, matrix.orbits)
 
 
 def _preorder_shape(table, mask):
@@ -510,7 +570,7 @@ def _quotients(monoid):
     """The quotient, streamed from the representatives' rows, and the
     lumping of every row of W with one orbit per member."""
     matrix = build_transfer_matrix(monoid)
-    return matrix.quotient, _shape_free(matrix.entries.__getitem__, _trivial(matrix.size))
+    return matrix.quotient, shape_free(matrix.entries.__getitem__, _trivial(matrix.size))
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
