@@ -52,12 +52,9 @@ from .spectral import (
 )
 from .submonoids import (
     SubmonoidLattice,
-    condense,
-    divisibility_preorder,
     enumerate_submonoids,
     ideal_row,
     inclusion_order,
-    weight_row,
 )
 from .transfer import (
     CountSequence,

@@ -231,25 +231,27 @@ def cmd_sattr(args) -> int:
 def _suite_triangular(args) -> int:
     """W row by row, keeping only the diagonal: each row ends with a
     diagonal of at least 2, has no column above it, and its nonzero
-    columns are exactly the members inside its submonoid, as
-    ``below`` gives them from the lattice alone.  So on an idempotent
-    monoid the strict increase of the diagonal along inclusion is
-    checked on each row's own columns."""
+    columns are exactly the members inside its submonoid: their masks
+    hold no element outside it, and they are the members that ``below``
+    gives from the lattice alone.  So on an idempotent monoid the strict
+    increase of the diagonal along inclusion is checked on each row's
+    own columns."""
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         matrix = build_transfer_matrix(_monoid(spec, args), max_size=args.max_monoid_size)
         lattice, diag = matrix.lattice, []
-        idempotent = is_idempotent(lattice.monoid)
+        members, idempotent = lattice.members, is_idempotent(lattice.monoid)
         for i in range(matrix.size):
-            row = matrix._row(i)
+            row = matrix.row(i)
             if not row or row[-1][0] != i or row[-1][1] < 2:
                 return _fail(f"{spec}: diagonal entry {i} is {dict(row).get(i, 0)}", 1)
-            numeral = bytearray(b"0" * (i + 1))
+            numeral, spanned = bytearray(b"0" * (i + 1)), 0
             for j, w in row:
                 if j > i:
                     return _fail(f"{spec}: nonzero entry above diagonal at ({i},{j})", 1)
                 if w:
                     numeral[i - j] = ord("1")
-            if int(numeral, 2) != lattice.below(i):
+                    spanned |= members[j]
+            if spanned & ~members[i] or int(numeral, 2) != lattice.below(i):
                 return _fail(f"{spec}: row {i}'s nonzero columns are not the members inside it", 1)
             diag.append(row[-1][1])
             if idempotent:

@@ -12,7 +12,7 @@ from itertools import compress, repeat
 from operator import add, mul
 
 from .errors import SizeLimitExceeded
-from .monoid import CayleyMonoid, PartialOrder, down_masks
+from .monoid import CayleyMonoid, PartialOrder
 
 DEFAULT_MAX_MONOID_SIZE = 20
 
@@ -58,13 +58,6 @@ def closed_sets(bottom, bottom_gens: int, generators: int, extend):
             for i, child_gens in fails:
                 failed[i] = child_gens
         stack.extend((*child, failed) for child in children)
-
-
-def mask_of(elements) -> int:
-    out = 0
-    for x in elements:
-        out |= 1 << x
-    return out
 
 
 def _add_element(table, mask: int, x: int) -> int:
@@ -152,149 +145,17 @@ def enumerate_submonoids(
 
 
 def inclusion_order(lattice: SubmonoidLattice) -> PartialOrder:
-    """The containment order on the members of a submonoid lattice."""
+    """The containment order on the members of a submonoid lattice: the
+    members containing member i are those containing each of its
+    elements, the AND of their ``containing`` bitsets."""
+    full, containing = (1 << len(lattice)) - 1, lattice.containing
     ups = []
     for a in lattice.members:
-        row = 0
-        for j, b in enumerate(lattice.members):
-            if a & ~b == 0:
-                row |= 1 << j
+        row = full
+        for x in bits_of(a):
+            row &= containing[x]
         ups.append(row)
     return PartialOrder(size=len(lattice.members), up=tuple(ups))
-
-
-@dataclass(frozen=True)
-class Preorder:
-    """Divisibility preorder on the elements of a submonoid.
-
-    ``elements`` lists the ambient indices in ascending order and
-    ``reach[i]`` is a bitmask over local positions: bit ``j`` is set iff
-    ``elements[j]`` lies in ``elements[i] * A``.
-    """
-
-    elements: tuple[int, ...]
-    reach: tuple[int, ...]
-
-
-def divisibility_preorder(monoid: CayleyMonoid, submonoid: int) -> Preorder:
-    """x divides y within the submonoid A iff y == x*a for some a in A.
-
-    Reflexive because e is in A; transitive because A is closed.  A subset
-    I of A satisfies I*A == I exactly when I is upward closed for this
-    preorder: since e is in A we always have I a subset of I*A, so the ideal
-    condition reduces to absorption, which is upward closure here.
-    """
-    elements = tuple(bits_of(submonoid))
-    local = {x: i for i, x in enumerate(elements)}
-    reach = []
-    for x in elements:
-        row = 0
-        table_x = monoid.table[x]
-        for a in elements:
-            row |= 1 << local[table_x[a]]
-        reach.append(row)
-    return Preorder(elements=elements, reach=tuple(reach))
-
-
-@dataclass(frozen=True)
-class CondensedPreorder:
-    """Strongly connected classes of a divisibility preorder.
-
-    ``classes`` holds ambient element indices per class and is listed in a
-    linear extension of the induced class order, so the highest class index
-    present in any subset is always maximal in it.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    order: PartialOrder
-
-
-def condense(preorder: Preorder) -> CondensedPreorder:
-    k = len(preorder.elements)
-    assigned = [-1] * k
-    raw_classes = []
-    for i in range(k):
-        if assigned[i] >= 0:
-            continue
-        cls = [
-            j
-            for j in bits_of(preorder.reach[i])
-            if preorder.reach[j] >> i & 1
-        ]
-        for j in cls:
-            assigned[j] = len(raw_classes)
-        raw_classes.append(cls)
-    # Strict reach sets shrink upward, so sorting by reach size descending
-    # is a linear extension of the class order.
-    reach_size = [preorder.reach[cls[0]].bit_count() for cls in raw_classes]
-    ordering = sorted(
-        range(len(raw_classes)), key=lambda c: (-reach_size[c], raw_classes[c][0])
-    )
-    position = {old: new for new, old in enumerate(ordering)}
-    classes = tuple(
-        tuple(preorder.elements[j] for j in raw_classes[old]) for old in ordering
-    )
-    ups = [0] * len(ordering)
-    for new, old in enumerate(ordering):
-        rep = raw_classes[old][0]
-        row = 0
-        for j in bits_of(preorder.reach[rep]):
-            row |= 1 << position[assigned[j]]
-        ups[new] = row
-    return CondensedPreorder(
-        classes=classes, order=PartialOrder(size=len(classes), up=tuple(ups))
-    )
-
-
-class UpsetCounter:
-    """Counts up-closed subsets of a poset whose indexing is a linear
-    extension, by branching on the maximal element of highest index.
-
-    The memo table maps free-element masks to counts and lives on the
-    instance, so independent computations never share state.
-    """
-
-    def __init__(self, order: PartialOrder):
-        self._down = down_masks(order)
-        self._memo = {0: 1}
-
-    def count(self, free: int) -> int:
-        memo = self._memo
-        cached = memo.get(free)
-        if cached is not None:
-            return cached
-        top = 1 << free.bit_length() - 1
-        # Up-closed sets containing the top element, then those avoiding
-        # it (which must also avoid everything below it).
-        total = self.count(free ^ top) + self.count(
-            free & ~self._down[free.bit_length() - 1]
-        )
-        memo[free] = total
-        return total
-
-
-def weight_row(monoid: CayleyMonoid, a: int, columns):
-    """Yield (j, W(a, b)) for each (j, b) of ``columns`` with b a subset of
-    the submonoid ``a``, in the order given; the one home of the weight.
-
-    W(a, b) counts the ideals I of a with I union b == a.  Such an ideal
-    must contain every class meeting a minus b together with everything
-    above, and may add any up-closed set of the other classes.  Upset
-    counts are memoized across the row.
-    """
-    cond = condense(divisibility_preorder(monoid, a))
-    counter = UpsetCounter(cond.order)
-    class_masks = [mask_of(cls) for cls in cond.classes]
-    ups, full = cond.order.up, cond.order.full_mask
-    for j, b in columns:
-        if b & ~a:
-            continue
-        forced = a & ~b
-        required = 0
-        for c, cls_mask in enumerate(class_masks):
-            if forced & cls_mask:
-                required |= ups[c]
-        yield j, counter.count(full & ~required)
 
 
 # Maps the ASCII digits of a binary numeral to the byte values 0 and 1.

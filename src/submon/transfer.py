@@ -23,7 +23,6 @@ from .submonoids import (
     bits_of,
     enumerate_submonoids,
     ideal_row,
-    weight_row,
 )
 
 
@@ -50,8 +49,10 @@ class TransferMatrix:
     representatives whose :func:`_shape` no earlier representative had,
     and is the one piece of W a matrix keeps; ``roots``, the count
     annihilator, and ``series``, the counts' generating function, are
-    read off it.  ``entries`` builds every row with :func:`weight_row`,
-    column by column, on each read.
+    read off it.  ``row`` sums one row of W over its submonoid's
+    ideals with :func:`ideal_row`, the one routine that computes a
+    weight; ``entries`` and ``dense`` build every row with it on each
+    read.
     """
 
     lattice: SubmonoidLattice
@@ -61,14 +62,16 @@ class TransferMatrix:
     def size(self) -> int:
         return len(self.lattice)
 
-    def _row(self, i: int) -> tuple[tuple[int, int], ...]:
-        members = self.lattice.members
-        return tuple(weight_row(self.lattice.monoid, members[i], zip(range(i + 1), members)))
+    def row(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Row i of W, built on each call: a (column, weight) pair for
+        each member inside member i, ascending, the diagonal pair last."""
+        diagonal, columns, weights = ideal_row(self.lattice, i)
+        return (*zip(columns, weights), (i, diagonal))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every row of W, built on each read and not kept."""
-        return tuple(map(self._row, range(self.size)))
+        return tuple(map(self.row, range(self.size)))
 
     @cached_property
     def quotient(self):
@@ -438,8 +441,8 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     so the orbits stay: bool:4 has 1,191 shapes among its 2,480 members,
     and 143 among its 184 orbit representatives.  A key that merged
     non-isomorphic submonoids would lump wrongly without any error, so
-    the tests hold this quotient against signature-only lumping of
-    :func:`weight_row`'s rows.
+    the tests hold this quotient against signature-only lumping of the
+    rows that ``tests/reference_quotient.py`` builds column by column.
     """
     table, members, orbit_of = lattice.monoid.table, lattice.members, orbits.orbit_of
     classes, quotient, index, class_of_shape = [], [], {}, {}

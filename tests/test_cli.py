@@ -354,8 +354,8 @@ NOT_INSIDE = "row 4's nonzero columns are not the members inside it"
     ],
 )
 def test_verify_triangular_rejects_a_tampered_row(capsys, monkeypatch, row4, message):
-    row = TransferMatrix._row
-    monkeypatch.setattr(TransferMatrix, "_row", lambda self, i: row4 if i == 4 else row(self, i))
+    row = TransferMatrix.row
+    monkeypatch.setattr(TransferMatrix, "row", lambda self, i: row4 if i == 4 else row(self, i))
     code, out, err = run(capsys, "verify", "triangular", "--monoid", "chain:1 x chain:1")
     assert (code, out, err) == (1, "", f"chain:1 x chain:1: {message}\n")
 

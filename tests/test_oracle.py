@@ -1,3 +1,4 @@
+from functools import partial
 from math import isqrt
 
 import pytest
@@ -16,7 +17,7 @@ from submon.oracle import (
 from submon.submonoids import enumerate_submonoids
 from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
 
-from reference_quotient import shape_free
+from reference_quotient import reference_row, shape_free
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -129,14 +130,15 @@ def test_random_monoids_match_oracle(monoid):
     counts = count_sequence(matrix, 3).values
     if 2 * monoid.size <= DEFAULT_MAX_ORACLE_SIZE:
         assert counts[1] == brute_force_submonoid_count(monoid, 1)
-        # The lumped walk against the walk over every row of W.
-        full = walk(matrix.entries, [1] * matrix.size, 3)
+        # The lumped walk against the walk over every reference row of W.
+        rows = [reference_row(matrix.lattice, i) for i in range(matrix.size)]
+        full = walk(rows, [1] * matrix.size, 3)
         assert list(counts[1:]) == [sum(v) for v in full]
     # Three routes to one quotient: orbits and shapes, shapes over one
     # orbit per member, and orbits with every representative's
-    # weight_row row lumped by its signature alone.
+    # reference row lumped by its signature alone.
     ids = tuple(range(matrix.size))
     plain = TransferMatrix(matrix.lattice, Orbits(ids, ids))
     assert matrix.quotient == plain.quotient
-    assert matrix.quotient == shape_free(matrix._row, matrix.orbits)
+    assert matrix.quotient == shape_free(partial(reference_row, matrix.lattice), matrix.orbits)
     assert counts == count_sequence(plain, 3).values

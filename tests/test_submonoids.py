@@ -17,17 +17,16 @@ from submon.monoid import (
 )
 from submon.oracle import _closed_masks, brute_force_weight
 from submon.submonoids import (
-    UpsetCounter,
     _add_element,
     bits_of,
     closed_sets,
-    condense,
-    divisibility_preorder,
     enumerate_submonoids,
     ideal_row,
     inclusion_order,
-    weight_row,
 )
+from submon.transfer import build_transfer_matrix
+
+from reference_quotient import UpsetCounter, condense, divisibility_preorder
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -54,8 +53,11 @@ def closure(monoid, seed):
 
 
 def weight(monoid, a, b):
-    """W(a, b) from :func:`weight_row`; zero when b is not inside a."""
-    return dict(weight_row(monoid, a, [(0, b)])).get(0, 0)
+    """W(a, b) from the shipped row of the submonoid ``a``; zero when the
+    submonoid ``b`` is not inside it."""
+    matrix = build_transfer_matrix(monoid)
+    index_of = matrix.lattice.index_of
+    return dict(matrix.row(index_of[a])).get(index_of[b], 0)
 
 
 def count_upsets_containing(cond, required):
@@ -227,8 +229,10 @@ def test_member_bitsets(spec):
     members = lattice.members
     for x, bitset in enumerate(lattice.containing):
         assert bitset == sum(1 << j for j, b in enumerate(members) if b >> x & 1)
+    up = inclusion_order(lattice).up
     for i, a in enumerate(members):
         assert lattice.below(i) == sum(1 << j for j, b in enumerate(members) if not b & ~a)
+        assert up[i] == sum(1 << j for j, b in enumerate(members) if not a & ~b)
 
 
 def _antichain_count(order, subset):

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 from pathlib import Path
 
@@ -32,7 +32,6 @@ from submon.submonoids import (
     bits_of,
     enumerate_submonoids,
     ideal_row,
-    weight_row,
 )
 from submon.transfer import (
     Orbits,
@@ -47,7 +46,7 @@ from submon.transfer import (
     _shape,
 )
 
-from reference_quotient import shape_free
+from reference_quotient import reference_row, shape_free, weight_row
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -180,7 +179,7 @@ def test_count_sequence_rejects_decreasing_counts():
 def test_count_sequence_rejects_broken_row_contract(entries, message, monkeypatch):
     lattice = enumerate_submonoids(make_chain(1))
     # A fresh matrix lumps these rows in place of W's into its quotient,
-    # by the reference lumping of weight_row's rows, which checks them.
+    # by the reference lumping, which checks them.
     monkeypatch.setattr(
         transfer, "_lump", lambda lattice, orbits: shape_free(entries.__getitem__, orbits)
     )
@@ -194,10 +193,15 @@ def _matrix(spec):
     return build_transfer_matrix(from_spec(spec))
 
 
+def _reference_rows(lattice):
+    """Every row of W by :func:`reference_row`, in the form of ``entries``."""
+    return tuple(reference_row(lattice, i) for i in range(len(lattice)))
+
+
 @cache
 def _entries(spec):
-    """Every row of W, which ``entries`` builds afresh on each read."""
-    return _matrix(spec).entries
+    """Every reference row of W, built once per spec."""
+    return _reference_rows(_matrix(spec).lattice)
 
 
 def _trivial(k):
@@ -429,7 +433,7 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built or rebuilt rows")
 
-    monkeypatch.setattr(transfer, "weight_row", refuse)
+    monkeypatch.setattr(TransferMatrix, "row", refuse)
     build_transfer_matrix.cache_clear()
     matrix = build_transfer_matrix(from_spec(spec))
     spectrum_of(matrix)
@@ -464,36 +468,28 @@ def test_rows_built_per_shape(spec, orbits, rows, classes, monkeypatch):
 
 
 # The shape-keyed quotient, summed over ideals, against lumping every
-# representative's weight_row row by its signature alone.
+# representative's reference row by its signature alone.
 @pytest.mark.parametrize(
     "spec",
     DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("chain:3 x chain:1", "chain:3 x chain:3", "mk:12"),
 )
 def test_shape_keyed_quotient_matches_signature_lumping(spec):
     matrix = _matrix(spec)
-    assert matrix.quotient == shape_free(matrix._row, matrix.orbits)
+    assert matrix.quotient == shape_free(partial(reference_row, matrix.lattice), matrix.orbits)
 
 
-def _ideal_rows(lattice):
-    """Every row of W by :func:`ideal_row`, in the form of ``entries``."""
-    rows = []
-    for i in range(len(lattice)):
-        diagonal, columns, weights = ideal_row(lattice, i)
-        rows.append((*zip(columns, weights), (i, diagonal)))
-    return tuple(rows)
-
-
-# Every row summed over ideals against the row that weight_row builds.
+# Every row summed over ideals against the reference row, built column
+# by column.
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS + ("mk:9", "cyclic:2 x mk:5", "bool:3"))
 def test_ideal_rows_match_weight_rows(spec):
-    assert _ideal_rows(_matrix(spec).lattice) == _entries(spec)
+    assert _matrix(spec).entries == _entries(spec)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_commutative_monoids(max_size=10))
 def test_ideal_rows_match_weight_rows_on_random_monoids(monoid):
     matrix = build_transfer_matrix(monoid)
-    assert _ideal_rows(matrix.lattice) == matrix.entries
+    assert matrix.entries == _reference_rows(matrix.lattice)
 
 
 def test_ideal_rows_carry_past_one_byte():
@@ -501,10 +497,9 @@ def test_ideal_rows_carry_past_one_byte():
     # byte plane of the counters to decode.
     matrix = _matrix("mk:9")
     top = len(matrix.lattice) - 1
-    diagonal, columns, weights = ideal_row(matrix.lattice, top)
-    row = (*zip(columns, weights), (top, diagonal))
+    row = matrix.row(top)
     assert max(w for _, w in row[:-1]) >= 256
-    assert row == matrix._row(top)
+    assert row == reference_row(matrix.lattice, top)
 
 
 def test_ideal_rows_prune_subtrees_with_no_column(monkeypatch):
@@ -521,9 +516,9 @@ def test_ideal_rows_prune_subtrees_with_no_column(monkeypatch):
     monkeypatch.setattr(submonoids, "_count_ideals", spied)
     matrix = _matrix("bool:3")
     top = matrix.size - 1
-    diagonal, columns, weights = ideal_row(matrix.lattice, top)
+    row = matrix.row(top)
     assert any(pruned)
-    assert (*zip(columns, weights), (top, diagonal)) == matrix._row(top)
+    assert row == reference_row(matrix.lattice, top)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +534,7 @@ def test_a_coarser_shape_lumps_a_different_quotient(spec, coarse, monkeypatch):
     matrix = _matrix(spec)
     monkeypatch.setattr(transfer, "_shape", coarse)
     coarsened = TransferMatrix(matrix.lattice, matrix.orbits).quotient
-    assert coarsened != shape_free(matrix._row, matrix.orbits)
+    assert coarsened != shape_free(partial(reference_row, matrix.lattice), matrix.orbits)
 
 
 def _preorder_shape(table, mask):
@@ -568,9 +563,9 @@ def test_shapes_of_large_submonoids():
 
 def _quotients(monoid):
     """The quotient, streamed from the representatives' rows, and the
-    lumping of every row of W with one orbit per member."""
+    lumping of every reference row of W with one orbit per member."""
     matrix = build_transfer_matrix(monoid)
-    return matrix.quotient, shape_free(matrix.entries.__getitem__, _trivial(matrix.size))
+    return matrix.quotient, shape_free(partial(reference_row, matrix.lattice), _trivial(matrix.size))
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
@@ -819,19 +814,22 @@ def test_count_prints_the_walked_counts_under_dash_o():
 def test_shape_keyed_counts_equal_the_full_w_walk_under_dash_o():
     # chain:6 x chain:1 has no nontrivial automorphism, and its quotient
     # builds one row per shape: 227 classes for 2,123 submonoids.  The
-    # counts and the packed solve must both equal a walk over every row of W.
+    # counts and the packed solve must both equal a walk over every
+    # reference row of W.
     script = (
         "import sys\n"
         "from submon.monoid import from_spec\n"
         "from submon.transfer import build_transfer_matrix, count_sequence, walk, walk_counts\n"
+        "from reference_quotient import reference_row\n"
         "if __debug__: sys.exit(2)\n"
         "matrix = build_transfer_matrix(from_spec('chain:6 x chain:1'))\n"
         "if (matrix.size, len(matrix.quotient[0])) != (2123, 227): sys.exit(3)\n"
-        "full = [matrix.size] + [sum(v) for v in walk(matrix.entries, [1] * matrix.size, 30)]\n"
+        "rows = [reference_row(matrix.lattice, i) for i in range(matrix.size)]\n"
+        "full = [matrix.size] + [sum(v) for v in walk(rows, [1] * matrix.size, 30)]\n"
         "sys.exit(list(count_sequence(matrix, 30).values) != full or walk_counts(matrix, 30) != full)\n"
     )
-    src = str(Path(transfer.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    path = os.pathsep.join([str(Path(transfer.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0
 
 
@@ -859,4 +857,4 @@ def test_asymptotics_match_every_row_of_w(spec):
 @given(small_commutative_monoids(max_size=10))
 def test_asymptotics_match_every_row_of_w_on_random_monoids(monoid):
     matrix = build_transfer_matrix(monoid)
-    assert annihilator(matrix.quotient[0]) == _annihilator_from_entries(matrix.entries)
+    assert annihilator(matrix.quotient[0]) == _annihilator_from_entries(_reference_rows(matrix.lattice))
