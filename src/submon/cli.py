@@ -356,11 +356,10 @@ def _suite_closed_forms(args) -> int:
 
 
 def _suite_appendix(args) -> int:
-    specs = reference.FAST_SPECS + (reference.SLOW_SPECS if args.slow else ())
-    problems = reference.compare_reference(specs)
+    problems = reference.compare_reference(reference.SPECS)
     if problems:
         return _fail("\n".join(problems), 1)
-    for spec in specs:
+    for spec in reference.SPECS:
         print(f"ok appendix {spec}")
     return 0
 
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help=f"one of: {', '.join(VERIFY_SUITES)}")
     p.add_argument("--monoid", help="restrict the sweep to one monoid")
     p.add_argument("--n", type=int, help="largest chain length for the oracle suite")
-    p.add_argument("--slow", action="store_true", help="include the large table rows")
     p.add_argument("--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE)
     p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
     p.add_argument("--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE)

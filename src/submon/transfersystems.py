@@ -15,9 +15,12 @@ submonoid budget (``--max-monoid-size``), as ``count`` does.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import InvariantViolation, NonUniqueMinimal, SizeLimitExceeded
 from .monoid import (
@@ -130,11 +133,13 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     meet(x, y) R meet(z, y) for every y), and is saturated (x R z with
     x <= y <= z implies x R y and y R z).
 
-    This is the reference check: it reads each clause off the meet table.
-    Enumeration checks its systems against the requirement table instead,
+    This is the reference check: it reads each clause off the meet table,
+    one system at a time.  Enumeration checks all its systems at once
+    against the requirement table instead (:func:`_invalid_systems`),
     which is faster but is read by ``_grow`` too, so this stays: it names
-    the clause a rejected system breaks, and the tests hold the two checks
-    equal on every enumerated system and every single-bit change of it.
+    the clause of the first system that the bulk check rejects, and the
+    tests hold the two checks equal on every enumerated system and every
+    single-bit change of it.
     """
     ctx = _lattice_context(order)
     n = order.size
@@ -200,29 +205,73 @@ def _grow(ctx: _LatticeContext, rows, cols, x: int, z: int):
     return tuple(rows), tuple(cols)
 
 
-def _holds_requirements(ctx: _LatticeContext, rows) -> bool:
-    """Whether ``rows`` is reflexive, refines the order, is transitive and
-    holds ``ctx.required`` for each pair it contains: a saturated transfer
-    system, as :func:`is_saturated_transfer_system` decides, from the table
-    alone and without ``_grow``'s propagation."""
+# Array typecodes by item size in bytes.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _invalid_systems(ctx: _LatticeContext, systems) -> int:
+    """The relations in ``systems`` that are not saturated transfer systems,
+    as a bitset over positions: bit s is set iff ``systems[s]`` is not
+    reflexive, does not refine the order, is not transitive, or lacks an
+    entry of ``ctx.required`` for a pair it holds.  This is what
+    :func:`is_saturated_transfer_system` decides, read off the requirement
+    table alone and without ``_grow``'s propagation.
+
+    Every row of every system is packed into one integer at a fixed number
+    of bits per row, which is written out once as a binary numeral.  The
+    numeral sliced at the stride of one system gives, for each entry
+    (x, y), the bitset of the systems that relate x to y; each clause is
+    then a big-integer operation that covers every system at once.
+    """
+    if not systems:
+        return 0
+    n = ctx.order.size
+    width = max(n, max(map(int.bit_length, chain.from_iterable(systems))))
+    size = next((size for size in (1, 2, 4, 8) if 8 * size >= width), -(-width // 8))
+    if size in _TYPECODES:
+        packed = array(_TYPECODES[size], chain.from_iterable(systems))
+        if sys.byteorder == "big":
+            packed.byteswap()
+        packed = packed.tobytes()
+    else:
+        # Rows this wide belong to lattices of over 64 elements, far above
+        # the default budget; otherwise only a faulty enumeration gets here.
+        packed = b"".join(row.to_bytes(size, "little") for row in chain.from_iterable(systems))
+    numeral = format(int.from_bytes(packed, "little"), f"0{8 * len(packed)}b")
+    bits = 8 * size
+    stride = bits * n
+
+    def holding(x: int, y: int) -> int:
+        """Bit s is set iff bit y of row x of system s is set."""
+        return int(numeral[stride - 1 - bits * x - y :: stride], 2)
+
+    has = [holding(x, y) for x in range(n) for y in range(n)]
+    every = (1 << len(systems)) - 1
+    lacks = [every ^ holds for holds in has]
     up = ctx.order.up
     required = ctx.required
-    for x, row in enumerate(rows):
-        if not row >> x & 1 or row & ~up[x]:
-            return False
-        required_x = required[x]
-        for z in bits_of(row & ~(1 << x)):
-            if rows[z] & ~row:
-                return False
-            for r, mask in required_x[z]:
-                if mask & ~rows[r]:
-                    return False
-    return True
+    invalid = 0
+    for x in range(n):
+        invalid |= lacks[x * n + x]
+        for y in bits_of(~up[x] & ((1 << n) - 1)):
+            invalid |= has[x * n + y]
+        for y in range(n, width):
+            invalid |= holding(x, y)
+        for z in bits_of(up[x] & ~(1 << x)):
+            # Bit s: system s lacks an entry that x R z requires, by
+            # transitivity or by the table.
+            missing = 0
+            for y in bits_of(up[z] & ~(1 << z)):
+                missing |= has[z * n + y] & lacks[x * n + y]
+            for r, mask in required[x][z]:
+                for c in bits_of(mask):
+                    missing |= lacks[r * n + c]
+            invalid |= has[x * n + z] & missing
+    return invalid
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
-    """Every saturated transfer system on the lattice, canonically sorted.
+def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
+    """Every saturated transfer system on the lattice, in enumeration order.
 
     Every system is the closure of its own cover pairs, so the systems are
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
@@ -232,12 +281,13 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     Every system is validated on every call.  Fast Close-by-One prunes on
     the assumption that ``_grow`` is a monotone closure; a ``_grow`` that
     misses a forced pair would return wrong systems without any error, and
-    nothing else in the library would notice.  The check reads the
-    requirement table that ``_grow`` also reads, but none of its
-    propagation; a wrong table is caught by the tests, which hold it
-    against :func:`is_saturated_transfer_system` on every enumerated
-    system and every single-bit change of it.  Only a system that fails is
-    passed to that clause validator, to name the violated clause.
+    nothing else in the library would notice.  :func:`_invalid_systems`
+    checks them all at once against the requirement table that ``_grow``
+    also reads, but with none of its propagation; a wrong table is caught
+    by the tests, which hold it against :func:`is_saturated_transfer_system`
+    on every enumerated system and every single-bit change of it.  The
+    first system that fails, in enumeration order, is passed to that
+    clause validator to name the violated clause.
     """
     ctx = _lattice_context(order)
     covers = ctx.covers
@@ -249,13 +299,23 @@ def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
 
     start = tuple(1 << x for x in range(order.size))
     systems = [rows for rows, _ in closed_sets((start, start), 0, len(covers), extend)]
-    for rows in systems:
-        if not _holds_requirements(ctx, rows):
-            violation = is_saturated_transfer_system(order, rows)[1]
-            raise InvariantViolation(
-                "enumerated an invalid system: "
-                f"{violation or 'the requirement table and the clause validator disagree'}"
-            )
+    invalid = _invalid_systems(ctx, systems)
+    if invalid:
+        rows = systems[(invalid & -invalid).bit_length() - 1]
+        violation = is_saturated_transfer_system(order, rows)[1]
+        raise InvariantViolation(
+            "enumerated an invalid system: "
+            f"{violation or 'the requirement table and the clause validator disagree'}"
+        )
+    return systems
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
+    """Every saturated transfer system on the lattice, enumerated and
+    validated by :func:`_enumerate_rows`, canonically sorted by
+    (popcount, rows) and cached."""
+    systems = _enumerate_rows(order)
     return tuple(sorted(systems, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
@@ -314,39 +374,28 @@ def _cylinder_order(order: PartialOrder) -> PartialOrder:
     return semilattice_order(product)
 
 
-# _EVEN_BITS[b]: bits 0, 2, 4 and 6 of the byte b, packed into bits 0-3.
-_EVEN_BITS = tuple(
-    sum(1 << i for i in range(4) if b >> 2 * i & 1) for b in range(256)
-)
-
-
-def _layer(cyl_rows, level: int) -> tuple[int, ...]:
-    """The system on P at one level of a cylinder system: bit y of row x
-    is bit 2 * y + level of cylinder row 2 * x + level, gathered a byte at
-    a time."""
-    rows = []
-    for src in cyl_rows[level::2]:
-        src >>= level
-        row = shift = 0
-        while src:
-            row |= _EVEN_BITS[src & 0xFF] << shift
-            src >>= 8
-            shift += 4
-        rows.append(row)
-    return tuple(rows)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _st_data(order: PartialOrder):
     """Canonical system list, index map, and the counts of cylinder systems
-    by (top layer, bottom layer) as sparse (column, weight) rows."""
+    by (top layer, bottom layer) as sparse (column, weight) rows.
+
+    Cylinder element (x, level) sits at index 2 * x + level, so a layer's
+    system on P sits in every other cylinder row, with bit y of P at bit
+    2 * y + level.  A level-1 element relates only to level-1 elements, so
+    the odd rows are the top layer as they stand, and the even rows hold
+    the bottom layer in their even bits.  Both are looked up among P's
+    systems, spread once into those bits.  Cylinder systems are only
+    tallied here, so they are enumerated unsorted and not cached.
+    """
     systems = _saturated_rows(order)
     index = {rows: i for i, rows in enumerate(systems)}
+    spread = [tuple(sum(1 << 2 * y for y in bits_of(row)) for row in rows) for rows in systems]
+    bottom = {rows: i for i, rows in enumerate(spread)}
+    top = {tuple(row << 1 for row in rows): i for i, rows in enumerate(spread)}
+    even = int("01" * order.size, 2)
     counts = [Counter() for _ in systems]
-    for cyl_rows in _saturated_rows(_cylinder_order(order)):
-        top = _layer(cyl_rows, 1)
-        bottom = _layer(cyl_rows, 0)
-        counts[index[top]][index[bottom]] += 1
+    for cyl_rows in _enumerate_rows(_cylinder_order(order)):
+        counts[top[cyl_rows[1::2]]][bottom[tuple(map(even.__and__, cyl_rows[0::2]))]] += 1
     return systems, index, tuple(tuple(sorted(row.items())) for row in counts)
 
 

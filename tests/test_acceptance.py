@@ -8,8 +8,6 @@ their stated wall-clock budgets.
 import time
 from fractions import Fraction
 
-import pytest
-
 from submon.closedforms import (
     abelian_group_count,
     chain_coefficient,
@@ -22,7 +20,7 @@ from submon.closedforms import (
 from submon.errors import SubmonError
 from submon.monoid import from_spec, is_idempotent, join_monoid, semilattice_order
 from submon.oracle import brute_force_submonoid_count
-from submon.reference import FAST_SPECS, SLOW_SPECS, compare_reference
+from submon.reference import SPECS, compare_reference
 from submon.spectral import (
     chain_eigenmatrix,
     eigenvalues,
@@ -125,26 +123,14 @@ def test_criterion_1_reference_grid_matrix():
     )
 
 
-def test_criterion_2_reference_table_fast():
+def test_criterion_2_reference_table():
     start = time.perf_counter()
-    problems = compare_reference(FAST_SPECS)
+    problems = compare_reference(SPECS)
     elapsed = time.perf_counter() - start
     _report(
-        "criterion 2 (reference table, fast rows)",
+        "criterion 2 (reference table)",
         not problems and elapsed < 600.0,
-        "; ".join(problems) or f"{len(FAST_SPECS)} monoids, {elapsed:.2f}s",
-    )
-
-
-@pytest.mark.slow
-def test_criterion_2_reference_table_slow():
-    start = time.perf_counter()
-    problems = compare_reference(SLOW_SPECS)
-    elapsed = time.perf_counter() - start
-    _report(
-        "criterion 2 (reference table, slow rows)",
-        not problems and elapsed < 600.0,
-        "; ".join(problems) or f"{len(SLOW_SPECS)} monoids, {elapsed:.2f}s",
+        "; ".join(problems) or f"{len(SPECS)} monoids, {elapsed:.2f}s",
     )
 
 

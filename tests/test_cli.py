@@ -499,6 +499,13 @@ def _run_exiting(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_verify_appendix_checks_every_table_row(capsys):
+    code, out, _ = run(capsys, "verify", "appendix")
+    assert code == 0 and out.count("ok appendix") == 11
+    code, out, err = _run_exiting(capsys, ("verify", "appendix", "--slow"))
+    assert code == 2 and out == "" and "--slow" in err
+
+
 def test_one_parser_per_process_prints_as_fresh_parsers(capsys, monkeypatch):
     kept = [_run_exiting(capsys, argv) for argv in MIXED_QUERIES]
     assert {code for code, _, _ in kept} == {0, 2, 3, 4}

@@ -15,7 +15,7 @@ from submon.monoid import (
     make_product,
     semilattice_order,
 )
-from submon.oracle import _closed_masks, brute_force_weight
+from submon.oracle import _closed_masks
 from submon.submonoids import (
     _add_element,
     bits_of,
@@ -26,6 +26,7 @@ from submon.submonoids import (
 )
 from submon.transfer import build_transfer_matrix
 
+from reference_counts import brute_force_weight
 from reference_quotient import UpsetCounter, condense, divisibility_preorder
 
 GRID = make_product(make_chain(1), make_chain(1))

@@ -25,7 +25,7 @@ from submon.monoid import (
     monoid_to_json,
     semilattice_order,
 )
-from submon.oracle import brute_force_projection_count, brute_force_submonoid_count
+from submon.oracle import brute_force_submonoid_count
 from submon.spectral import eigenvalues, ogf, spectrum_of
 from submon.submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
@@ -46,6 +46,7 @@ from submon.transfer import (
     _shape,
 )
 
+from reference_counts import brute_force_projection_count
 from reference_quotient import reference_row, shape_free, weight_row
 
 GRID = make_product(make_chain(1), make_chain(1))

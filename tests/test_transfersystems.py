@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,7 +224,6 @@ def test_pairs_round_trip():
         assert rebuilt.rows == system.rows
 
 
-@pytest.mark.slow
 def test_cube_lattice_agrees_across_routes():
     # The cube's cylinder has 16 elements and 2480 systems, so this one
     # exercises the enumeration at real scale; 2480 is the known count of
@@ -404,17 +405,69 @@ def test_requirement_table_agrees_with_the_clause_validator(spec, cylinder):
     ctx = transfersystems._lattice_context(order)
     systems = set(transfersystems._saturated_rows(order))
     for rows in systems:
-        assert transfersystems._holds_requirements(ctx, rows)
         assert is_saturated_transfer_system(order, rows) == (True, None)
-        for changed in _single_bit_changes(rows):
+        block = [rows, *_single_bit_changes(rows)]
+        invalid = transfersystems._invalid_systems(ctx, block)
+        for s, changed in enumerate(block):
             expected = is_saturated_transfer_system(order, changed)[0]
-            assert transfersystems._holds_requirements(ctx, changed) == expected, changed
+            assert (not invalid >> s & 1) == expected, changed
             # and the enumeration missed no system next to one it found
             assert not expected or changed in systems
 
 
+def _planted_faults():
+    """One invalid relation on the 5-chain 0 < 1 < 2 < 3 < 4 per clause,
+    each built from a valid system."""
+    chain = _order("chain:4")
+    discrete = _discrete(chain).rows
+    full = _full(chain).rows
+    yield "reflexive", (full[0] & ~1, *full[1:])
+    yield "refines-order", (discrete[0], discrete[1] | 1, *discrete[2:])
+    for position in (5, 7, 8, 63, 64, 100):
+        yield "refines-order", (discrete[0] | 1 << position, *discrete[1:])
+    # 0 R 1 and 1 R 2 without 0 R 2.
+    yield "transitive", TransferRelation.from_pairs(chain, [(0, 1), (1, 2)]).rows
+    # The full system less 1 R 2, which 0 R 2 requires through 1.
+    yield "saturation", (full[0], full[1] & ~0b100, *full[2:])
+
+
+@pytest.mark.parametrize("rule, fault", list(_planted_faults()))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_invalid_systems_flags_exactly_a_planted_fault(rule, fault, where):
+    order = _order("chain:4")
+    assert is_saturated_transfer_system(order, fault)[1].rule == rule
+    systems = list(transfersystems._saturated_rows(order))
+    position = {"first": 0, "middle": len(systems) // 2, "last": len(systems)}[where]
+    systems.insert(position, fault)
+    ctx = transfersystems._lattice_context(order)
+    assert transfersystems._invalid_systems(ctx, systems) == 1 << position
+
+
+def test_invalid_systems_of_no_systems_is_empty():
+    ctx = transfersystems._lattice_context(_order("chain:4"))
+    assert transfersystems._invalid_systems(ctx, []) == 0
+
+
+def test_enumeration_names_the_clause_of_a_stray_high_bit(monkeypatch):
+    # Only systems grown through the cover 1 < 2 carry the stray bit, so
+    # the first one flagged must be one of them: flagging every system
+    # would blame the valid discrete one, which the validator passes.
+    grow = transfersystems._grow
+
+    def stray_bit(ctx, rows, cols, x, z):
+        rows, cols = grow(ctx, rows, cols, x, z)
+        if (x, z) == (1, 2):
+            rows = (rows[0] | 1 << 9, *rows[1:])
+        return rows, cols
+
+    monkeypatch.setattr(transfersystems, "_grow", stray_bit)
+    with pytest.raises(InvariantViolation, match="refines-order"):
+        transfersystems._saturated_rows.__wrapped__(_order("chain:4"))
+
+
 def _layer_bit_by_bit(cyl_rows, size, level):
-    """Reference for ``_layer``: test each of the size * size bit pairs."""
+    """A layer of a cylinder system, testing each of the size * size bit
+    pairs: bit y of row x is bit 2 * y + level of row 2 * x + level."""
     rows = []
     for x in range(size):
         src = cyl_rows[2 * x + level]
@@ -429,11 +482,13 @@ def _layer_bit_by_bit(cyl_rows, size, level):
 @pytest.mark.parametrize("spec", sorted(set(DEFAULT_LATTICES) | set(BENCHMARK_LATTICES)))
 def test_layer_matches_bit_by_bit_reference(spec):
     order = _order(spec)
-    cylinder = transfersystems._cylinder_order(order)
-    for cyl_rows in transfersystems._saturated_rows(cylinder):
-        for level in (0, 1):
-            expected = _layer_bit_by_bit(cyl_rows, order.size, level)
-            assert transfersystems._layer(cyl_rows, level) == expected
+    systems, index, rows = _st_data(order)
+    counts = [Counter() for _ in systems]
+    for cyl_rows in transfersystems._saturated_rows(transfersystems._cylinder_order(order)):
+        top = _layer_bit_by_bit(cyl_rows, order.size, 1)
+        bottom = _layer_bit_by_bit(cyl_rows, order.size, 0)
+        counts[index[top]][index[bottom]] += 1
+    assert rows == tuple(tuple(sorted(row.items())) for row in counts)
 
 
 def test_grow_call_count_on_benchmark_lattices(monkeypatch):
