@@ -25,6 +25,7 @@ from .closedforms import (
     poly_bernoulli,
 )
 from .errors import (
+    FormulaMismatch,
     MonoidSpecError,
     NotALattice,
     NotIdempotent,
@@ -35,7 +36,7 @@ from .monoid import (
     DEFAULT_MAX_PRODUCT_SIZE, from_spec, is_group, is_idempotent, join_monoid, semilattice_order,
 )
 from .oracle import brute_force_submonoid_count
-from .spectral import eigenvalues, ogf, spectrum_of, verify_recurrence
+from .spectral import chain_eigenmatrix, eigenvalues, ogf, spectrum_of, verify_recurrence
 from .submonoids import DEFAULT_MAX_MONOID_SIZE, enumerate_submonoids, inclusion_order
 from .transfer import CountSequence, build_transfer_matrix, count_sequence, walk_counts
 from .transfersystems import (
@@ -158,26 +159,32 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _dense_rows(matrix):
+    """Each row of W as ``row`` yields it, as the strings of its k cells,
+    zeros filled in: one row of the k x k table is held at a time."""
+    for i in range(matrix.size):
+        cells = ["0"] * matrix.size
+        for j, w in matrix.row(i):
+            cells[j] = str(w)
+        yield cells
+
+
 def cmd_matrix(args) -> int:
+    """W streamed row by row after the CSV header or the JSON payload's
+    other fields, byte for byte as ``json.dumps`` of the whole payload."""
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     legend = [hex(m) for m in matrix.lattice.members]
-    table = matrix.dense()
+    write = sys.stdout.write
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "monoid": args.monoid,
-                    "size": matrix.size,
-                    "legend": legend,
-                    "rows": [list(row) for row in table],
-                }
-            )
-        )
+        head = json.dumps({"monoid": args.monoid, "size": matrix.size, "legend": legend, "rows": []})
+        write(head[:-2])  # up to the rows' opening bracket
+        for i, cells in enumerate(_dense_rows(matrix)):
+            write((", [" if i else "[") + ", ".join(cells) + "]")
+        write("]}\n")
     else:
-        lines = ["mask," + ",".join(legend)]
-        for mask, row in zip(legend, table):
-            lines.append(mask + "," + ",".join(str(v) for v in row))
-        _emit("\n".join(lines))
+        write("mask," + ",".join(legend) + "\n")
+        for mask, cells in zip(legend, _dense_rows(matrix)):
+            write(mask + "," + ",".join(cells) + "\n")
     return 0
 
 
@@ -223,7 +230,7 @@ def cmd_sattr(args) -> int:
     # they are counted as count counts them, under its budget.
     order = semilattice_order(_monoid(args.lattice, args))
     matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_monoid_size)
-    seq = count_sequence(matrix, args.n, label=args.lattice)
+    seq = count_sequence(matrix, args.n or 0, label=args.lattice)
     _print_counts(seq, "lattice", args.format)
     return 0
 
@@ -352,6 +359,12 @@ def _suite_closed_forms(args) -> int:
         if got != mk_eigenvalues(k):
             return _fail(f"mk eigenvalue set mismatch at k={k}", 1)
     print("ok closed-forms eigenvalue sets")
+    for m in range(7):
+        try:
+            chain_eigenmatrix(m)
+        except FormulaMismatch as exc:
+            return _fail(f"chain eigenmatrix mismatch at m={m}: {exc}", 1)
+    print("ok closed-forms chain eigenmatrix")
     return 0
 
 
@@ -425,8 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sattr", help="saturated transfer systems on a lattice")
     p.add_argument("--lattice", required=True, help="monoid spec of a lattice")
-    p.add_argument("--n", type=int, default=0, help="largest chain length")
-    p.add_argument("--list", action="store_true", help="dump the systems as JSON")
+    # --n has no default: argparse lets a flag given its default value
+    # join the other flag of a mutually exclusive group (--n 0 --list).
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--n", type=int, help="largest chain length (default 0)")
+    query.add_argument("--list", action="store_true", help="dump the systems as JSON")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,

@@ -206,7 +206,8 @@ def _check_chain_eigenmatrix(matrix: TransferMatrix, q) -> None:
     q is lower triangular, so q x = 1 is solved by forward substitution.
     They run on every call, since nothing else checks q's closed formula."""
     members = matrix.lattice.members
-    for i, row in enumerate(matrix.entries):
+    for i in range(matrix.size):
+        row = matrix.row(i)
         for j in range(len(members)):
             lhs = sum(w * q[t][j] for t, w in row)
             rhs = (members[j].bit_count() + 1) * q[i][j]

@@ -51,8 +51,7 @@ class TransferMatrix:
     annihilator, and ``series``, the counts' generating function, are
     read off it.  ``row`` sums one row of W over its submonoid's
     ideals with :func:`ideal_row`, the one routine that computes a
-    weight; ``entries`` and ``dense`` build every row with it on each
-    read.
+    weight, and is how every reader outside the quotient sees W.
     """
 
     lattice: SubmonoidLattice
@@ -70,7 +69,9 @@ class TransferMatrix:
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Every row of W, built on each read and not kept."""
+        """Every row of W, built on each read and not kept.  No code in
+        the package reads it; it stays only for perfbench's tracer
+        (``perfbench/tracing.py``), which counts W's nonzeros through it."""
         return tuple(map(self.row, range(self.size)))
 
     @cached_property
@@ -113,16 +114,6 @@ class TransferMatrix:
         if product.pop():
             raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{len(roots)}")
         return RationalOGF(numerator=tuple(product), denominator_roots=roots)
-
-    def dense(self) -> tuple[tuple[int, ...], ...]:
-        """The full k x k table, zeros included; built on each call."""
-        table = []
-        for row in self.entries:
-            dense = [0] * self.size
-            for j, w in row:
-                dense[j] = w
-            table.append(tuple(dense))
-        return tuple(table)
 
 
 @dataclass
@@ -423,8 +414,8 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     a class.  (W v)[A] depends only on A's signature when v is constant
     on classes, so by induction W^n 1 is too.  A row's classes below it
     were all formed before its own, so the quotient (each class's
-    signature with its diagonal pair appended last) keeps the row
-    contract of ``entries``.  The rows are summed by :func:`ideal_row`,
+    signature with its diagonal pair appended last) keeps the
+    contract of ``row``.  The rows are summed by :func:`ideal_row`,
     over each representative's ideals, and lumped column by column.
 
     A representative whose :func:`_shape` an earlier one had takes that

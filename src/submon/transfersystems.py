@@ -376,8 +376,8 @@ def _cylinder_order(order: PartialOrder) -> PartialOrder:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _st_data(order: PartialOrder):
-    """Canonical system list, index map, and the counts of cylinder systems
-    by (top layer, bottom layer) as sparse (column, weight) rows.
+    """Canonical system list and the counts of cylinder systems by
+    (top layer, bottom layer) as sparse (column, weight) rows.
 
     Cylinder element (x, level) sits at index 2 * x + level, so a layer's
     system on P sits in every other cylinder row, with bit y of P at bit
@@ -388,7 +388,6 @@ def _st_data(order: PartialOrder):
     tallied here, so they are enumerated unsorted and not cached.
     """
     systems = _saturated_rows(order)
-    index = {rows: i for i, rows in enumerate(systems)}
     spread = [tuple(sum(1 << 2 * y for y in bits_of(row)) for row in rows) for rows in systems]
     bottom = {rows: i for i, rows in enumerate(spread)}
     top = {tuple(row << 1 for row in rows): i for i, rows in enumerate(spread)}
@@ -396,7 +395,7 @@ def _st_data(order: PartialOrder):
     counts = [Counter() for _ in systems]
     for cyl_rows in _enumerate_rows(_cylinder_order(order)):
         counts[top[cyl_rows[1::2]]][bottom[tuple(map(even.__and__, cyl_rows[0::2]))]] += 1
-    return systems, index, tuple(tuple(sorted(row.items())) for row in counts)
+    return systems, tuple(tuple(sorted(row.items())) for row in counts)
 
 
 def verify_graph_isomorphism(
@@ -409,16 +408,16 @@ def verify_graph_isomorphism(
     first mismatching pair of systems and the two weights.
     """
     _check_budget(order, max_size)
-    systems, _, st_rows = _st_data(order)
+    systems, st_rows = _st_data(order)
     monoid = join_monoid(order)
     weights = build_transfer_matrix(monoid)
-    lattice, entries = weights.lattice, weights.entries
+    lattice = weights.lattice
     masks = [chi(order, TransferRelation(order, rows)) for rows in systems]
     if sorted(masks) != sorted(lattice.members):
         return False, ("chi is not a bijection onto the submonoids", masks)
     for i, r_rows in enumerate(systems):
         st_row = dict(st_rows[i])
-        w_row = dict(entries[lattice.index_of[masks[i]]])
+        w_row = dict(weights.row(lattice.index_of[masks[i]]))
         for j, q_rows in enumerate(systems):
             st = st_row.get(j, 0)
             w = w_row.get(lattice.index_of[masks[j]], 0)
@@ -444,6 +443,6 @@ def st_count_sequence(
     _check_budget(order, max_size)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _, _, rows = _st_data(order)
+    _, rows = _st_data(order)
     values = [len(rows)] + [sum(v) for v in walk(rows, [1] * len(rows), n_max)]
     return CountSequence(values=tuple(values))

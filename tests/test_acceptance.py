@@ -31,6 +31,8 @@ from submon.submonoids import enumerate_submonoids, inclusion_order
 from submon.transfer import CountSequence, build_transfer_matrix, count_sequence, walk_counts
 from submon.transfersystems import st_count_sequence, verify_graph_isomorphism
 
+from dense_table import dense
+
 # Reference adjacency matrix of the 2x2 grid, row and column order given
 # by the legend of subset masks below (element encoding (x, y) -> 2x + y).
 # The legend is symmetric in the two middle elements; either labeling
@@ -109,10 +111,10 @@ def test_criterion_1_reference_grid_matrix():
     start = time.perf_counter()
     matrix = build_transfer_matrix(from_spec("chain:1 x chain:1"))
     index = matrix.lattice.index_of
-    dense = matrix.dense()
+    table = dense(matrix)
     permutation = [index[mask] for mask in REFERENCE_GRID_LEGEND]
     ok = all(
-        dense[permutation[r]][permutation[c]]
+        table[permutation[r]][permutation[c]]
         == REFERENCE_GRID_MATRIX[r][c]
         for r in range(7)
         for c in range(7)

@@ -10,10 +10,12 @@ import pytest
 
 from submon import cli
 from submon import monoid as monoid_module
-from submon.cli import DEFAULT_LATTICES, main
+from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS, main
 from submon.monoid import from_spec, join_monoid, make_chain, monoid_to_json, semilattice_order
 from submon.transfer import TransferMatrix, build_transfer_matrix
 from submon.transfersystems import st_count_sequence
+
+from dense_table import dense
 
 
 def run(capsys, *argv):
@@ -101,6 +103,38 @@ def test_matrix_json(capsys):
     payload = json.loads(out)
     assert payload["legend"] == ["0x1", "0x3"]
     assert payload["rows"] == [[2, 0], [2, 3]]
+
+
+@pytest.mark.parametrize("spec", [*DEFAULT_MONOIDS, "cyclic:2 x mk:4"])
+def test_matrix_prints_the_table_of_the_shipped_rows(capsys, spec):
+    # The table is streamed row by row; the JSON is still json.dumps of the
+    # whole payload, separators and final newline included.
+    matrix = build_transfer_matrix(from_spec(spec))
+    legend, table = [hex(m) for m in matrix.lattice.members], dense(matrix)
+    csv = "".join(f"{mask},{','.join(map(str, row))}\n" for mask, row in zip(legend, table))
+    assert run(capsys, "matrix", "--monoid", spec) == (0, f"mask,{','.join(legend)}\n{csv}", "")
+    payload = {"monoid": spec, "size": matrix.size, "legend": legend, "rows": [list(row) for row in table]}
+    assert run(capsys, "matrix", "--monoid", spec, "--format", "json") == (0, json.dumps(payload) + "\n", "")
+
+
+def test_matrix_reads_each_row_once_and_never_entries(capsys, monkeypatch):
+    spec = "cyclic:2 x mk:4"
+    k, row, calls = build_transfer_matrix(from_spec(spec)).size, TransferMatrix.row, []
+
+    def counted(self, i):
+        calls.append(i)
+        return row(self, i)
+
+    def refuse(self):
+        raise AssertionError("matrix read entries")
+
+    monkeypatch.setattr(TransferMatrix, "row", counted)
+    monkeypatch.setattr(TransferMatrix, "entries", property(refuse))
+    for fmt in ("csv", "json"):
+        calls.clear()
+        code, out, err = run(capsys, "matrix", "--monoid", spec, "--format", fmt)
+        assert (code, err) == (0, "") and out.endswith("\n")
+        assert calls == list(range(k))
 
 
 def test_ogf_output(capsys):
@@ -191,6 +225,14 @@ def test_sattr_n_and_transfer_iso_share_one_build(capsys):
     misses = build_transfer_matrix.cache_info().misses
     assert run(capsys, "verify", "transfer-iso", "--monoid", "chain:1 x chain:2")[0] == 0
     assert build_transfer_matrix.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_sattr_refuses_n_with_list(capsys, n):
+    # --list used to drop --n without a word and exit 0.
+    for argv in (("--n", n, "--list"), ("--list", "--n", n)):
+        code, out, err = _run_exiting(capsys, ("sattr", "--lattice", "chain:2", *argv))
+        assert (code, out) == (2, "") and "not allowed with argument" in err
 
 
 def test_sattr_list(capsys):
@@ -286,6 +328,37 @@ def test_verify_suites_pass(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert "ok" in out
+
+
+CLOSED_FORMS = (
+    "ok closed-forms poly-bernoulli grid\n"
+    "ok closed-forms chain coefficients\n"
+    "ok closed-forms abelian groups\n"
+    "ok closed-forms eigenvalue sets\n"
+)
+
+
+def test_verify_closed_forms_prints_one_line_per_identity(capsys):
+    assert run(capsys, "verify", "closed-forms") == (
+        0, CLOSED_FORMS + "ok closed-forms chain eigenmatrix\n", ""
+    )
+
+
+def test_verify_closed_forms_fails_on_a_tampered_chain_row(capsys, monkeypatch):
+    # Add 1 to the first weight of chain:3's top row.  Only the eigenmatrix
+    # check reads row: the quotient calls ideal_row directly.
+    row = TransferMatrix.row
+
+    def tampered(self, i):
+        (j, w), *rest = row(self, i)
+        top = self.lattice.monoid.size == 4 and i == self.size - 1
+        return ((j, w + top), *rest)
+
+    monkeypatch.setattr(TransferMatrix, "row", tampered)
+    code, out, err = run(capsys, "verify", "closed-forms")
+    assert (code, out, err) == (
+        1, CLOSED_FORMS, "chain eigenmatrix mismatch at m=3: eigenmatrix identity fails at (7, 0)\n"
+    )
 
 
 def test_verify_oracle_stops_at_the_oracle_budget(capsys):

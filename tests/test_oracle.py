@@ -11,6 +11,7 @@ from submon.oracle import DEFAULT_MAX_ORACLE_SIZE, _closed_masks, brute_force_su
 from submon.submonoids import enumerate_submonoids
 from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
 
+from dense_table import dense
 from reference_counts import brute_force_projection_count, brute_force_weight
 from reference_quotient import reference_row, shape_free
 
@@ -41,7 +42,7 @@ def test_weight_examples():
 def test_weight_full_sweep_reproduces_grid_matrix():
     matrix = build_transfer_matrix(GRID)
     members = matrix.lattice.members
-    for a, row in zip(members, matrix.dense()):
+    for a, row in zip(members, dense(matrix)):
         assert [brute_force_weight(GRID, a, b) for b in members] == list(row)
 
 
@@ -66,7 +67,7 @@ def test_projection_recursion():
     matrix = build_transfer_matrix(chain)
     members = matrix.lattice.members
     for n in range(2):
-        for a, row in zip(members, matrix.dense()):
+        for a, row in zip(members, dense(matrix)):
             recursed = sum(
                 w * brute_force_projection_count(chain, n, b)
                 for w, b in zip(row, members)

@@ -46,6 +46,7 @@ from submon.transfer import (
     _shape,
 )
 
+from dense_table import dense
 from reference_counts import brute_force_projection_count
 from reference_quotient import reference_row, shape_free, weight_row
 
@@ -66,15 +67,15 @@ GRID_MATRIX = (
 
 
 def test_matrix_trivial_and_chain():
-    assert build_transfer_matrix(make_chain(0)).dense() == ((2,),)
-    assert build_transfer_matrix(make_chain(1)).dense() == ((2, 0), (2, 3))
+    assert dense(build_transfer_matrix(make_chain(0))) == ((2,),)
+    assert dense(build_transfer_matrix(make_chain(1))) == ((2, 0), (2, 3))
     assert build_transfer_matrix(make_chain(1)).entries == (((0, 2),), ((0, 2), (1, 3)))
 
 
 def test_matrix_grid():
     matrix = build_transfer_matrix(GRID)
     assert matrix.lattice.members == (1, 3, 5, 9, 11, 13, 15)
-    assert matrix.dense() == GRID_MATRIX
+    assert dense(matrix) == GRID_MATRIX
 
 
 def test_count_sequence_values():

@@ -57,8 +57,8 @@ def _refines(a, b):
 def st_weight(order, top, bottom):
     """Cylinder systems on P x [1] with level-1 layer ``top`` and level-0
     layer ``bottom``, read off the rows of ``_st_data``."""
-    _, index, rows = _st_data(order)
-    return dict(rows[index[top.rows]]).get(index[bottom.rows], 0)
+    systems, rows = _st_data(order)
+    return dict(rows[systems.index(top.rows)]).get(systems.index(bottom.rows), 0)
 
 
 def test_discrete_and_full_systems_are_valid():
@@ -482,7 +482,8 @@ def _layer_bit_by_bit(cyl_rows, size, level):
 @pytest.mark.parametrize("spec", sorted(set(DEFAULT_LATTICES) | set(BENCHMARK_LATTICES)))
 def test_layer_matches_bit_by_bit_reference(spec):
     order = _order(spec)
-    systems, index, rows = _st_data(order)
+    systems, rows = _st_data(order)
+    index = {system: i for i, system in enumerate(systems)}
     counts = [Counter() for _ in systems]
     for cyl_rows in transfersystems._saturated_rows(transfersystems._cylinder_order(order)):
         top = _layer_bit_by_bit(cyl_rows, order.size, 1)
