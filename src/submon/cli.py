@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 
 from . import oracle, reference
 from .closedforms import (
@@ -33,7 +34,7 @@ from .errors import (
     SubmonError,
 )
 from .monoid import (
-    DEFAULT_MAX_PRODUCT_SIZE, from_spec, is_group, is_idempotent, join_monoid, semilattice_order,
+    DEFAULT_MAX_PRODUCT_SIZE, from_spec, is_group, is_idempotent, semilattice_order,
 )
 from .oracle import brute_force_submonoid_count
 from .spectral import chain_eigenmatrix, eigenvalues, ogf, spectrum_of, verify_recurrence
@@ -43,15 +44,6 @@ from .transfersystems import (
     DEFAULT_MAX_ST_SIZE,
     enumerate_saturated_transfer_systems,
     verify_graph_isomorphism,
-)
-
-VERIFY_SUITES = (
-    "triangular",
-    "recurrence",
-    "oracle",
-    "transfer-iso",
-    "closed-forms",
-    "appendix",
 )
 
 # Budgets below 1 would refuse every input, or check nothing, so they exit 2.
@@ -92,12 +84,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _print_counts(seq, key: str, fmt: str) -> None:
-    """``n,count`` CSV lines, or JSON naming the input under ``key``."""
-    if fmt == "json":
-        _emit(json.dumps({key: seq.label, "values": list(seq.values)}))
-    else:
-        _emit("\n".join(["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]))
+def _output(args, payload: dict, lines) -> int:
+    """``payload`` as JSON under ``--format json``, else the CSV
+    ``lines``, an iterable read only when it is printed."""
+    _emit(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    return 0
+
+
+def _counts(args, key: str, values) -> int:
+    """``n,count`` CSV lines, or JSON naming the input ``args.<key>``."""
+    lines = chain(["n,count"], (f"{n},{v}" for n, v in enumerate(values)))
+    return _output(args, {key: getattr(args, key), "values": list(values)}, lines)
 
 
 def _monoid(spec: str, args):
@@ -115,48 +112,34 @@ def _oracle_terms(monoid, values, budget):
 def cmd_count(args) -> int:
     monoid = _monoid(args.monoid, args)
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
-    seq = count_sequence(matrix, args.n, label=args.monoid)
+    values = count_sequence(matrix, args.n).values
     if args.oracle:
         checked = 0
-        for n, got, want in _oracle_terms(monoid, seq.values, args.max_oracle_size):
+        for n, got, want in _oracle_terms(monoid, values, args.max_oracle_size):
             if got != want:
                 return _fail(f"oracle mismatch at n={n}: pipeline {got}, brute force {want}", 1)
             checked += 1
-        total = len(seq.values)
+        total = len(values)
         terms = f"n=0..{checked - 1}" if checked else "no terms"
         print(
             f"oracle checked {terms}; skipped {total - checked} of {total} "
             f"terms above --max-oracle-size {args.max_oracle_size}",
             file=sys.stderr,
         )
-    _print_counts(seq, "monoid", args.format)
-    return 0
+    return _counts(args, "monoid", values)
 
 
 def cmd_spectrum(args) -> int:
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     spectrum = spectrum_of(matrix)
-    rows = list(zip(spectrum.eigenvalues, spectrum.coefficients, spectrum.normalized))
-    if args.format == "json":
-        payload = {
-            "monoid": args.monoid,
-            "rows": [
-                {
-                    "eigenvalue": v,
-                    "coefficient": reference.format_rational(c),
-                    "normalized": h,
-                }
-                for v, c, h in rows
-            ],
-        }
-        _emit(json.dumps(payload))
-    else:
-        lines = ["eigenvalue,coefficient,normalized"]
-        lines += [
-            f"{v},{reference.format_rational(c)},{h}" for v, c, h in rows
-        ]
-        _emit("\n".join(lines))
-    return 0
+    rows = [
+        {"eigenvalue": v, "coefficient": reference.format_rational(c), "normalized": h}
+        for v, c, h in zip(spectrum.eigenvalues, spectrum.coefficients, spectrum.normalized)
+    ]
+    lines = chain(
+        ["eigenvalue,coefficient,normalized"], (",".join(map(str, row.values())) for row in rows)
+    )
+    return _output(args, {"monoid": args.monoid, "rows": rows}, lines)
 
 
 def _dense_rows(matrix):
@@ -191,24 +174,11 @@ def cmd_matrix(args) -> int:
 def cmd_ogf(args) -> int:
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     result = ogf(matrix)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "monoid": args.monoid,
-                    "numerator": list(result.numerator),
-                    "denominator_roots": list(result.denominator_roots),
-                }
-            )
-        )
-    else:
-        lines = [
-            "numerator," + ",".join(str(c) for c in result.numerator),
-            "denominator_roots,"
-            + ",".join(str(v) for v in result.denominator_roots),
-        ]
-        _emit("\n".join(lines))
-    return 0
+    fields = {
+        "numerator": list(result.numerator), "denominator_roots": list(result.denominator_roots)
+    }
+    lines = (",".join(map(str, [name, *terms])) for name, terms in fields.items())
+    return _output(args, {"monoid": args.monoid, **fields}, lines)
 
 
 def cmd_polybernoulli(args) -> int:
@@ -220,19 +190,15 @@ def cmd_sattr(args) -> int:
     if args.list:
         order = semilattice_order(from_spec(args.lattice, args.max_st_size))
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
-        payload = {
-            "lattice": args.lattice,
-            "systems": [system.pairs() for system in systems],
-        }
-        _emit(json.dumps(payload))
+        _emit(json.dumps({"lattice": args.lattice, "systems": [s.pairs() for s in systems]}))
         return 0
-    # Systems on P x [n] correspond to submonoids of (P, join) x [n], so
-    # they are counted as count counts them, under its budget.
-    order = semilattice_order(_monoid(args.lattice, args))
-    matrix = build_transfer_matrix(join_monoid(order), max_size=args.max_monoid_size)
-    seq = count_sequence(matrix, args.n or 0, label=args.lattice)
-    _print_counts(seq, "lattice", args.format)
-    return 0
+    # Systems on P x [n] correspond to submonoids of (P, join) x [n].  An
+    # idempotent commutative monoid's table is the join of its own order,
+    # so P is counted as parsed, as count counts it, under its budget.
+    lattice = _monoid(args.lattice, args)
+    semilattice_order(lattice)  # raises NotIdempotent
+    matrix = build_transfer_matrix(lattice, max_size=args.max_monoid_size)
+    return _counts(args, "lattice", count_sequence(matrix, args.n or 0).values)
 
 
 def _suite_triangular(args) -> int:
@@ -294,18 +260,24 @@ def _suite_oracle(args) -> int:
     for spec in [args.monoid] if args.monoid else DEFAULT_MONOIDS:
         monoid = _monoid(spec, args)
         # No larger n has (n + 1) * |M| within the oracle budget.
-        last = min(top, budget // monoid.size - 1)
-        if last >= 0:
-            cases.append((spec, monoid, last))
-    if not cases:
+        cases.append((spec, monoid, min(top, budget // monoid.size - 1)))
+    if all(last < 0 for _, _, last in cases):
         raise ValueError(f"no oracle case fits --max-oracle-size {budget}")
     for spec, monoid, last in cases:
+        if last < 0:
+            print(f"skip oracle {spec}: no term within --max-oracle-size {budget}")
+            continue
         matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
         values = count_sequence(matrix, last).values
         for n, got, want in _oracle_terms(monoid, values, budget):
             if got != want:
                 return _fail(f"{spec}: n={n} pipeline {got}, brute force {want}", 1)
             print(f"ok oracle {spec} n={n} count={got}")
+        if args.n is not None and last < args.n:
+            print(
+                f"skip oracle {spec} n={last + 1}..{args.n}: "
+                f"(n + 1)·|M| above --max-oracle-size {budget}"
+            )
     return 0
 
 
@@ -319,7 +291,14 @@ def _suite_transfer_iso(args) -> int:
     return 0
 
 
+def _fixed_table(args) -> None:
+    """Refuse ``--monoid`` for a suite that checks a fixed table."""
+    if args.monoid is not None:
+        raise ValueError(f"verify {args.suite} checks a fixed table and takes no --monoid")
+
+
 def _suite_closed_forms(args) -> int:
+    _fixed_table(args)
     for m in range(1, 5):
         for n in range(1, 5):
             half = poly_bernoulli(m, n) // 2
@@ -346,18 +325,15 @@ def _suite_closed_forms(args) -> int:
             if abelian_group_count(chains, n) != values[n]:
                 return _fail(f"{spec}: group count mismatch at n={n}", 1)
     print("ok closed-forms abelian groups")
-    for m in range(7):
-        got = set(eigenvalues(build_transfer_matrix(from_spec(f"chain:{m}"))))
-        if got != chain_eigenvalues(m):
-            return _fail(f"chain eigenvalue set mismatch at m={m}", 1)
-    for m in range(1, 5):
-        got = set(eigenvalues(build_transfer_matrix(from_spec(f"chain:{m} x chain:1"))))
-        if got != ladder_eigenvalues(m):
-            return _fail(f"ladder eigenvalue set mismatch at m={m}", 1)
-    for k in range(1, 6):
-        got = set(eigenvalues(build_transfer_matrix(from_spec(f"mk:{k}"))))
-        if got != mk_eigenvalues(k):
-            return _fail(f"mk eigenvalue set mismatch at k={k}", 1)
+    for name, var, pattern, closed_form, sizes in (
+        ("chain", "m", "chain:{}", chain_eigenvalues, range(7)),
+        ("ladder", "m", "chain:{} x chain:1", ladder_eigenvalues, range(1, 5)),
+        ("mk", "k", "mk:{}", mk_eigenvalues, range(1, 6)),
+    ):
+        for m in sizes:
+            got = set(eigenvalues(build_transfer_matrix(from_spec(pattern.format(m)))))
+            if got != closed_form(m):
+                return _fail(f"{name} eigenvalue set mismatch at {var}={m}", 1)
     print("ok closed-forms eigenvalue sets")
     for m in range(7):
         try:
@@ -369,6 +345,7 @@ def _suite_closed_forms(args) -> int:
 
 
 def _suite_appendix(args) -> int:
+    _fixed_table(args)
     problems = reference.compare_reference(reference.SPECS)
     if problems:
         return _fail("\n".join(problems), 1)
@@ -377,30 +354,21 @@ def _suite_appendix(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    suites = {
-        "triangular": _suite_triangular,
-        "recurrence": _suite_recurrence,
-        "oracle": _suite_oracle,
-        "transfer-iso": _suite_transfer_iso,
-        "closed-forms": _suite_closed_forms,
-        "appendix": _suite_appendix,
-    }
-    if args.suite not in suites:
-        return _fail(
-            f"unknown suite {args.suite!r}; choose from {', '.join(VERIFY_SUITES)}", 2
-        )
-    return suites[args.suite](args)
+SUITES = {
+    "triangular": _suite_triangular,
+    "recurrence": _suite_recurrence,
+    "oracle": _suite_oracle,
+    "transfer-iso": _suite_transfer_iso,
+    "closed-forms": _suite_closed_forms,
+    "appendix": _suite_appendix,
+}
 
 
-def _add_common(parser, monoid_flag=True):
-    if monoid_flag:
-        parser.add_argument("--monoid", required=True, help="monoid spec string")
+def _add_common(parser):
+    parser.add_argument("--monoid", required=True, help="monoid spec string")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
-        "--max-monoid-size",
-        type=int,
-        default=DEFAULT_MAX_MONOID_SIZE,
+        "--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE,
         help="submonoid enumeration budget",
     )
 
@@ -419,17 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and exact coefficients")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("matrix", help="dump the transfer matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("ogf", help="generating function of the counts")
-    _add_common(p)
-    p.set_defaults(func=cmd_ogf)
+    for name, func, text in (
+        ("spectrum", cmd_spectrum, "eigenvalues and exact coefficients"),
+        ("matrix", cmd_matrix, "dump the transfer matrix"),
+        ("ogf", cmd_ogf, "generating function of the counts"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("polybernoulli", help="poly-Bernoulli number B(m, n)")
     p.add_argument("--m", type=int, required=True)
@@ -455,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sattr)
 
     p = sub.add_parser("verify", help="run a named invariant sweep")
-    p.add_argument("suite", help=f"one of: {', '.join(VERIFY_SUITES)}")
+    p.add_argument("suite", choices=SUITES, help="the sweep to run")
     p.add_argument("--monoid", help="restrict the sweep to one monoid")
     p.add_argument("--n", type=int, help="largest chain length for the oracle suite")
     p.add_argument("--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE)
     p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
     p.add_argument("--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: SUITES[args.suite](args))
 
     return parser
 

@@ -20,12 +20,14 @@ from .errors import (
     NotALattice,
     NotIdempotent,
     SizeLimitExceeded,
+    TableValidationError,
 )
 
 # Product tables are materialized in full, so cap their size.
 DEFAULT_MAX_PRODUCT_SIZE = 1024
-# Lattices (and their cylinders) kept per cache; one batch of queries over
-# a handful of lattices touches a dozen orders.
+# Entries kept per cache.  One batch of queries over a handful of lattices
+# touches a dozen orders: each lattice, and the cylinder whose requirement
+# table is built once per lattice.
 CACHE_SIZE = 32
 
 
@@ -279,7 +281,6 @@ def join_table(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     return _bound_table(order, order.up, "join")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def meet_table(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """Greatest lower bounds of all pairs; raises NotALattice when one is missing."""
     return _bound_table(order, down_masks(order), "meet")
@@ -350,7 +351,7 @@ def monoid_from_json(data: dict, max_size: int = DEFAULT_MAX_PRODUCT_SIZE) -> Ca
         raise SizeLimitExceeded(f"JSON monoid has {size} elements, budget {max_size}")
     try:
         return from_table(table, identity)
-    except ValueError as exc:
+    except (ValueError, TableValidationError) as exc:
         raise MonoidSpecError(f"JSON monoid: {exc}") from exc
 
 

@@ -456,9 +456,7 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     return tuple(quotient), tuple(sizes)
 
 
-def count_sequence(
-    matrix: TransferMatrix, n_max: int, label: str = ""
-) -> CountSequence:
+def count_sequence(matrix: TransferMatrix, n_max: int) -> CountSequence:
     """S_n for n = 0..n_max: solved by :func:`walk_counts` below D, else
     expanded from ``matrix.series``.
 
@@ -482,4 +480,4 @@ def count_sequence(
     for n, (prev, nxt) in enumerate(zip(values, values[1:])):
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")
-    return CountSequence(values=tuple(values), label=label)
+    return CountSequence(values=tuple(values))

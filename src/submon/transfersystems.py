@@ -366,7 +366,6 @@ def chi(order: PartialOrder, relation: TransferRelation) -> int:
     return result
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _cylinder_order(order: PartialOrder) -> PartialOrder:
     """The lattice order of (P x two-element chain); (x, level) sits at
     index 2 * x + level."""

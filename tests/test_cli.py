@@ -45,6 +45,12 @@ def test_count_json_with_oracle(capsys):
     assert json.loads(out) == {"monoid": "cyclic:2", "values": [2, 5]}
 
 
+def test_count_json(capsys):
+    code, out, err = run(capsys, "count", "--monoid", "cyclic:2", "--n", "6", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{"monoid": "cyclic:2", "values": [2, 5, 12, 28, 64, 144, 320]}\n'
+
+
 def test_count_oracle_reports_skipped_terms(capsys):
     # Only n = 0..2 fit the default 14-element oracle budget on |M| = 4.
     _, plain_out, plain_err = run(capsys, "count", "--monoid", "chain:3", "--n", "6")
@@ -141,6 +147,17 @@ def test_ogf_output(capsys):
     code, out, _ = run(capsys, "ogf", "--monoid", "chain:1")
     assert code == 0
     assert out == "numerator,2,-3\ndenominator_roots,2,3\n"
+
+
+@pytest.mark.parametrize(
+    "spec, roots", [("chain:1", "[2, 3]"), ("cyclic:2", "[2, 2]")]
+)
+def test_ogf_json(capsys, spec, roots):
+    code, out, err = run(capsys, "ogf", "--monoid", spec, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"monoid": "{spec}", "numerator": [2, -3], "denominator_roots": {roots}}}\n'
+    )
 
 
 def test_polybernoulli(capsys):
@@ -310,8 +327,22 @@ def test_not_idempotent_exit_code(capsys):
 
 
 def test_unknown_suite_exit_code(capsys):
-    code, _, err = run(capsys, "verify", "bogus")
-    assert code == 2 and "unknown suite" in err
+    code, out, err = _run_exiting(capsys, ("verify", "bogus"))
+    assert (code, out) == (2, "") and "invalid choice: 'bogus'" in err
+
+
+def test_readme_lists_the_registered_suites():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = ": " + ", ".join(f"`{name}`" for name in cli.SUITES) + ".  "
+    assert listed in readme.replace("\n", " ")
+
+
+@pytest.mark.parametrize("suite", ["appendix", "closed-forms"])
+def test_fixed_table_suites_refuse_a_monoid(capsys, suite):
+    # The suite checks its own fixed table, so a --monoid would go unread.
+    assert run(capsys, "verify", suite, "--monoid", "chain:1") == (
+        2, "", f"error: verify {suite} checks a fixed table and takes no --monoid\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -364,10 +395,22 @@ def test_verify_closed_forms_fails_on_a_tampered_chain_row(capsys, monkeypatch):
 def test_verify_oracle_stops_at_the_oracle_budget(capsys):
     # chain:1 has 2 elements, so n = 0..6 fit the 14-element budget.
     code, out, _ = run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "6")
-    assert code == 0 and out.count("ok oracle") == 7
+    assert code == 0 and out.count("ok oracle") == 7 and "skip" not in out
+    skip = "skip oracle chain:1 n=7..1000000000000: (n + 1)·|M| above --max-oracle-size 14\n"
     assert run(capsys, "verify", "oracle", "--monoid", "chain:1", "--n", "1000000000000") == (
-        code, out, ""
+        code, out + skip, ""
     )
+
+
+def test_verify_oracle_names_the_specs_it_drops(capsys):
+    # mk:3 and n5 have 5 elements: not even n = 0 fits a budget of 4.
+    code, out, err = run(capsys, "verify", "oracle", "--max-oracle-size", "4")
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("skip")] == [
+        "skip oracle mk:3: no term within --max-oracle-size 4",
+        "skip oracle n5: no term within --max-oracle-size 4",
+    ]
+    assert out.count("ok oracle") == 14
 
 
 @pytest.mark.parametrize(
@@ -378,11 +421,16 @@ def test_verify_oracle_stops_at_the_oracle_budget(capsys):
         ([[0, 1], [1, 1]], 0.0),
         ([0, 1], 0),
         (5, 0),
+        # Tables that break a monoid axiom are malformed input too.
+        ([[0, 1], [0, 1]], 0),
+        ([[0, 1, 2], [1, 2, 2], [2, 2, 1]], 0),
+        ([[0, 1], [1, 1]], 1),
     ],
 )
 def test_json_table_rejects_non_integer_input(capsys, tmp_path, table, identity):
     path = tmp_path / "monoid.json"
-    path.write_text(json.dumps({"size": 2, "identity": identity, "table": table}))
+    size = len(table) if isinstance(table, list) else 2
+    path.write_text(json.dumps({"size": size, "identity": identity, "table": table}))
     code, out, err = run(capsys, "count", "--monoid", f"file:{path}", "--n", "1")
     assert code == 2 and out == "" and err.startswith("error:")
 

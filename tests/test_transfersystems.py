@@ -12,7 +12,6 @@ from submon.monoid import (
     from_spec,
     join_monoid,
     join_table,
-    meet_table,
     semilattice_order,
 )
 from submon.submonoids import bits_of, enumerate_submonoids
@@ -515,10 +514,8 @@ def test_grow_call_count_on_benchmark_lattices(monkeypatch):
 def test_transfer_system_caches_are_bounded():
     for cached in (
         join_table,
-        meet_table,
         transfersystems._lattice_context,
         transfersystems._saturated_rows,
-        transfersystems._cylinder_order,
         transfersystems._st_data,
     ):
         maxsize = cached.cache_info().maxsize
