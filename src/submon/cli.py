@@ -188,6 +188,8 @@ def cmd_polybernoulli(args) -> int:
 
 def cmd_sattr(args) -> int:
     if args.list:
+        if args.format == "csv":
+            raise ValueError("--list writes JSON only and takes no --format csv")
         order = semilattice_order(from_spec(args.lattice, args.max_st_size))
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
         _emit(json.dumps({"lattice": args.lattice, "systems": [s.pairs() for s in systems]}))
@@ -291,14 +293,7 @@ def _suite_transfer_iso(args) -> int:
     return 0
 
 
-def _fixed_table(args) -> None:
-    """Refuse ``--monoid`` for a suite that checks a fixed table."""
-    if args.monoid is not None:
-        raise ValueError(f"verify {args.suite} checks a fixed table and takes no --monoid")
-
-
 def _suite_closed_forms(args) -> int:
-    _fixed_table(args)
     for m in range(1, 5):
         for n in range(1, 5):
             half = poly_bernoulli(m, n) // 2
@@ -345,7 +340,6 @@ def _suite_closed_forms(args) -> int:
 
 
 def _suite_appendix(args) -> int:
-    _fixed_table(args)
     problems = reference.compare_reference(reference.SPECS)
     if problems:
         return _fail("\n".join(problems), 1)
@@ -362,6 +356,34 @@ SUITES = {
     "closed-forms": _suite_closed_forms,
     "appendix": _suite_appendix,
 }
+# The flags each suite reads.  Any other flag given exits 2, so none goes
+# unread; a suite that reads none checks a fixed table.
+SUITE_FLAGS = {
+    "triangular": ("--monoid", "--max-monoid-size"),
+    "recurrence": ("--monoid", "--max-monoid-size"),
+    "oracle": ("--monoid", "--n", "--max-monoid-size", "--max-oracle-size"),
+    "transfer-iso": ("--monoid", "--max-st-size"),
+    "closed-forms": (),
+    "appendix": (),
+}
+
+
+class _Given(argparse.Action):
+    """Store the flag's value and add the flag to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
+
+
+def _run_suite(args) -> int:
+    """Run ``args.suite`` once every flag given is one it reads."""
+    reads = SUITE_FLAGS[args.suite]
+    for flag in args.given:
+        if flag not in reads:
+            what = "takes" if reads else "checks a fixed table and takes"
+            raise ValueError(f"verify {args.suite} {what} no {flag}")
+    return SUITES[args.suite](args)
 
 
 def _add_common(parser):
@@ -408,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     query = p.add_mutually_exclusive_group()
     query.add_argument("--n", type=int, help="largest chain length (default 0)")
     query.add_argument("--list", action="store_true", help="dump the systems as JSON")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # No default, so that --list can refuse an explicit --format csv.
+    p.add_argument("--format", choices=("csv", "json"), help="default csv; --list takes json")
     p.add_argument(
         "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,
         help="largest lattice, in elements, that --list accepts",
@@ -421,12 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant sweep")
     p.add_argument("suite", choices=SUITES, help="the sweep to run")
-    p.add_argument("--monoid", help="restrict the sweep to one monoid")
-    p.add_argument("--n", type=int, help="largest chain length for the oracle suite")
-    p.add_argument("--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE)
-    p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
-    p.add_argument("--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE)
-    p.set_defaults(func=lambda args: SUITES[args.suite](args))
+    p.add_argument("--monoid", action=_Given, help="restrict the sweep to one monoid")
+    p.add_argument(
+        "--n", type=int, action=_Given, help="largest chain length for the oracle suite"
+    )
+    p.add_argument(
+        "--max-monoid-size", type=int, action=_Given, default=DEFAULT_MAX_MONOID_SIZE
+    )
+    p.add_argument(
+        "--max-oracle-size", type=int, action=_Given, default=oracle.DEFAULT_MAX_ORACLE_SIZE
+    )
+    p.add_argument("--max-st-size", type=int, action=_Given, default=DEFAULT_MAX_ST_SIZE)
+    p.set_defaults(func=_run_suite, given=())
 
     return parser
 

@@ -86,6 +86,9 @@ class _LatticeContext:
     # that restriction and saturation require once x R z holds, as
     # (row, column mask) pairs, one per row; empty unless x < z.
     required: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    # cover_bits[x][z]: the bit of the cover (x, z) in a system's cover
+    # mask, or 0 if x < z is not a cover.
+    cover_bits: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -116,12 +119,16 @@ def _lattice_context(order: PartialOrder) -> _LatticeContext:
             required[x][z] = tuple(
                 (r, mask & ~(1 << r)) for r, mask in enumerate(masks) if mask & ~(1 << r)
             )
+    cover_bits = [[0] * n for _ in range(n)]
+    for j, (x, z) in enumerate(covers):
+        cover_bits[x][z] = 1 << j
     return _LatticeContext(
         order=order,
         meet=meet,
         covers=tuple(covers),
         between=between,
         required=tuple(map(tuple, required)),
+        cover_bits=tuple(map(tuple, cover_bits)),
     )
 
 
@@ -168,28 +175,36 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     return True, None
 
 
-def _grow(ctx: _LatticeContext, rows, cols, x: int, z: int):
+def _grow(ctx: _LatticeContext, rows, cols, gens: int, x: int, z: int):
     """The smallest saturated transfer system containing the closed system
-    ``rows`` and the pair x R z, as its rows and its column masks (bit w of
-    ``cols[c]`` is set iff w R c); ``cols`` are those of ``rows``.
+    ``rows`` and the pair x R z, as its rows, its column masks (bit w of
+    ``cols[c]`` is set iff w R c) and its cover mask (bit j is set iff it
+    holds ``ctx.covers[j]``); ``cols`` and ``gens`` are those of ``rows``.
 
     Adding pairs (a, b) to a transitive relation relates everything that
     relates to a with everything each b relates to; each pair that is
-    genuinely new then queues only the entries of ``ctx.required`` that it
-    does not already hold, one column mask per row.
+    genuinely new sets its bit of ``ctx.cover_bits`` in the cover mask,
+    and queues only the entries of ``ctx.required`` that it does not
+    already hold, one column mask per row.  Most queued masks and most
+    sets of new pairs in a row are single bits, which are read without a
+    ``bits_of`` generator.
     """
     rows = list(rows)
     cols = list(cols)
     required = ctx.required
+    cover_bits = ctx.cover_bits
     pending = [(x, 1 << z)]
     while pending:
         a, mask = pending.pop()
         mask &= ~rows[a]
         if not mask:
             continue
-        targets = 0
-        for b in bits_of(mask):
-            targets |= rows[b]
+        if mask & (mask - 1):
+            targets = 0
+            for b in bits_of(mask):
+                targets |= rows[b]
+        else:
+            targets = rows[mask.bit_length() - 1]
         for w in bits_of(cols[a]):
             new = targets & ~rows[w]
             if not new:
@@ -197,12 +212,14 @@ def _grow(ctx: _LatticeContext, rows, cols, x: int, z: int):
             rows[w] |= new
             w_bit = 1 << w
             required_w = required[w]
-            for c in bits_of(new):
+            cover_w = cover_bits[w]
+            for c in bits_of(new) if new & (new - 1) else (new.bit_length() - 1,):
                 cols[c] |= w_bit
+                gens |= cover_w[c]
                 for r, c_mask in required_w[c]:
                     if c_mask & ~rows[r]:
                         pending.append((r, c_mask))
-    return tuple(rows), tuple(cols)
+    return tuple(rows), tuple(cols), gens
 
 
 # Array typecodes by item size in bytes.
@@ -276,7 +293,11 @@ def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
     Every system is the closure of its own cover pairs, so the systems are
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
     from the discrete system one cover at a time by incremental closure,
-    carrying each system's rows and column masks.
+    carrying each system's rows, column masks and cover mask.  ``_grow``
+    sets the cover mask's bits as it adds pairs, so no step rescans the
+    covers; a mask missing a bit would make Fast Close-by-One skip systems
+    or yield some twice, and the tests hold it against a rescan of the
+    grown rows at every step of every system.
 
     Every system is validated on every call.  Fast Close-by-One prunes on
     the assumption that ``_grow`` is a monotone closure; a ``_grow`` that
@@ -294,11 +315,10 @@ def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
 
     def extend(state, i):
         grown = _grow(ctx, *state, *covers[i])
-        rows = grown[0]
-        return grown, sum(1 << j for j, (x, z) in enumerate(covers) if rows[x] >> z & 1)
+        return grown, grown[2]
 
     start = tuple(1 << x for x in range(order.size))
-    systems = [rows for rows, _ in closed_sets((start, start), 0, len(covers), extend)]
+    systems = [rows for rows, _, _ in closed_sets((start, start, 0), 0, len(covers), extend)]
     invalid = _invalid_systems(ctx, systems)
     if invalid:
         rows = systems[(invalid & -invalid).bit_length() - 1]
@@ -387,7 +407,8 @@ def _st_data(order: PartialOrder):
     tallied here, so they are enumerated unsorted and not cached.
     """
     systems = _saturated_rows(order)
-    spread = [tuple(sum(1 << 2 * y for y in bits_of(row)) for row in rows) for rows in systems]
+    # Bit y to bit 2 * y: the row's binary numeral read in base 4.
+    spread = [tuple(int(format(row, "b"), 4) for row in rows) for rows in systems]
     bottom = {rows: i for i, rows in enumerate(spread)}
     top = {tuple(row << 1 for row in rows): i for i, rows in enumerate(spread)}
     even = int("01" * order.size, 2)

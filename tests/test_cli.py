@@ -258,6 +258,14 @@ def test_sattr_list(capsys):
     assert json.loads(out) == {"lattice": "chain:1", "systems": [[], [[0, 1]]]}
 
 
+def test_sattr_list_refuses_format_csv(capsys):
+    # --list used to print its JSON under --format csv and exit 0.
+    code, out, err = run(capsys, "sattr", "--lattice", "chain:1", "--list", "--format", "csv")
+    assert (code, out) == (2, "") and "--list writes JSON only" in err
+    listed = run(capsys, "sattr", "--lattice", "chain:1", "--list")
+    assert run(capsys, "sattr", "--lattice", "chain:1", "--list", "--format", "json") == listed
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "count", "--monoid", "junk:1", "--n", "1")
     assert code == 2 and "junk" in err
@@ -343,6 +351,47 @@ def test_fixed_table_suites_refuse_a_monoid(capsys, suite):
     assert run(capsys, "verify", suite, "--monoid", "chain:1") == (
         2, "", f"error: verify {suite} checks a fixed table and takes no --monoid\n"
     )
+
+
+# A value for each verify flag, each within its budget.
+VERIFY_FLAG_VALUES = {
+    "--monoid": "chain:1",
+    "--n": "1",
+    "--max-monoid-size": "20",
+    "--max-oracle-size": "4",
+    "--max-st-size": "8",
+}
+
+
+def test_every_suite_names_the_flags_it_reads():
+    assert list(cli.SUITE_FLAGS) == list(cli.SUITES)
+    for flags in cli.SUITE_FLAGS.values():
+        assert set(flags) <= set(VERIFY_FLAG_VALUES)
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        (suite, flag)
+        for suite, reads in cli.SUITE_FLAGS.items()
+        for flag in VERIFY_FLAG_VALUES
+        if flag not in reads
+    ],
+)
+def test_verify_suites_refuse_flags_they_do_not_read(capsys, suite, flag):
+    # Every suite used to accept every flag and ignore the ones it does
+    # not read; a flag given at its default value is refused too.
+    what = "takes" if cli.SUITE_FLAGS[suite] else "checks a fixed table and takes"
+    assert run(capsys, "verify", suite, flag, VERIFY_FLAG_VALUES[flag]) == (
+        2, "", f"error: verify {suite} {what} no {flag}\n"
+    )
+
+
+@pytest.mark.parametrize("suite", [suite for suite, reads in cli.SUITE_FLAGS.items() if reads])
+def test_verify_suites_accept_every_flag_they_read(capsys, suite):
+    argv = [arg for flag in cli.SUITE_FLAGS[suite] for arg in (flag, VERIFY_FLAG_VALUES[flag])]
+    code, out, err = run(capsys, "verify", suite, *argv)
+    assert (code, err) == (0, "") and out.startswith("ok ")
 
 
 @pytest.mark.parametrize(

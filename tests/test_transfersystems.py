@@ -236,10 +236,12 @@ def test_cube_lattice_agrees_across_routes():
 def test_enumeration_rejects_invalid_systems(monkeypatch):
     # Without closure, adding the covers 0<1 and 1<2 of the 3-chain one at
     # a time yields a relation that is not transitive.
-    def add_pair_only(ctx, rows, cols, x, z):
+    def add_pair_only(ctx, rows, cols, gens, x, z):
+        rows = tuple(row | 1 << z if w == x else row for w, row in enumerate(rows))
         return (
-            tuple(row | 1 << z if w == x else row for w, row in enumerate(rows)),
+            rows,
             tuple(col | 1 << x if c == z else col for c, col in enumerate(cols)),
+            _cover_mask(ctx, rows),
         )
 
     monkeypatch.setattr(transfersystems, "_grow", add_pair_only)
@@ -294,6 +296,12 @@ def _transpose(rows):
     )
 
 
+def _cover_mask(ctx, rows):
+    """Reference cover mask: bit j is set iff ``rows`` holds ``ctx.covers[j]``,
+    read by a scan over every cover."""
+    return sum(1 << j for j, (x, z) in enumerate(ctx.covers) if rows[x] >> z & 1)
+
+
 def _close(ctx, rows):
     """Reference closure: re-apply transitivity, restriction and saturation
     to the whole relation until nothing changes."""
@@ -337,21 +345,26 @@ def _close(ctx, rows):
 
 
 @pytest.mark.parametrize(
-    "spec, cylinder", [(spec, False) for spec in DEFAULT_LATTICES] + [("chain:2", True)]
+    "spec, cylinder",
+    [(spec, False) for spec in DEFAULT_LATTICES] + [("chain:2", True), ("n5", True)],
 )
 def test_grow_matches_reference_closure(spec, cylinder):
     order = _lattice_or_cylinder(spec, cylinder)
     ctx = transfersystems._lattice_context(order)
     checked = 0
     for rows in transfersystems._saturated_rows(order):
+        gens = _cover_mask(ctx, rows)
         for x, z in ctx.covers:
             if rows[x] >> z & 1:
                 continue
             grown = list(rows)
             grown[x] |= 1 << z
-            got_rows, got_cols = transfersystems._grow(ctx, rows, _transpose(rows), x, z)
+            got_rows, got_cols, got_gens = transfersystems._grow(
+                ctx, rows, _transpose(rows), gens, x, z
+            )
             assert got_rows == _close(ctx, grown)
             assert got_cols == _transpose(got_rows)
+            assert got_gens == gens | _cover_mask(ctx, got_rows)
             checked += 1
     assert checked > 0
 
@@ -360,7 +373,7 @@ def test_grow_matches_reference_closure(spec, cylinder):
 BENCHMARK_LATTICES = ["n5", "chain:2 x chain:1", "chain:1 x chain:2", "mk:4", "chain:4", "chain:5"]
 
 
-def _transitive_closure_only(ctx, rows, cols, x, z):
+def _transitive_closure_only(ctx, rows, cols, gens, x, z):
     """A broken ``_grow``: adds x R z and closes under transitivity only,
     with nothing that restriction or saturation forces."""
     rows = list(rows)
@@ -375,7 +388,7 @@ def _transitive_closure_only(ctx, rows, cols, x, z):
             if reach != rows[w]:
                 rows[w] = reach
                 changed = True
-    return tuple(rows), _transpose(rows)
+    return tuple(rows), _transpose(rows), _cover_mask(ctx, rows)
 
 
 @pytest.mark.parametrize("spec", ["chain:1 x chain:1", "n5", "mk:3"])
@@ -453,11 +466,11 @@ def test_enumeration_names_the_clause_of_a_stray_high_bit(monkeypatch):
     # would blame the valid discrete one, which the validator passes.
     grow = transfersystems._grow
 
-    def stray_bit(ctx, rows, cols, x, z):
-        rows, cols = grow(ctx, rows, cols, x, z)
+    def stray_bit(ctx, rows, cols, gens, x, z):
+        rows, cols, _ = grow(ctx, rows, cols, gens, x, z)
         if (x, z) == (1, 2):
             rows = (rows[0] | 1 << 9, *rows[1:])
-        return rows, cols
+        return rows, cols, _cover_mask(ctx, rows)
 
     monkeypatch.setattr(transfersystems, "_grow", stray_bit)
     with pytest.raises(InvariantViolation, match="refines-order"):
