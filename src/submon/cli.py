@@ -109,7 +109,24 @@ def _oracle_terms(monoid, values, budget):
         yield n, value, brute_force_submonoid_count(monoid, n, max_size=budget)
 
 
+class _Given(argparse.Action):
+    """Store the flag's value and add the flag to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
+
+
+def _refuse_unread(args, reads, query: str) -> None:
+    """Raise ValueError if a flag in ``args.given``, the flags recorded by
+    :class:`_Given`, is not one that ``query`` ``reads``."""
+    for flag in args.given:
+        if flag not in reads:
+            raise ValueError(f"{query} takes no {flag}")
+
+
 def cmd_count(args) -> int:
+    _refuse_unread(args, ("--max-oracle-size",) if args.oracle else (), "count without --oracle")
     monoid = _monoid(args.monoid, args)
     matrix = build_transfer_matrix(monoid, max_size=args.max_monoid_size)
     values = count_sequence(matrix, args.n).values
@@ -190,6 +207,7 @@ def cmd_sattr(args) -> int:
     if args.list:
         if args.format == "csv":
             raise ValueError("--list writes JSON only and takes no --format csv")
+        _refuse_unread(args, ("--max-st-size",), "sattr --list")
         order = semilattice_order(from_spec(args.lattice, args.max_st_size))
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
         _emit(json.dumps({"lattice": args.lattice, "systems": [s.pairs() for s in systems]}))
@@ -197,6 +215,7 @@ def cmd_sattr(args) -> int:
     # Systems on P x [n] correspond to submonoids of (P, join) x [n].  An
     # idempotent commutative monoid's table is the join of its own order,
     # so P is counted as parsed, as count counts it, under its budget.
+    _refuse_unread(args, ("--max-monoid-size",), "sattr --n")
     lattice = _monoid(args.lattice, args)
     semilattice_order(lattice)  # raises NotIdempotent
     matrix = build_transfer_matrix(lattice, max_size=args.max_monoid_size)
@@ -368,21 +387,11 @@ SUITE_FLAGS = {
 }
 
 
-class _Given(argparse.Action):
-    """Store the flag's value and add the flag to ``args.given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given += (self.option_strings[0],)
-
-
 def _run_suite(args) -> int:
     """Run ``args.suite`` once every flag given is one it reads."""
     reads = SUITE_FLAGS[args.suite]
-    for flag in args.given:
-        if flag not in reads:
-            what = "takes" if reads else "checks a fixed table and takes"
-            raise ValueError(f"verify {args.suite} {what} no {flag}")
+    fixed = "" if reads else " checks a fixed table and"
+    _refuse_unread(args, reads, f"verify {args.suite}{fixed}")
     return SUITES[args.suite](args)
 
 
@@ -406,8 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="largest chain length")
     p.add_argument("--oracle", action="store_true", help="cross-check small cases")
-    p.add_argument("--max-oracle-size", type=int, default=oracle.DEFAULT_MAX_ORACLE_SIZE)
-    p.set_defaults(func=cmd_count)
+    p.add_argument(
+        "--max-oracle-size", type=int, action=_Given, default=oracle.DEFAULT_MAX_ORACLE_SIZE,
+        help="largest product, in elements, that --oracle brute-forces",
+    )
+    p.set_defaults(func=cmd_count, given=())
 
     for name, func, text in (
         ("spectrum", cmd_spectrum, "eigenvalues and exact coefficients"),
@@ -433,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     # No default, so that --list can refuse an explicit --format csv.
     p.add_argument("--format", choices=("csv", "json"), help="default csv; --list takes json")
     p.add_argument(
-        "--max-st-size", type=int, default=DEFAULT_MAX_ST_SIZE,
+        "--max-st-size", type=int, action=_Given, default=DEFAULT_MAX_ST_SIZE,
         help="largest lattice, in elements, that --list accepts",
     )
     p.add_argument(
-        "--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE,
+        "--max-monoid-size", type=int, action=_Given, default=DEFAULT_MAX_MONOID_SIZE,
         help="largest lattice, in elements, that --n accepts",
     )
-    p.set_defaults(func=cmd_sattr)
+    p.set_defaults(func=cmd_sattr, given=())
 
     p = sub.add_parser("verify", help="run a named invariant sweep")
     p.add_argument("suite", choices=SUITES, help="the sweep to run")

@@ -9,11 +9,13 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice, repeat
-from operator import add, mul
+from math import log2
+from operator import add, mul, sub
 
 from .errors import InvariantViolation
 from .monoid import CACHE_SIZE, CayleyMonoid
@@ -148,7 +150,9 @@ def _shift_groups(g) -> tuple[tuple[int, int], ...]:
     g[x] - x form one mask, shifted by that distance plus len(g) so that
     no shift is negative.  A mask b maps to
     sum((b & mask) << shift) >> len(g), with one term per distinct
-    distance (three for a transposition) instead of one per bit."""
+    distance (three for a transposition) instead of one per bit, and
+    so does every field of an integer of masks packed in fields at least
+    len(g) bits wide, with the mask repeated in each (:func:`_moves`)."""
     groups = {}
     for x, gx in enumerate(g):
         shift = gx - x + len(g)
@@ -245,6 +249,38 @@ def _orbits(moves, k: int) -> Orbits:
     return Orbits(tuple(reps), tuple(orbit_of))
 
 
+# The typecode of each array item size, in bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _moves(lattice: SubmonoidLattice, generators) -> list[tuple[int, ...]]:
+    """Each automorphism in ``generators`` as the map of member indices it
+    induces.  Every member's mask is one field of a packed integer, each
+    field at least |M| bits wide, so each of :func:`_shift_groups`'s
+    (shift, mask) pairs moves the bits of every member at once: one AND
+    with the mask repeated in every field, one shift and one OR.  Images
+    stay inside their fields, which are decoded in C loops: by one array
+    where an array item is a field wide, else one slice per field."""
+    members, n, k, order = lattice.members, lattice.monoid.size, len(lattice), sys.byteorder
+    width = min((b for b in _ARRAY_CODES if 8 * b >= n), default=-(-n // 8))
+    code = _ARRAY_CODES.get(width)
+    masks = b"".join(map(int.to_bytes, members, repeat(width), repeat(order)))
+    every = int.from_bytes(masks, order)
+    ones = int.from_bytes((1).to_bytes(width, order) * k, order)
+    moves = []
+    for g in generators:
+        image = 0
+        for shift, mask in _shift_groups(g):
+            image |= (every & mask * ones) << shift
+        data = (image >> n).to_bytes(width * k, order)
+        if code:
+            fields = array(code, data)
+        else:
+            fields = map(int.from_bytes, map(data.__getitem__, _spans((width,) * k)), repeat(order))
+        moves.append(tuple(map(lattice.index_of.__getitem__, fields)))
+    return moves
+
+
 def build_transfer_matrix(
     monoid: CayleyMonoid, max_size: int = DEFAULT_MAX_MONOID_SIZE
 ) -> TransferMatrix:
@@ -253,21 +289,17 @@ def build_transfer_matrix(
     Results are cached per monoid and ``max_size``, and shared between
     callers; a positional and a keyword budget share one entry.  A build
     enumerates the submonoids and their orbits under Aut(M), each
-    generator moving every member's mask, and builds no row of W.
+    generator moving every member's mask at once, and builds no row of W.
     """
     return _build(monoid, max_size)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _build(monoid, max_size):
+    """The lattice and its Aut(M) orbits: every member's mask moved
+    through each generator at once by :func:`_moves`."""
     lattice = enumerate_submonoids(monoid, max_size=max_size)
-    members, index_of, n = lattice.members, lattice.index_of, monoid.size
-    moves = []
-    for g in _automorphism_generators(monoid.table):
-        groups = _shift_groups(g)
-        moves.append(
-            tuple(index_of[sum((b & m) << s for s, m in groups) >> n] for b in members)
-        )
+    moves = _moves(lattice, _automorphism_generators(monoid.table))
     return TransferMatrix(lattice=lattice, orbits=_orbits(moves, len(lattice)))
 
 
@@ -287,74 +319,111 @@ def walk_counts(matrix: TransferMatrix, steps: int) -> list[int]:
     """S_0..S_steps, S_n the sum over classes C of |C| * (Q^n 1)[C] for
     the lumped quotient Q, by :func:`_packed_solve`: one packed big-integer
     multiply-add per quotient nonzero and ``steps`` small steps per class,
-    where a walk takes one multiply-add per nonzero per step.  :func:`walk`
-    stays the reference that the tests hold it against."""
-    return _packed_solve(*matrix.quotient, steps)
+    where a walk takes one multiply-add per nonzero per step.  Q's
+    annihilator roots size the packed slots.  :func:`walk` stays the
+    reference that the tests hold it against."""
+    return _packed_solve(*matrix.quotient, matrix.roots, steps)
 
 
-def _repack(packed: list[int], slots: int, old: int, new: int) -> None:
-    """Widen every slot of the integers ``packed``, each ``slots``
-    little-endian slots of ``old`` bytes, to ``new`` bytes in place: one
-    slice copy per byte of the old width."""
+# The head bits of the first layout: each slot's room above the growth
+# that the top root predicts, for the class sizes and weights.
+_HEAD_BITS = 24
+
+
+def _layout(roots, steps: int, head: int) -> tuple[int, ...]:
+    """Byte widths of slots 0..steps-1: slot n holds more than
+    (n+1)*log2 v + (m-1)*log2(n+2) + ``head`` bits, with v the top root
+    and m its multiplicity, since the counts grow like n**(m-1) * v**n.
+    8*j more head bits make every slot j bytes wider."""
+    v = roots[-1] if roots else 1
+    rate, power = log2(max(v, 1)), max(roots.count(v) - 1, 0)
+    return tuple(
+        1 + int(((n + 1) * rate + power * log2(n + 2) + head) // 8) for n in range(steps)
+    )
+
+
+def _spans(widths) -> list[slice]:
+    """The byte slice of each slot of the layout ``widths``."""
+    ends = list(accumulate(widths))
+    return list(map(slice, [0, *ends[:-1]], ends))
+
+
+def _relayout(packed: list[int], old, new) -> None:
+    """Move every integer of ``packed`` from the slot widths ``old`` to
+    the no narrower ``new`` in place, padding each slot with zero bytes."""
+    spans, size = _spans(old), sum(old)
     for i, value in enumerate(packed):
-        narrow, wide = value.to_bytes(slots * old, "little"), bytearray(slots * new)
-        for k in range(old):
-            wide[k::new] = narrow[k::old]
-        packed[i] = int.from_bytes(wide, "little")
+        data = value.to_bytes(size, "little")
+        packed[i] = int.from_bytes(
+            b"".join(map(bytes.ljust, map(data.__getitem__, spans), new, repeat(b"\0"))),
+            "little",
+        )
 
 
-def _packed_solve(rows, sizes, steps: int) -> list[int]:
+def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
     """S_0..S_steps for the lower-triangular quotient ``rows`` (sparse
-    (column, weight) pairs, diagonal last) with class sizes ``sizes``.
+    (column, weight) pairs, diagonal last) with class sizes ``sizes`` and
+    annihilator ``roots``.
 
     Class C's sequence F[n] = (Q^n 1)[C] starts at F[0] = 1 and obeys
     F[n+1] = d*F[n] + g[n], with d its diagonal and g[n] the sum of
     w * F_j[n] over its off-diagonal pairs (j, w), so it depends only on
     the classes below C; they are solved first, in row order.  A solved
-    class keeps F[0..steps-1] as one integer with ``width``-byte slots,
-    slot n holding F[n] (Kronecker substitution), so the sum of
-    w * packed_j is one big-integer multiply-add per nonzero and, while
-    no slot carries, its slots are g[0..steps-1].
+    class keeps F[0..steps-1] as one integer, slot n holding F[n]
+    (Kronecker substitution), so the sum of w * packed_j is one
+    big-integer multiply-add per nonzero and, while no slot carries, its
+    slots are g[0..steps-1].
 
-    The width is checked, never estimated.  With weights and diagonals
-    at least 1 every F_j is nondecreasing, so every slot of that sum is
-    at most the sum of w * F_j[steps-1], which is checked against the
-    width before the sum is taken; F[steps-1], the largest of the terms
-    packed, is checked before they are.  A failed check widens the slots
-    by at least a quarter, so that few widenings happen, and repacks the
-    classes solved so far.  A row whose premises fail, a weight or a
-    diagonal below 1, raises InvariantViolation.
+    Each slot has its own width, guessed by :func:`_layout` from the top
+    root, and every slot is checked, so a bad guess costs time but never
+    changes a count.  A row's sum must fit the layout, and its decoded
+    slots must add up to the sum of w * (F_j[0] + ... + F_j[steps-1]),
+    which is kept as one integer per class: a carry c out of slot n
+    lowers the decoded total by c * (2**(8*b_n) - 1) for its b_n bytes,
+    and nothing raises it.  Each solved F[n] must fit its slot.  A failed
+    check widens every slot by the excess in whole bytes, at least one,
+    and the head bits by at least a quarter, relays out the classes
+    solved so far and retries the row.  Once every slot is as wide as the
+    whole sum, no slot can carry, so a failing check raises
+    InvariantViolation instead of widening again; so does a row whose
+    premises fail, a weight or a diagonal below 1.
     """
     if not steps:
         return [sum(sizes)]
-    width, packed, tops, totals = 1, [], [], [0] * (steps + 1)
-
-    def fit(bits):
-        """Widen the slots, repacking the classes solved so far, unless
-        values of ``bits`` bits already fit."""
-        nonlocal width
-        if bits > 8 * width:
-            new = max(-(-bits // 8), width + width // 4)
-            _repack(packed, steps, width, new)
-            width = new
-
+    head, packed, sums, totals = _HEAD_BITS, [], [], [0] * (steps + 1)
+    widths = _layout(roots, steps, head)
+    spans = _spans(widths)
     for c, (row, size) in enumerate(zip(rows, sizes)):
         *below, (_, d) = row
         if d < 1 or any(w < 1 for _, w in below):
             raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
-        fit(sum(w * tops[j] for j, w in below).bit_length())
-        g = sum(w * packed[j] for j, w in below).to_bytes(steps * width, "little")
-        slots = map(slice, range(0, len(g), width), range(width, len(g) + width, width))
-        f = list(accumulate(
-            map(int.from_bytes, map(g.__getitem__, slots), repeat("little")),
-            lambda y, x: d * y + x,
-            initial=1,
-        ))
-        fit(f[-2].bit_length())
+        whole = sum(w * sums[j] for j, w in below)
+        while True:
+            row_sum, end = sum(w * packed[j] for j, w in below), spans[-1].stop
+            excess = row_sum.bit_length() - 8 * end
+            if excess <= 0:
+                data = row_sum.to_bytes(end, "little")
+                g = list(map(int.from_bytes, map(data.__getitem__, spans), repeat("little")))
+                excess = int(sum(g) != whole)
+            if excess > 0:
+                if 8 * min(widths) >= whole.bit_length():
+                    raise InvariantViolation(
+                        f"quotient row {c} carried out of slots as wide as its sum"
+                    )
+            else:
+                f = list(accumulate(g, lambda y, x: d * y + x, initial=1))
+                room = map(mul, widths, repeat(8))
+                excess = max(map(sub, map(int.bit_length, f[:-1]), room))
+                if excess <= 0:
+                    break
+            head += max(8 * -(-excess // 8), head // 4)
+            new = _layout(roots, steps, head)
+            _relayout(packed, widths, new)
+            widths, spans = new, _spans(new)
         packed.append(int.from_bytes(b"".join(
-            map(int.to_bytes, f[:-1], repeat(width), repeat("little"))
+            map(int.to_bytes, f[:-1], widths, repeat("little"))
         ), "little"))
-        tops.append(f[-2])
+        sums.append(sum(f[:-1]))
         totals = list(map(add, totals, map(mul, repeat(size), f)))
     return totals
 
@@ -463,8 +532,9 @@ def count_sequence(matrix: TransferMatrix, n_max: int) -> CountSequence:
     S_n for n >= D is fixed by the D terms before it (see
     ``TransferMatrix.series``).  Below D the quotient is solved to n_max
     steps, at one packed multiply-add per quotient nonzero plus n_max
-    small steps per class; from D on the series solves D steps once per
-    matrix, and each later term costs D small steps.
+    small steps per class, in slots sized from the top root; from D on
+    the series solves D steps once per matrix, and each later term costs
+    D small steps.
 
     The monotonicity check always runs over every term: it costs one
     comparison per term, and it is the one check on the count path that

@@ -394,6 +394,33 @@ def test_verify_suites_accept_every_flag_they_read(capsys, suite):
     assert (code, err) == (0, "") and out.startswith("ok ")
 
 
+# Each sattr and count query with the budget flag it reads, and a budget
+# flag it does not read.  sattr without --n counts n = 0, as --n does.
+SATTR, COUNT = ("sattr", "--lattice", "chain:2"), ("count", "--monoid", "chain:2", "--n", "2")
+BUDGET_QUERIES = [
+    ((*SATTR, "--n", "2"), "sattr --n", "--max-monoid-size", "--max-st-size"),
+    (SATTR, "sattr --n", "--max-monoid-size", "--max-st-size"),
+    ((*SATTR, "--list"), "sattr --list", "--max-st-size", "--max-monoid-size"),
+    ((*COUNT, "--oracle"), None, "--max-oracle-size", None),
+    (COUNT, "count without --oracle", "--max-monoid-size", "--max-oracle-size"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, query, unread", [(a, q, u) for a, q, _, u in BUDGET_QUERIES if u]
+)
+def test_queries_refuse_budget_flags_they_do_not_read(capsys, argv, query, unread):
+    # These flags used to be accepted and ignored, even at a value that
+    # would have refused the input.
+    assert run(capsys, *argv, unread, "8") == (2, "", f"error: {query} takes no {unread}\n")
+
+
+@pytest.mark.parametrize("argv, read", [(a, r) for a, _, r, _ in BUDGET_QUERIES])
+def test_queries_accept_the_budget_flags_they_read(capsys, argv, read):
+    code, out, err = run(capsys, *argv, read, "12")
+    assert code == 0 and out == run(capsys, *argv)[1] and out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

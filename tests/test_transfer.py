@@ -42,6 +42,8 @@ from submon.transfer import (
     walk,
     walk_counts,
     _automorphism_generators,
+    _moves,
+    _orbits,
     _packed_solve,
     _shape,
 )
@@ -307,6 +309,35 @@ def test_orbit_counts(spec, k, orbits):
     # Each representative is its orbit's first member.
     reps = matrix.orbits.reps
     assert all(reps[o] <= i for i, o in enumerate(matrix.orbits.orbit_of))
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [
+        ("bool:4", DEFAULT_MAX_MONOID_SIZE),
+        ("mk:9", DEFAULT_MAX_MONOID_SIZE),
+        ("cyclic:2 x mk:6", DEFAULT_MAX_MONOID_SIZE),
+        # 36 and 72 elements: masks wider than 32 and than 64 bits.
+        ("cyclic:2 x cyclic:18", 36),
+        ("cyclic:2 x cyclic:36", 72),
+    ],
+)
+def test_bulk_moves_match_the_per_member_map(spec, budget):
+    # Each generator g moves member A to g(A) = {g[x] : x in A}, one bit
+    # at a time: the bulk field moves must give the same member indices.
+    monoid = from_spec(spec, budget)
+    lattice = enumerate_submonoids(monoid, max_size=budget)
+    generators = _automorphism_generators(monoid.table)
+    index_of = lattice.index_of
+    reference = [
+        tuple(index_of[sum(1 << g[x] for x in bits_of(b))] for b in lattice.members)
+        for g in generators
+    ]
+    assert _moves(lattice, generators) == reference
+    matrix = build_transfer_matrix(monoid, max_size=budget)
+    assert matrix.orbits == _orbits(reference, len(lattice))
+    if spec == "cyclic:2 x cyclic:36":
+        assert (matrix.size, len(matrix.orbits.reps)) == (24, 18)
 
 
 @pytest.mark.parametrize(
@@ -660,25 +691,99 @@ GROWING_ROWS = (
 )
 
 
-def test_packed_solve_widens_a_narrow_start(monkeypatch):
-    widenings = []
-    repack = transfer._repack
+def _relayout_problems(rows, sizes, roots, steps):
+    """What is wrong with the packed solve of ``rows`` and its relayouts,
+    as strings: empty when the solve equals the plain walk, at least two
+    relayouts moved classes already solved, and each relayout starts from
+    the widths the last one made and widens every slot.  Plain checks,
+    not asserts, so that a ``python -O`` child runs them too."""
+    relayouts, keep = [], transfer._relayout
 
-    def recorded(packed, slots, old, new):
-        widenings.append((len(packed), old, new))
-        repack(packed, slots, old, new)
+    def recorded(packed, old, new):
+        relayouts.append((len(packed), old, new))
+        keep(packed, old, new)
 
-    monkeypatch.setattr(transfer, "_repack", recorded)
-    sizes, steps = (1, 2, 3, 4, 5), 12
+    transfer._relayout = recorded
+    try:
+        solved = _packed_solve(rows, sizes, roots, steps)
+    finally:
+        transfer._relayout = keep
     walked = [sum(sizes)] + [
-        sum(s * u for s, u in zip(sizes, v)) for v in walk(GROWING_ROWS, [1] * 5, steps)
+        sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), steps)
     ]
-    assert _packed_solve(GROWING_ROWS, sizes, steps) == walked
-    # At least two widenings repacked classes already solved, each to
-    # wider slots than the one before.
-    assert len([w for w in widenings if w[0]]) >= 2
-    assert all(old < new for _, old, new in widenings)
-    assert [old for _, old, _ in widenings[1:]] == [new for _, _, new in widenings[:-1]]
+    problems = [] if solved == walked else ["the solve differs from the walk"]
+    if len([r for r in relayouts if r[0]]) < 2:
+        problems.append(f"fewer than two relayouts moved solved classes: {relayouts}")
+    for (_, _, last), (_, old, _) in zip(relayouts, relayouts[1:]):
+        if old != last:
+            problems.append(f"a relayout from {old} after one to {last}")
+    for _, old, new in relayouts:
+        if not all(map(int.__lt__, old, new)):
+            problems.append(f"a relayout from {old} to {new} left a slot as narrow")
+    return problems
+
+
+def test_packed_solve_widens_a_narrow_start():
+    # Roots of 1 guess slots of a few bytes each, so the diagonal of 1000
+    # and then the weight of 10**40 each force relayouts.
+    assert _relayout_problems(GROWING_ROWS, (1, 2, 3, 4, 5), (1,), 12) == []
+
+
+def test_packed_solve_widens_a_narrow_start_under_dash_o():
+    script = (
+        "import sys\n"
+        "from test_transfer import GROWING_ROWS, _relayout_problems\n"
+        "if __debug__: sys.exit(2)\n"
+        "sys.exit(bool(_relayout_problems(GROWING_ROWS, (1, 2, 3, 4, 5), (1,), 12)))\n"
+    )
+    path = os.pathsep.join([str(Path(transfer.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
+
+
+def test_packed_solve_from_no_head_bits_matches_the_walk(monkeypatch):
+    # Slots sized for the top root's growth alone are too narrow on most
+    # quotients, and there a slot's sum carries into the next: the decoded
+    # total falls short of the kept one, and the solve relays out.
+    monkeypatch.setattr(transfer, "_HEAD_BITS", 0)
+    relayouts, keep = [], transfer._relayout
+    monkeypatch.setattr(transfer, "_relayout", lambda *a: (relayouts.append(a[1]), keep(*a)))
+    for spec in DEFAULT_MONOIDS + BENCHMARK_MONOIDS:
+        matrix, walked = _matrix(spec), _walked_far(spec)
+        for steps in _solve_steps(_order(matrix)):
+            assert walk_counts(matrix, steps) == walked[: steps + 1]
+    assert relayouts
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_MONOIDS)
+def test_benchmark_solves_need_no_relayout(spec, monkeypatch):
+    relayouts, keep = [], transfer._relayout
+    monkeypatch.setattr(transfer, "_relayout", lambda *a: (relayouts.append(a[1]), keep(*a)))
+    matrix = _matrix(spec)
+    assert walk_counts(matrix, _order(matrix)) == _walked_far(spec)[: _order(matrix) + 1]
+    assert relayouts == []
+
+
+def test_a_faulty_relayout_raises_and_stops(monkeypatch):
+    # bytes.ljust pads with spaces unless told otherwise: the classes
+    # relaid out grow, every later row's decoded total misses its kept
+    # one, and the solve must stop once no slot can carry, not widen on.
+    calls = []
+
+    def spaced(packed, old, new):
+        calls.append(new)
+        if len(calls) > 40:
+            raise RuntimeError("the solve kept widening")
+        spans = transfer._spans(old)
+        for i, value in enumerate(packed):
+            data = value.to_bytes(sum(old), "little")
+            packed[i] = int.from_bytes(
+                b"".join(map(bytes.ljust, map(data.__getitem__, spans), new)), "little"
+            )
+
+    monkeypatch.setattr(transfer, "_relayout", spaced)
+    with pytest.raises(InvariantViolation, match="carried out of slots as wide as its sum"):
+        _packed_solve(GROWING_ROWS, (1, 2, 3, 4, 5), (1,), 12)
 
 
 @pytest.mark.parametrize(
@@ -686,17 +791,19 @@ def test_packed_solve_widens_a_narrow_start(monkeypatch):
     [
         (((0, 1),), ((0, 0), (1, 2))),  # a zero weight
         (((0, 1),), ((0, 1), (1, 0))),  # a zero diagonal
+        (((0, 0),), ((0, 1), (1, 0))),  # every diagonal zero: a top root of 0
     ],
-    ids=["zero-weight", "zero-diagonal"],
+    ids=["zero-weight", "zero-diagonal", "zero-top-root"],
 )
 def test_packed_solve_rejects_broken_premises_under_dash_o(rows):
     script = (
         "import sys\n"
         "from submon.errors import InvariantViolation\n"
-        "from submon.transfer import _packed_solve\n"
+        "from submon.transfer import _packed_solve, annihilator\n"
         "if __debug__: sys.exit(2)\n"
+        f"rows = {rows!r}\n"
         "try:\n"
-        f"    _packed_solve({rows!r}, (1, 1), 3)\n"
+        "    _packed_solve(rows, (1, 1), annihilator(rows), 3)\n"
         "except InvariantViolation:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
