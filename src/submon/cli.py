@@ -264,7 +264,7 @@ def _suite_recurrence(args) -> int:
         roots = ogf(matrix).denominator_roots
         # Solved terms only: count_sequence extends past the first
         # len(roots) by the very recurrence checked here.
-        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(roots) - 1)), spec)
+        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(roots) - 1)))
         ok, witness = verify_recurrence(roots, seq)
         if not ok:
             return _fail(f"{spec}: recurrence fails at n={witness}", 1)

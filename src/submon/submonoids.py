@@ -182,8 +182,12 @@ def _count_ideals(free: int, multiples, divisors, memo: dict) -> int:
 
 def ideal_row(lattice: SubmonoidLattice, i: int):
     """Row i of W, summed over the ideals of A = ``members[i]``: its
-    diagonal W(A, A), the indices j of the members B_j strictly inside A,
-    ascending, and the weights W(A, B_j) in the same order.
+    diagonal W(A, A), the selector ``where``, and the weights W(A, B_j)
+    of the members B_j strictly inside A, in ascending order of j.
+    ``where`` is i bytes, byte j 1 if B_j is inside A and 0 if not, so
+    ``compress(range(i), where)`` gives the columns and ``compress`` of
+    any per-member list gives its values at the columns, in the order of
+    the weights.
 
     W(A, B) counts the ideals I of A with A minus I inside B.  A
     depth-first walk over A's ideals branches on a free element x: put x
@@ -197,8 +201,8 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
     branches of every node hold an ideal (all free elements in, or all
     out), so the walk visits fewer than twice as many nodes as A has
     ideals, however many columns the row has.  The counters are decoded
-    eight planes at a time, one byte per column, and the bytes of the
-    members inside A are picked out with ``compress``.
+    eight planes at a time, one byte per member below A, and the bytes
+    of the members inside A are picked out with ``compress`` by ``where``.
     """
     a, containing, table = lattice.members[i], lattice.containing, lattice.monoid.table
     start = lattice.below(i) ^ 1 << i
@@ -236,4 +240,4 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
         byte_plane = sum(_spread(plane, i) << s for s, plane in enumerate(planes[p : p + 8]))
         part = compress(byte_plane.to_bytes(i, "little"), where)
         weights = map(add, weights, map(mul, part, repeat(1 << p))) if p else part
-    return diagonal, compress(range(i), where), weights
+    return diagonal, where, weights

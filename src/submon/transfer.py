@@ -13,7 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import log2
 from operator import add, mul, sub
 
@@ -65,9 +65,11 @@ class TransferMatrix:
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Row i of W, built on each call: a (column, weight) pair for
-        each member inside member i, ascending, the diagonal pair last."""
-        diagonal, columns, weights = ideal_row(self.lattice, i)
-        return (*zip(columns, weights), (i, diagonal))
+        each member inside member i, ascending, the diagonal pair last.
+        The columns are ``range(i)`` compressed by :func:`ideal_row`'s
+        selector."""
+        diagonal, where, weights = ideal_row(self.lattice, i)
+        return (*zip(compress(range(i), where), weights), (i, diagonal))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -123,7 +125,6 @@ class CountSequence:
     """Exact counts S_0..S_n for one monoid; always positive and nondecreasing."""
 
     values: tuple[int, ...]
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -394,12 +395,15 @@ def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
     widths = _layout(roots, steps, head)
     spans = _spans(widths)
     for c, (row, size) in enumerate(zip(rows, sizes)):
-        *below, (_, d) = row
-        if d < 1 or any(w < 1 for _, w in below):
+        columns, weights = zip(*row)
+        if min(weights) < 1:
             raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
-        whole = sum(w * sums[j] for j, w in below)
+        # The diagonal is the last weight; map stops at the columns' end.
+        d, columns = weights[-1], columns[:-1]
+        whole = sum(map(mul, weights, map(sums.__getitem__, columns)))
         while True:
-            row_sum, end = sum(w * packed[j] for j, w in below), spans[-1].stop
+            row_sum = sum(map(mul, weights, map(packed.__getitem__, columns)))
+            end = spans[-1].stop
             excess = row_sum.bit_length() - 8 * end
             if excess <= 0:
                 data = row_sum.to_bytes(end, "little")
@@ -464,8 +468,9 @@ def _shape(table, mask: int) -> bytes:
     product up to 256 elements and two bytes above (the product budget is
     1024 elements); the lengths of the two forms never meet, so equal
     keys mean equal tables."""
-    elements = tuple(bits_of(mask))
-    local = {x: i for i, x in enumerate(elements)}
+    elements, local = tuple(bits_of(mask)), [0] * len(table)
+    for i, x in enumerate(elements):
+        local[x] = i
     products = [local[table[x][y]] for i, x in enumerate(elements) for y in elements[i:]]
     return bytes(products) if len(elements) <= 256 else array("H", products).tobytes()
 
@@ -485,7 +490,16 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     were all formed before its own, so the quotient (each class's
     signature with its diagonal pair appended last) keeps the
     contract of ``row``.  The rows are summed by :func:`ideal_row`,
-    over each representative's ideals, and lumped column by column.
+    over each representative's ideals.  ``member_class`` maps each
+    member to its class: before a row is lumped it is extended up to
+    the row's member through ``classes``, which holds every orbit of
+    those members, since an orbit's representative is its first member.
+    So ``compress`` with the row's selector gives each weight's class
+    in one C loop, with no column index made.  The weights are summed
+    into one list indexed by class, and ``compress`` reads off the
+    classes with a nonzero sum in ascending order, with no sort: every
+    weight is at least 1 (the ideal A itself), so they are exactly the
+    classes of the row's columns.
 
     A representative whose :func:`_shape` an earlier one had takes that
     one's class, and its row is never summed.  This gives exactly the
@@ -505,16 +519,17 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     rows that ``tests/reference_quotient.py`` builds column by column.
     """
     table, members, orbit_of = lattice.monoid.table, lattice.members, orbits.orbit_of
-    classes, quotient, index, class_of_shape = [], [], {}, {}
+    classes, member_class, quotient, index, class_of_shape = [], [], [], {}, {}
     for r in orbits.reps:
         key = _shape(table, members[r])
         c = class_of_shape.get(key)
         if c is None:
-            diagonal, columns, weights = ideal_row(lattice, r)
-            sums = {}
-            for b, w in zip(map(classes.__getitem__, map(orbit_of.__getitem__, columns)), weights):
-                sums[b] = sums.get(b, 0) + w
-            below = tuple(sorted(sums.items()))
+            diagonal, where, weights = ideal_row(lattice, r)
+            member_class.extend(map(classes.__getitem__, orbit_of[len(member_class) : r]))
+            sums = [0] * len(quotient)
+            for b, w in zip(compress(member_class, where), weights):
+                sums[b] += w
+            below = tuple(zip(compress(range(len(sums)), sums), compress(sums, sums)))
             c = class_of_shape[key] = index.setdefault((diagonal, below), len(quotient))
             if c == len(quotient):
                 quotient.append(below + ((c, diagonal),))

@@ -223,7 +223,7 @@ def test_criterion_7_recurrence():
         matrix = build_transfer_matrix(monoid)
         eigs = eigenvalues(matrix)
         # Walked terms only: count_sequence extends past D by this recurrence.
-        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(eigs) - 1)), spec)
+        seq = CountSequence(tuple(walk_counts(matrix, 2 * len(eigs) - 1)))
         ok, witness = verify_recurrence(eigs, seq)
         if not ok:
             failures.append(f"{spec} at n={witness}")

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
@@ -217,11 +217,22 @@ def test_ideal_rows_match_brute_force_weights():
         lattice = enumerate_submonoids(m)
         members = lattice.members
         for i, a in enumerate(members):
-            diagonal, columns, weights = ideal_row(lattice, i)
+            diagonal, where, weights = ideal_row(lattice, i)
             inside = [j for j in range(i) if not members[j] & ~a]
-            assert list(columns) == inside
+            assert list(compress(range(i), where)) == inside
             assert list(weights) == [brute_force_weight(m, a, members[j]) for j in inside]
             assert diagonal == brute_force_weight(m, a, a)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
+def test_ideal_row_selector_is_the_members_below(spec):
+    # The selector is one byte of 0 or 1 per member below i, and it
+    # selects exactly the members strictly inside member i.
+    lattice = enumerate_submonoids(from_spec(spec))
+    for i in range(len(lattice)):
+        where = ideal_row(lattice, i)[1]
+        assert len(where) == i and set(where) <= {0, 1}
+        assert sum(b << j for j, b in enumerate(where)) == lattice.below(i) ^ 1 << i
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS + ("bool:3", "mk:2 x chain:1"))

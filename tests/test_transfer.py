@@ -504,7 +504,9 @@ def test_rows_built_per_shape(spec, orbits, rows, classes, monkeypatch):
 # representative's reference row by its signature alone.
 @pytest.mark.parametrize(
     "spec",
-    DEFAULT_MONOIDS + BENCHMARK_MONOIDS + ("chain:3 x chain:1", "chain:3 x chain:3", "mk:12"),
+    DEFAULT_MONOIDS
+    + BENCHMARK_MONOIDS
+    + ("chain:3 x chain:1", "chain:3 x chain:3", "mk:12", "bool:4"),
 )
 def test_shape_keyed_quotient_matches_signature_lumping(spec):
     matrix = _matrix(spec)
