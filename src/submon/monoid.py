@@ -25,9 +25,8 @@ from .errors import (
 
 # Product tables are materialized in full, so cap their size.
 DEFAULT_MAX_PRODUCT_SIZE = 1024
-# Entries kept per cache.  One batch of queries over a handful of lattices
-# touches a dozen orders: each lattice, and the cylinder whose requirement
-# table is built once per lattice.
+# Entries kept per cache.  One batch of queries touches a handful of
+# monoids and lattices, one entry each per cache.
 CACHE_SIZE = 32
 
 

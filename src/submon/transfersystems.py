@@ -6,18 +6,19 @@ intermediate elements.  Relations are stored one bitmask row per element,
 like orders.  The module enumerates all systems on a lattice and realizes
 the order-reversing correspondence onto submonoids under join.  Systems on
 P x [n] correspond to submonoids of (P, join) x [n], which ``sattr --n``
-counts.  The cylinder weights and :func:`st_count_sequence` count them
-independently, for ``verify transfer-iso`` and the tests.  The lattice
-budget (``--max-st-size``) bounds every enumeration, on P or its
-cylinder; ``sattr --n`` enumerates no system, and counts under the
-submonoid budget (``--max-monoid-size``), as ``count`` does.
+counts.  The cylinder weights count the systems on P x [1] by their two
+layers, from the systems and the down-sets of P, without enumerating
+any; :func:`st_count_sequence` walks them, an independent count for
+``verify transfer-iso`` and the tests.  The lattice budget
+(``--max-st-size``) bounds every enumeration of systems on P;
+``sattr --n`` enumerates no system, and counts under the submonoid
+budget (``--max-monoid-size``), as ``count`` does.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -28,10 +29,7 @@ from .monoid import (
     PartialOrder,
     down_masks,
     join_monoid,
-    make_chain,
-    make_product,
     meet_table,
-    semilattice_order,
 )
 from .submonoids import bits_of, closed_sets
 from .transfer import CountSequence, build_transfer_matrix, walk
@@ -40,7 +38,7 @@ DEFAULT_MAX_ST_SIZE = 8
 
 
 def _check_budget(order: PartialOrder, max_size: int) -> None:
-    """The budget of every enumeration of systems on a lattice or its cylinder."""
+    """The budget of every enumeration of systems on a lattice."""
     if order.size > max_size:
         raise SizeLimitExceeded(
             f"lattice has {order.size} elements, enumeration budget {max_size}"
@@ -386,36 +384,90 @@ def chi(order: PartialOrder, relation: TransferRelation) -> int:
     return result
 
 
-def _cylinder_order(order: PartialOrder) -> PartialOrder:
-    """The lattice order of (P x two-element chain); (x, level) sits at
-    index 2 * x + level."""
-    product = make_product(join_monoid(order), make_chain(1))
-    return semilattice_order(product)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _st_data(order: PartialOrder):
     """Canonical system list and the counts of cylinder systems by
     (top layer, bottom layer) as sparse (column, weight) rows.
 
-    Cylinder element (x, level) sits at index 2 * x + level, so a layer's
-    system on P sits in every other cylinder row, with bit y of P at bit
-    2 * y + level.  A level-1 element relates only to level-1 elements, so
-    the odd rows are the top layer as they stand, and the even rows hold
-    the bottom layer in their even bits.  Both are looked up among P's
-    systems, spread once into those bits.  Cylinder systems are only
-    tallied here, so they are enumerated unsorted and not cached.
+    The counts come from a description of the systems on the cylinder
+    P x [1], so none is enumerated.  Write (x, l) for the cylinder element
+    at index 2 * x + l; order and meets are coordinatewise.  For a relation
+    R on the cylinder, let T and B be its layers on P (x T y iff
+    (x, 1) R (y, 1), x B y iff (x, 0) R (y, 0)), and V the set of x with
+    (x, 0) R (x, 1).  Then R is a saturated transfer system exactly when
+
+    (a) T and B are systems on P, and T is contained in B;
+    (b) its cross pairs are exactly (x, 0) R (y, 1) for x in V and x T y,
+        and no pair goes down a level;
+    (c) V is a down-set of P, closed under T (x in V and x T y put y in V);
+    (d) for every x in V, column x of B equals column x of T.
+
+    Each clause is forced.  R refines the order, so no pair goes down a
+    level.  The layers are R on two meet-closed levels, so they are
+    systems, and restricting (x, 1) R (y, 1) along (top, 0) gives x B y.
+    If (x, 0) R (y, 1), restricting along (x, 1) gives (x, 0) R (x, 1), so
+    x is in V, and saturating through (x, 1) gives x T y; conversely
+    (x, 0) R (x, 1) R (y, 1) composes.  For x in V and y <= x, restricting
+    (x, 0) R (x, 1) along (y, 1) puts y in V.  For x in V and x T y,
+    saturating the cross pair (x, 0) R (y, 1) through (y, 0) puts y in V.
+    For x in V and a B x, the composite (a, 0) R (x, 0) R (x, 1) is a
+    cross pair, so a T x by (b); T in B gives the converse.
+
+    Conversely, let R be T on level 1, B on level 0 and the cross pairs
+    of (b), for T, B and V meeting (a), (c) and (d).  R is reflexive and
+    refines the order, since T and B do.  Transitivity: within a level it
+    is that of T or B; (x, 0) R (y, 1) R (z, 1) gives x T z; and
+    (x, 0) R (y, 0) R (z, 1) has y in V, so x T y by (d), x T z, and x in
+    V since x <= y.  Restriction along (w, m): a level-0 pair restricts
+    within B; a level-1 pair restricts within T, and onto level 0 within
+    T, so within B; a cross pair (x, 0) R (y, 1) restricts to x meet w,
+    in V since V is a down-set, and y meet w, related to it in T, so to a
+    cross pair (m = 1) or a pair of B (m = 0).  Saturation of a cross pair
+    (x, 0) R (y, 1) through (w, m), x <= w <= y: T is saturated, so x T w
+    and w T y; for m = 1 that gives (x, 0) R (w, 1) R (y, 1), and for
+    m = 0, x B w and w in V by (c), so (x, 0) R (w, 0) R (y, 1).  Within
+    a level, saturation is that of T or B.
+
+    So the systems with layers T and B are one for one with the sets V of
+    (c) that miss every x whose column differs between B and T.  There
+    are none unless T is contained in B, and then the empty V is one, so
+    a row holds exactly the bottom layers that its top layer refines.
+    The down-sets of P come once from :func:`closed_sets`, and sets of
+    them are bitsets over that list: per element, those that hold it, and
+    per top layer, those closed under it.
     """
+    n = order.size
     systems = _saturated_rows(order)
-    # Bit y to bit 2 * y: the row's binary numeral read in base 4.
-    spread = [tuple(int(format(row, "b"), 4) for row in rows) for rows in systems]
-    bottom = {rows: i for i, rows in enumerate(spread)}
-    top = {tuple(row << 1 for row in rows): i for i, rows in enumerate(spread)}
-    even = int("01" * order.size, 2)
-    counts = [Counter() for _ in systems]
-    for cyl_rows in _enumerate_rows(_cylinder_order(order)):
-        counts[top[cyl_rows[1::2]]][bottom[tuple(map(even.__and__, cyl_rows[0::2]))]] += 1
-    return systems, tuple(tuple(sorted(row.items())) for row in counts)
+    down = down_masks(order)
+    downsets = list(closed_sets(0, 0, n, lambda v, i: (v | down[i],) * 2))
+    # Bit k of holding[x] is set iff down-set k holds x.
+    holding = [sum(1 << k for k, v in enumerate(downsets) if v >> x & 1) for x in range(n)]
+    every = (1 << len(downsets)) - 1
+    # Each system as one integer, row x at bits n * x up to n * x + n - 1.
+    packed = [sum(row << n * x for x, row in enumerate(rows)) for rows in systems]
+    field = (1 << n) - 1
+    st_rows = []
+    for top, t in zip(systems, packed):
+        closed = every
+        for x, top_x in enumerate(top):
+            for y in bits_of(top_x & ~(1 << x)):
+                closed &= ~holding[x] | holding[y]
+        row = []
+        for j, b in enumerate(packed):
+            if t & ~b:
+                continue
+            # The columns of the pairs of B outside T.
+            extra, differ = b ^ t, 0
+            while extra:
+                differ |= extra & field
+                extra >>= n
+            # The down-sets that hold one of those columns.
+            hit = 0
+            for x in bits_of(differ):
+                hit |= holding[x]
+            row.append((j, (closed & ~hit).bit_count()))
+        st_rows.append(tuple(row))
+    return systems, tuple(st_rows)
 
 
 def verify_graph_isomorphism(

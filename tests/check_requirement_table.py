@@ -15,8 +15,10 @@ collect this file.  Run it, from the repository root, as::
 from submon import transfersystems as ts
 from submon.monoid import from_spec, semilattice_order
 
+from reference_cylinder import cylinder_order
+
 for spec in ("bool:3", "mk:5"):
-    order = ts._cylinder_order(semilattice_order(from_spec(spec)))
+    order = cylinder_order(semilattice_order(from_spec(spec)))
     ctx = ts._lattice_context(order)
     systems = set(ts._saturated_rows(order))
     checked = 0

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +23,8 @@ from submon.transfersystems import (
     st_count_sequence,
     verify_graph_isomorphism,
 )
+
+from reference_cylinder import cylinder_order, cylinder_tally
 
 LATTICE_SPECS = ["chain:1", "chain:2", "chain:1 x chain:1", "chain:1 x chain:2", "mk:3"]
 
@@ -206,14 +206,21 @@ def moore_lattices(draw, ground=6, max_size=7):
     return PartialOrder(size=len(sets), up=tuple(up))
 
 
-# A 7-element lattice's cylinder takes about 0.4 s to enumerate, so the
-# examples are few and fixed.
+# The examples are fixed, so every run checks the same lattices.
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(moore_lattices())
 def test_random_lattices_agree_across_routes(order):
     walks = count_sequence(build_transfer_matrix(join_monoid(order)), 3).values
     assert st_count_sequence(order, 3).values == walks
     assert verify_graph_isomorphism(order) == (True, None)
+
+
+# The reference enumerates every system on the cylinder, so the examples
+# are few: twenty fixed ones, several of them lattices of 7 elements.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(moore_lattices())
+def test_random_lattices_layer_counts_match_the_cylinder(order):
+    assert _st_data(order) == cylinder_tally(order)
 
 
 def test_pairs_round_trip():
@@ -224,9 +231,9 @@ def test_pairs_round_trip():
 
 
 def test_cube_lattice_agrees_across_routes():
-    # The cube's cylinder has 16 elements and 2480 systems, so this one
-    # exercises the enumeration at real scale; 2480 is the known count of
-    # submonoids of the four-dimensional cube.
+    # The cube's cylinder has 16 elements and 2480 systems, counted here by
+    # their layers; 2480 is the known count of submonoids of the
+    # four-dimensional cube.
     order = _order("bool:3")
     st_values = st_count_sequence(order, 2).values
     tm_values = count_sequence(build_transfer_matrix(join_monoid(order)), 2).values
@@ -251,7 +258,7 @@ def test_enumeration_rejects_invalid_systems(monkeypatch):
 
 def _lattice_or_cylinder(spec, cylinder):
     order = _order(spec)
-    return transfersystems._cylinder_order(order) if cylinder else order
+    return cylinder_order(order) if cylinder else order
 
 
 def _brute_force_systems(order):
@@ -477,36 +484,34 @@ def test_enumeration_names_the_clause_of_a_stray_high_bit(monkeypatch):
         transfersystems._saturated_rows.__wrapped__(_order("chain:4"))
 
 
-def _layer_bit_by_bit(cyl_rows, size, level):
-    """A layer of a cylinder system, testing each of the size * size bit
-    pairs: bit y of row x is bit 2 * y + level of row 2 * x + level."""
-    rows = []
-    for x in range(size):
-        src = cyl_rows[2 * x + level]
-        row = 0
-        for y in range(size):
-            if src >> (2 * y + level) & 1:
-                row |= 1 << y
-        rows.append(row)
-    return tuple(rows)
-
-
 @pytest.mark.parametrize("spec", sorted(set(DEFAULT_LATTICES) | set(BENCHMARK_LATTICES)))
 def test_layer_matches_bit_by_bit_reference(spec):
     order = _order(spec)
-    systems, rows = _st_data(order)
-    index = {system: i for i, system in enumerate(systems)}
-    counts = [Counter() for _ in systems]
-    for cyl_rows in transfersystems._saturated_rows(transfersystems._cylinder_order(order)):
-        top = _layer_bit_by_bit(cyl_rows, order.size, 1)
-        bottom = _layer_bit_by_bit(cyl_rows, order.size, 0)
-        counts[index[top]][index[bottom]] += 1
-    assert rows == tuple(tuple(sorted(row.items())) for row in counts)
+    assert _st_data(order) == cylinder_tally(order)
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_LATTICES)
+def test_isomorphism_check_enumerates_systems_on_p_only(monkeypatch, spec):
+    order = _order(spec)
+    enumerate_rows = transfersystems._enumerate_rows
+    sizes = []
+
+    def recorded(order):
+        sizes.append(order.size)
+        return enumerate_rows(order)
+
+    monkeypatch.setattr(transfersystems, "_enumerate_rows", recorded)
+    transfersystems._saturated_rows.cache_clear()
+    transfersystems._st_data.cache_clear()
+    assert verify_graph_isomorphism(order) == (True, None)
+    assert sizes == [order.size]
 
 
 def test_grow_call_count_on_benchmark_lattices(monkeypatch):
-    # Plain Close-by-One called _grow 13,034 times here for 2,630 systems;
-    # the failed-test pruning leaves 2,937 calls.
+    # The library enumerates only the lattices; their cylinders, which the
+    # tests enumerate as references, are larger inputs for the same
+    # engine.  Plain Close-by-One called _grow 13,034 times here for 2,630
+    # systems; the failed-test pruning leaves 2,937 calls.
     grow = transfersystems._grow
     calls = 0
 
