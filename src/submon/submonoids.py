@@ -63,21 +63,22 @@ def closed_sets(bottom, bottom_gens: int, generators: int, extend):
 def _add_element(table, mask: int, x: int) -> int:
     """Smallest submonoid containing the submonoid ``mask`` and element ``x``.
 
-    Products of old elements are present already, so each new element is
-    multiplied only by the elements present when it is taken up.
+    ``mask`` must be a submonoid A.  Then the answer is the union of A and
+    p*A over the powers p = x, x*x, ... of x, which is closed since
+    x**i*a times x**j*b is x**(i+j)*(a*b).  The powers are taken in turn
+    until one lies in the union so far, say x**i in x**j*A with j < i:
+    then every later x**(i+m)*A lies inside x**(j+m)*A, and by induction
+    in the union.  An idempotent x takes the one product x*A.
     """
     if mask >> x & 1:
         return mask
-    mask |= 1 << x
-    pending = [x]
-    while pending:
-        row = table[pending.pop()]
+    grown, p = mask, x
+    while not grown >> p & 1:
+        row = table[p]
         for y in bits_of(mask):
-            p = row[y]
-            if not mask >> p & 1:
-                mask |= 1 << p
-                pending.append(p)
-    return mask
+            grown |= 1 << row[y]
+        p = row[x]
+    return grown
 
 
 @dataclass(frozen=True)

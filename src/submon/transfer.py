@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import log2
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import InvariantViolation
 from .monoid import CACHE_SIZE, CayleyMonoid
@@ -319,10 +319,10 @@ def walk(rows, vector, steps: int):
 def walk_counts(matrix: TransferMatrix, steps: int) -> list[int]:
     """S_0..S_steps, S_n the sum over classes C of |C| * (Q^n 1)[C] for
     the lumped quotient Q, by :func:`_packed_solve`: one packed big-integer
-    multiply-add per quotient nonzero and ``steps`` small steps per class,
-    where a walk takes one multiply-add per nonzero per step.  Q's
-    annihilator roots size the packed slots.  :func:`walk` stays the
-    reference that the tests hold it against."""
+    multiply-add per quotient nonzero and per class for the totals, and
+    ``steps`` small steps per class, where a walk takes one multiply-add
+    per nonzero per step.  Q's annihilator roots size the packed slots.
+    :func:`walk` stays the reference that the tests hold it against."""
     return _packed_solve(*matrix.quotient, matrix.roots, steps)
 
 
@@ -373,33 +373,40 @@ def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
     class keeps F[0..steps-1] as one integer, slot n holding F[n]
     (Kronecker substitution), so the sum of w * packed_j is one
     big-integer multiply-add per nonzero and, while no slot carries, its
-    slots are g[0..steps-1].
+    slots are g[0..steps-1].  After the last class, one more row, the sum
+    of |C| * packed_C, holds S_0..S_steps-1 in its slots; S_steps is the
+    sum of |C| * F_C[steps], kept as one integer.
 
     Each slot has its own width, guessed by :func:`_layout` from the top
     root, and every slot is checked, so a bad guess costs time but never
-    changes a count.  A row's sum must fit the layout, and its decoded
-    slots must add up to the sum of w * (F_j[0] + ... + F_j[steps-1]),
-    which is kept as one integer per class: a carry c out of slot n
-    lowers the decoded total by c * (2**(8*b_n) - 1) for its b_n bytes,
-    and nothing raises it.  Each solved F[n] must fit its slot.  A failed
-    check widens every slot by the excess in whole bytes, at least one,
-    and the head bits by at least a quarter, relays out the classes
-    solved so far and retries the row.  Once every slot is as wide as the
-    whole sum, no slot can carry, so a failing check raises
-    InvariantViolation instead of widening again; so does a row whose
-    premises fail, a weight or a diagonal below 1.
+    changes a count.  A row's sum, the totals row's too, must fit the
+    layout, and its decoded slots must add up to the sum of w * (F_j[0]
+    + ... + F_j[steps-1]), which is kept as one integer per class: a
+    carry c out of slot n lowers the decoded total by c * (2**(8*b_n) - 1)
+    for its b_n bytes, and nothing raises it.  Each solved F[n] must fit
+    its slot: ``int.to_bytes`` raises OverflowError exactly when it does
+    not, and only then is the excess measured.  A failed check widens
+    every slot by the excess in whole bytes, at least one, and the head
+    bits by at least a quarter, relays out the classes solved so far and
+    retries the row.  Once every slot is as wide as the whole sum, no
+    slot can carry, so a failing check raises InvariantViolation instead
+    of widening again; so does a row whose premises fail, a weight or a
+    diagonal below 1.
     """
     if not steps:
         return [sum(sizes)]
-    head, packed, sums, totals = _HEAD_BITS, [], [], [0] * (steps + 1)
+    head, packed, sums, last = _HEAD_BITS, [], [], 0
     widths = _layout(roots, steps, head)
     spans = _spans(widths)
-    for c, (row, size) in enumerate(zip(rows, sizes)):
-        columns, weights = zip(*row)
-        if min(weights) < 1:
-            raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
-        # The diagonal is the last weight; map stops at the columns' end.
-        d, columns = weights[-1], columns[:-1]
+    for c in range(len(rows) + 1):
+        if c < len(rows):
+            columns, weights = zip(*rows[c])
+            if min(weights) < 1:
+                raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
+            # The diagonal is the last weight; map stops at the columns' end.
+            d, columns = weights[-1], columns[:-1]
+        else:
+            d, columns, weights = None, range(c), sizes
         whole = sum(map(mul, weights, map(sums.__getitem__, columns)))
         while True:
             row_sum = sum(map(mul, weights, map(packed.__getitem__, columns)))
@@ -411,25 +418,25 @@ def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
                 excess = int(sum(g) != whole)
             if excess > 0:
                 if 8 * min(widths) >= whole.bit_length():
-                    raise InvariantViolation(
-                        f"quotient row {c} carried out of slots as wide as its sum"
-                    )
+                    name = "the totals row" if d is None else f"quotient row {c}"
+                    raise InvariantViolation(f"{name} carried out of slots as wide as its sum")
+            elif d is None:
+                return g + [last]
             else:
                 f = list(accumulate(g, lambda y, x: d * y + x, initial=1))
-                room = map(mul, widths, repeat(8))
-                excess = max(map(sub, map(int.bit_length, f[:-1]), room))
-                if excess <= 0:
+                try:
+                    data = b"".join(map(int.to_bytes, f[:-1], widths, repeat("little")))
                     break
+                except OverflowError:
+                    room = map(mul, widths, repeat(8))
+                    excess = max(map(sub, map(int.bit_length, f[:-1]), room))
             head += max(8 * -(-excess // 8), head // 4)
             new = _layout(roots, steps, head)
             _relayout(packed, widths, new)
             widths, spans = new, _spans(new)
-        packed.append(int.from_bytes(b"".join(
-            map(int.to_bytes, f[:-1], widths, repeat("little"))
-        ), "little"))
+        packed.append(int.from_bytes(data, "little"))
         sums.append(sum(f[:-1]))
-        totals = list(map(add, totals, map(mul, repeat(size), f)))
-    return totals
+        last += sizes[c] * f[-1]
 
 
 def annihilator(rows) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
-from functools import partial
+from functools import partial, reduce
 from math import isqrt
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from submon.errors import SizeLimitExceeded
 from submon.monoid import from_table, make_chain, make_cyclic_group, make_power, make_product
 from submon.oracle import DEFAULT_MAX_ORACLE_SIZE, _closed_masks, brute_force_submonoid_count
-from submon.submonoids import enumerate_submonoids
+from submon.submonoids import _add_element, enumerate_submonoids
 from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
 
 from dense_table import dense
@@ -114,6 +115,25 @@ def small_commutative_monoids(draw, max_size=DEFAULT_MAX_ORACLE_SIZE):
     if 2 * monoid.size <= max_size and draw(st.booleans()):
         monoid = make_product(monoid, atom(max_size // monoid.size))
     return monoid
+
+
+def closure_mismatches(monoid):
+    """The pairs (A, x) of a submonoid and an element of ``monoid`` where
+    ``_add_element`` differs from the oracle's least submonoid holding
+    both, the intersection of every closed mask that holds them."""
+    masks, mismatches = list(_closed_masks(monoid)), []
+    for a in masks:
+        for x in range(monoid.size):
+            need = a | 1 << x
+            if _add_element(monoid.table, a, x) != reduce(and_, (m for m in masks if m & need == need)):
+                mismatches.append((a, x))
+    return mismatches
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_commutative_monoids(max_size=8))
+def test_add_element_is_the_least_submonoid_on_random_monoids(monoid):
+    assert closure_mismatches(monoid) == []
 
 
 @settings(max_examples=40, deadline=None)

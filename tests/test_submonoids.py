@@ -25,6 +25,7 @@ from submon.submonoids import (
     inclusion_order,
 )
 from submon.transfer import build_transfer_matrix
+from test_oracle import closure_mismatches
 
 from reference_counts import brute_force_weight
 from reference_quotient import UpsetCounter, condense, divisibility_preorder
@@ -78,6 +79,14 @@ def test_closure_is_monotone_and_idempotent():
         closed = closure(m, seed)
         assert seed | closed == closed
         assert closure(m, closed) == closed
+
+
+# The closure through powers against the oracle, for every submonoid A
+# and element x: the default monoids, a power cycle longer than 2, and a
+# group factor whose powers cycle back to the identity.
+@pytest.mark.parametrize("spec", DEFAULT_MONOIDS + ("cyclic:7", "cyclic:2 x chain:2"))
+def test_add_element_is_the_least_submonoid_holding_both(spec):
+    assert closure_mismatches(from_spec(spec)) == []
 
 
 def test_enumerate_counts():

@@ -48,6 +48,7 @@ from submon.transfer import (
     _shape,
 )
 
+from check_swap import swap_checks
 from dense_table import dense
 from reference_counts import brute_force_projection_count
 from reference_quotient import reference_row, shape_free, weight_row
@@ -757,6 +758,70 @@ def test_packed_solve_from_no_head_bits_matches_the_walk(monkeypatch):
     assert relayouts
 
 
+# Two classes whose rows fit one-byte slots, but whose sizes near 2**40
+# make the totals row too wide: past the layout's end with the one root
+# 1, and between slots with the roots (1, 2), whose slots widen to seven
+# bytes by step 48 while S_0 = 2**40 + 1 carries out of slot 0.
+TOTALS_CASES = {
+    "past-the-layout": ((((0, 1),), ((0, 1), (1, 1))), (2**40, 2**40 - 1), (1,), 4),
+    "between-slots": ((((0, 1),), ((0, 1), (1, 2))), (2**40, 1), (1, 2), 48),
+}
+
+
+def _relayouts_from_no_head(rows, sizes, roots, steps):
+    """Whether the packed solve of ``rows`` from no head bits equals the
+    plain walk, and how many classes were solved at each relayout: all of
+    them at the totals row.  Plain checks, not asserts, so that a
+    ``python -O`` child runs them too."""
+    relayouts, keep, head = [], transfer._relayout, transfer._HEAD_BITS
+
+    def recorded(packed, old, new):
+        relayouts.append(len(packed))
+        keep(packed, old, new)
+
+    transfer._relayout, transfer._HEAD_BITS = recorded, 0
+    try:
+        solved = _packed_solve(rows, sizes, roots, steps)
+    finally:
+        transfer._relayout, transfer._HEAD_BITS = keep, head
+    walked = [sum(sizes)] + [
+        sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), steps)
+    ]
+    return solved == walked, relayouts
+
+
+@pytest.mark.parametrize("case", TOTALS_CASES)
+def test_a_totals_row_too_wide_relays_out(case):
+    rows, sizes, roots, steps = TOTALS_CASES[case]
+    equal, relayouts = _relayouts_from_no_head(rows, sizes, roots, steps)
+    assert equal
+    assert relayouts and set(relayouts) == {len(rows)}
+
+
+def test_a_totals_row_too_wide_relays_out_under_dash_o():
+    script = (
+        "import sys\n"
+        "from test_transfer import TOTALS_CASES, _relayouts_from_no_head\n"
+        "if __debug__: sys.exit(2)\n"
+        "for rows, sizes, roots, steps in TOTALS_CASES.values():\n"
+        "    equal, relayouts = _relayouts_from_no_head(rows, sizes, roots, steps)\n"
+        "    if not equal or not relayouts or set(relayouts) != {len(rows)}:\n"
+        "        sys.exit(1)\n"
+    )
+    path = os.pathsep.join([str(Path(transfer.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
+
+
+def test_a_class_too_wide_for_its_slot_relays_out():
+    # Every row sum fits one-byte slots, but F = 1, 301, 90301 of the
+    # class with diagonal 300 does not: only its encoding overflows, and
+    # the solve relays out once at that class, by the widest excess.
+    rows = (((0, 1),), ((0, 1), (1, 300)))
+    assert _relayouts_from_no_head(rows, (1, 1), (1,), 3) == (True, [1])
+
+
+# No class row and no totals row of a benchmark solve relays out.
 @pytest.mark.parametrize("spec", BENCHMARK_MONOIDS)
 def test_benchmark_solves_need_no_relayout(spec, monkeypatch):
     relayouts, keep = [], transfer._relayout
@@ -766,10 +831,9 @@ def test_benchmark_solves_need_no_relayout(spec, monkeypatch):
     assert relayouts == []
 
 
-def test_a_faulty_relayout_raises_and_stops(monkeypatch):
-    # bytes.ljust pads with spaces unless told otherwise: the classes
-    # relaid out grow, every later row's decoded total misses its kept
-    # one, and the solve must stop once no slot can carry, not widen on.
+def _spaced_relayout():
+    """A faulty ``_relayout``: bytes.ljust pads with spaces unless told
+    otherwise, so the classes relaid out grow.  It refuses a 41st call."""
     calls = []
 
     def spaced(packed, old, new):
@@ -783,9 +847,26 @@ def test_a_faulty_relayout_raises_and_stops(monkeypatch):
                 b"".join(map(bytes.ljust, map(data.__getitem__, spans), new)), "little"
             )
 
-    monkeypatch.setattr(transfer, "_relayout", spaced)
+    return spaced
+
+
+def test_a_faulty_relayout_raises_and_stops(monkeypatch):
+    # The classes relaid out grow, every later row's decoded total misses
+    # its kept one, and the solve must stop once no slot can carry, not
+    # widen on.
+    monkeypatch.setattr(transfer, "_relayout", _spaced_relayout())
     with pytest.raises(InvariantViolation, match="carried out of slots as wide as its sum"):
         _packed_solve(GROWING_ROWS, (1, 2, 3, 4, 5), (1,), 12)
+
+
+def test_a_faulty_relayout_at_the_totals_row_raises_and_stops(monkeypatch):
+    # From no head bits this problem first relays out at the totals row,
+    # with every class solved: the totals row alone sees the grown
+    # classes, and it too must stop once no slot can carry.
+    monkeypatch.setattr(transfer, "_relayout", _spaced_relayout())
+    monkeypatch.setattr(transfer, "_HEAD_BITS", 0)
+    with pytest.raises(InvariantViolation, match="^the totals row carried out of slots"):
+        _packed_solve(*TOTALS_CASES["between-slots"])
 
 
 @pytest.mark.parametrize(
@@ -813,6 +894,15 @@ def test_packed_solve_rejects_broken_premises_under_dash_o(rows):
     src = str(Path(transfer.__file__).parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+def test_chain_swap_identity():
+    # count(M x chain:a, n) == count(M x chain:n, a) and count(M x chain:n,
+    # 0) == count(M, n): the two sides are different quotients with their
+    # own roots and D, one often solved and the other expanded, so this
+    # checks the solve and its totals row past the brute-force oracle.
+    # tests/check_swap.py runs the same checks up to 16 elements.
+    assert [label for label, left, right in swap_checks(12) if left != right] == []
 
 
 @pytest.mark.parametrize(
