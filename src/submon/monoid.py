@@ -9,8 +9,8 @@ and all operations here are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from operator import attrgetter
 
 from .errors import (
     AssociativityViolation,
@@ -30,7 +30,68 @@ DEFAULT_MAX_PRODUCT_SIZE = 1024
 CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
+def record(cls=None, *, frozen=True):
+    """Make ``cls`` a record of the fields its body annotates, in order.
+
+    Adds ``__init__`` taking each field positionally or by keyword, then
+    calling ``__post_init__`` if the class has one; an ``__eq__`` true
+    only for a record of the same class with equal fields; ``__repr__``
+    and ``__match_args__``.  A frozen record (the default) refuses
+    assignment and deletion with ``AttributeError`` and hashes its
+    fields; a mutable one, ``@record(frozen=False)``, is unhashable.
+    Values live in the instance ``__dict__``, so ``cached_property``
+    works on either.  The methods are closures: nothing is compiled, and
+    neither ``dataclasses`` nor ``inspect`` is imported.
+    """
+    if cls is None:
+        return partial(record, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    count, known = len(names), frozenset(names)
+    field_values = attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        state = self.__dict__
+        state.update(zip(names, args))
+        if kwargs:
+            state.update(kwargs)
+        # As many values as fields, as many fields set, none unknown: so
+        # none is missing or given twice.
+        if len(args) + len(kwargs) != count or len(state) != count or kwargs and not known.issuperset(kwargs):
+            raise TypeError(f"{cls.__name__}() takes exactly the fields {', '.join(names)}")
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return field_values(self) == field_values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{cls.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(field_values(self))
+
+    methods = [__init__, __eq__, __repr__]
+    methods += [__setattr__, __delattr__, __hash__] if frozen else []
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if not frozen:
+        cls.__hash__ = None
+    cls.__match_args__ = names
+    return cls
+
+
+@record
 class CayleyMonoid:
     """A finite commutative monoid: element count, operation table, identity.
 
@@ -44,7 +105,7 @@ class CayleyMonoid:
     identity: int
 
 
-@dataclass(frozen=True)
+@record
 class PartialOrder:
     """A finite partial order on ``0..size-1``.
 

@@ -8,9 +8,7 @@ spectrum from scratch and compare row by row.
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
-from importlib.resources import files
 
 from .monoid import from_spec
 from .spectral import spectrum_of
@@ -41,7 +39,11 @@ def format_rational(value: Fraction) -> str:
 
 
 def load_reference_spectra() -> dict[str, list[tuple[int, Fraction, int]]]:
-    """The bundled table keyed by monoid spec string."""
+    """The bundled table keyed by monoid spec string.  Its readers are
+    imported here, so no query that never reads it loads them."""
+    import csv
+    from importlib.resources import files
+
     table: dict[str, list[tuple[int, Fraction, int]]] = {}
     source = files("submon.data").joinpath("spectra_reference.csv")
     with source.open("r", encoding="utf-8") as fh:

@@ -13,7 +13,6 @@ commutative monoid has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -25,7 +24,7 @@ from .errors import (
     NonIntegerNormalization,
     NotIdempotent,
 )
-from .monoid import is_idempotent, make_chain
+from .monoid import is_idempotent, make_chain, record
 from .submonoids import bits_of
 from .transfer import (
     CountSequence,
@@ -36,7 +35,7 @@ from .transfer import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Spectrum:
     """Distinct eigenvalues with their exact and normalized coefficients.
 

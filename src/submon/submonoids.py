@@ -6,13 +6,12 @@ Subsets of a monoid are plain integer bitmasks: bit ``i`` marks element
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul
 
 from .errors import SizeLimitExceeded
-from .monoid import CayleyMonoid, PartialOrder
+from .monoid import CayleyMonoid, PartialOrder, record
 
 DEFAULT_MAX_MONOID_SIZE = 20
 
@@ -81,7 +80,7 @@ def _add_element(table, mask: int, x: int) -> int:
     return grown
 
 
-@dataclass(frozen=True)
+@record
 class SubmonoidLattice:
     """All submonoids of a monoid in a fixed inclusion-respecting order.
 

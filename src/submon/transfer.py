@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import log2
 from operator import mul, sub
 
 from .errors import InvariantViolation
-from .monoid import CACHE_SIZE, CayleyMonoid
+from .monoid import CACHE_SIZE, CayleyMonoid, record
 from .submonoids import (
     DEFAULT_MAX_MONOID_SIZE,
     SubmonoidLattice,
@@ -28,7 +27,7 @@ from .submonoids import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Orbits:
     """Orbits of a monoid's automorphism group on its submonoids.
 
@@ -40,7 +39,7 @@ class Orbits:
     orbit_of: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TransferMatrix:
     """W as sparse rows of (column, weight) pairs in ascending column order.
 
@@ -120,14 +119,14 @@ class TransferMatrix:
         return RationalOGF(numerator=tuple(product), denominator_roots=roots)
 
 
-@dataclass
+@record(frozen=False)
 class CountSequence:
     """Exact counts S_0..S_n for one monoid; always positive and nondecreasing."""
 
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RationalOGF:
     """Ordinary generating function as numerator over prod(1 - v*x)."""
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -30,6 +29,7 @@ from .monoid import (
     down_masks,
     join_monoid,
     meet_table,
+    record,
 )
 from .submonoids import bits_of, closed_sets
 from .transfer import CountSequence, build_transfer_matrix, walk
@@ -45,7 +45,7 @@ def _check_budget(order: PartialOrder, max_size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class TransferRelation:
     """A relation on a lattice: bit y of rows[x] is set iff x R y."""
 
@@ -68,13 +68,13 @@ class TransferRelation:
         return cls(order=order, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     rule: str
     elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class _LatticeContext:
     order: PartialOrder
     meet: tuple[tuple[int, ...], ...]

@@ -591,6 +591,21 @@ def test_importing_the_cli_loads_no_process_pool():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_a_cold_cli_import_loads_no_record_or_table_machinery():
+    # -S keeps site's .pth files from preloading anything; the reference
+    # table's readers load only when the table is read.
+    script = (
+        "import sys, submon.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'csv', 'importlib.resources', 'typing')\n"
+        "sys.exit(sorted(set(heavy) & set(sys.modules)) or None)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_a_file_table_counts_as_its_spec_does_under_dash_o(tmp_path):
     # A file: table gets its automorphisms from the table, as its spec does.
     spec, path = "mk:4 x chain:1", tmp_path / "monoid.json"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -13,7 +12,7 @@ from submon.errors import (
 )
 from submon import monoid as monoid_module
 from submon.monoid import (
-    CayleyMonoid,
+    PartialOrder,
     from_spec,
     from_table,
     is_group,
@@ -31,7 +30,10 @@ from submon.monoid import (
     semilattice_order,
     validate,
 )
-from submon.submonoids import enumerate_submonoids
+from submon.spectral import spectrum_of
+from submon.submonoids import SubmonoidLattice, enumerate_submonoids
+from submon.transfer import CountSequence, TransferMatrix, build_transfer_matrix, count_sequence
+from submon.transfersystems import TransferRelation, Violation, _lattice_context
 
 
 def test_from_table_accepts_small_monoids():
@@ -123,9 +125,73 @@ def test_make_bool_matches_iterated_product():
 
 def test_a_monoid_is_its_table():
     # No other field: monoids from a spec and from the same table are equal.
-    assert [f.name for f in fields(CayleyMonoid)] == ["size", "table", "identity"]
+    assert set(vars(from_spec("mk:3 x mk:3"))) == {"size", "table", "identity"}
     spec = from_spec("mk:3 x mk:3")
     assert from_table(spec.table, spec.identity) == spec
+
+
+def _records(spec):
+    """One record of each of the package's 11 record classes, all built
+    from the lattice ``spec``."""
+    monoid = from_spec(spec)
+    matrix = build_transfer_matrix(monoid)
+    order = semilattice_order(monoid)
+    return [
+        monoid,
+        order,
+        matrix.lattice,
+        matrix.orbits,
+        matrix,
+        count_sequence(matrix, 3),
+        matrix.series,
+        spectrum_of(matrix),
+        TransferRelation.from_pairs(order, []),
+        Violation("reflexive", (order.size,)),
+        _lattice_context(order),
+    ]
+
+
+def test_records_are_built_compared_hashed_and_frozen_by_their_fields():
+    pairs = list(zip(_records("chain:2"), _records("mk:3")))
+    assert len({type(a) for a, _ in pairs}) == 11
+    for a, b in pairs:
+        cls, names = type(a), type(a).__match_args__
+        values = tuple(getattr(a, name) for name in names)
+        positional, keyword = cls(*values), cls(**dict(zip(names, values)))
+        assert positional == keyword == a != b
+        assert a != values and values != a
+        for bad_args, bad_kwargs in [
+            (values[:-1], {}),
+            ((*values, None), {}),
+            (values[1:], {"other": values[0]}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
+        if len(names) > 1:  # the first field given twice, the last missing
+            with pytest.raises(TypeError):
+                cls(*values[:-1], **{names[0]: values[0]})
+        if cls is CountSequence:
+            with pytest.raises(TypeError):
+                hash(a)
+            positional.values = b.values
+            assert positional == b
+            continue
+        with pytest.raises(AttributeError):
+            setattr(a, names[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, names[0])
+        assert vars(positional) == dict(zip(names, values))
+        if cls in (SubmonoidLattice, TransferMatrix):  # a field holds a dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(positional) == hash(keyword) == hash(a)
+    assert repr(Violation("reflexive", (3,))) == "Violation(rule='reflexive', elements=(3,))"
+    # Either way of construction runs PartialOrder's own checks.
+    with pytest.raises(ValueError, match="antisymmetric"):
+        PartialOrder(2, (0b11, 0b11))
+    with pytest.raises(ValueError, match="one row per element"):
+        PartialOrder(size=2, up=(0b01,))
 
 
 def test_make_mk_shape():
