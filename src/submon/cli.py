@@ -150,7 +150,7 @@ def cmd_spectrum(args) -> int:
     matrix = build_transfer_matrix(_monoid(args.monoid, args), max_size=args.max_monoid_size)
     spectrum = spectrum_of(matrix)
     rows = [
-        {"eigenvalue": v, "coefficient": reference.format_rational(c), "normalized": h}
+        {"eigenvalue": v, "coefficient": str(c), "normalized": h}
         for v, c, h in zip(spectrum.eigenvalues, spectrum.coefficients, spectrum.normalized)
     ]
     lines = chain(
@@ -238,14 +238,14 @@ def _suite_triangular(args) -> int:
             row = matrix.row(i)
             if not row or row[-1][0] != i or row[-1][1] < 2:
                 return _fail(f"{spec}: diagonal entry {i} is {dict(row).get(i, 0)}", 1)
-            numeral, spanned = bytearray(b"0" * (i + 1)), 0
+            columns, spanned = 0, 0
             for j, w in row:
                 if j > i:
                     return _fail(f"{spec}: nonzero entry above diagonal at ({i},{j})", 1)
                 if w:
-                    numeral[i - j] = ord("1")
+                    columns |= 1 << j
                     spanned |= members[j]
-            if spanned & ~members[i] or int(numeral, 2) != lattice.below(i):
+            if spanned & ~members[i] or columns != lattice.below(i):
                 return _fail(f"{spec}: row {i}'s nonzero columns are not the members inside it", 1)
             diag.append(row[-1][1])
             if idempotent:

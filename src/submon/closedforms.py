@@ -13,7 +13,7 @@ from itertools import islice
 from math import comb, factorial
 
 from .errors import FormulaMismatch, IndexOutOfRange
-from .monoid import PartialOrder
+from .monoid import PartialOrder, bits_of
 
 
 def chain_counts(order: PartialOrder) -> tuple[int, ...]:
@@ -25,15 +25,7 @@ def chain_counts(order: PartialOrder) -> tuple[int, ...]:
     counts = [n]
     vector = [1] * n
     while True:
-        nxt = [0] * n
-        for x in range(n):
-            row = strict[x]
-            total = 0
-            while row:
-                y = (row & -row).bit_length() - 1
-                row &= row - 1
-                total += vector[y]
-            nxt[x] = total
+        nxt = [sum(map(vector.__getitem__, bits_of(row))) for row in strict]
         total = sum(nxt)
         if total == 0:
             return tuple(counts)

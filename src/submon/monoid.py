@@ -3,13 +3,16 @@
 Elements are the integers ``0..size-1`` and the operation is stored as a
 full ``size x size`` table, so every downstream computation is exact and
 validation is a finite sweep.  All values are immutable after construction
-and all operations here are pure.
+and all operations here are pure.  The package's two bitset primitives,
+:func:`bits_of` and :func:`bit_columns`, and its :func:`record` classes
+live here, in the module every other one imports.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache, partial, reduce
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import (
@@ -30,21 +33,38 @@ DEFAULT_MAX_PRODUCT_SIZE = 1024
 CACHE_SIZE = 32
 
 
-def record(cls=None, *, frozen=True):
+def bits_of(mask: int):
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bit_columns(values, width: int) -> tuple[int, ...]:
+    """The bit matrix with one row per value, transposed: bit j of
+    column b is bit b of ``values[j]``, for b below ``width``.  Every
+    value must be below ``2**width``.  Built from one string of the
+    values, one ``width``-digit binary numeral per value, whose strided
+    slices are the columns' numerals: time and memory linear in the
+    number of values times ``width``, in C loops.  No values give
+    ``width`` zero columns."""
+    numerals = "".join(map(format, reversed(values), repeat(f"0{width}b")))
+    return tuple(int(numerals[width - 1 - b :: width] or "0", 2) for b in range(width))
+
+
+def record(cls):
     """Make ``cls`` a record of the fields its body annotates, in order.
 
     Adds ``__init__`` taking each field positionally or by keyword, then
     calling ``__post_init__`` if the class has one; an ``__eq__`` true
-    only for a record of the same class with equal fields; ``__repr__``
-    and ``__match_args__``.  A frozen record (the default) refuses
-    assignment and deletion with ``AttributeError`` and hashes its
-    fields; a mutable one, ``@record(frozen=False)``, is unhashable.
-    Values live in the instance ``__dict__``, so ``cached_property``
-    works on either.  The methods are closures: nothing is compiled, and
-    neither ``dataclasses`` nor ``inspect`` is imported.
+    only for a record of the same class with equal fields; ``__hash__``
+    of the fields; ``__repr__`` and ``__match_args__``.  Assignment and
+    deletion raise ``AttributeError``.  Values live in the instance
+    ``__dict__``, so ``cached_property`` works.  The methods are
+    closures: nothing is compiled, and neither ``dataclasses`` nor
+    ``inspect`` is imported.
     """
-    if cls is None:
-        return partial(record, frozen=frozen)
     names = tuple(cls.__annotations__)
     count, known = len(names), frozenset(names)
     field_values = attrgetter(*names)
@@ -80,13 +100,9 @@ def record(cls=None, *, frozen=True):
     def __hash__(self):
         return hash(field_values(self))
 
-    methods = [__init__, __eq__, __repr__]
-    methods += [__setattr__, __delattr__, __hash__] if frozen else []
-    for method in methods:
+    for method in (__init__, __eq__, __repr__, __setattr__, __delattr__, __hash__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     cls.__match_args__ = names
     return cls
 
@@ -127,10 +143,7 @@ class PartialOrder:
             if not row >> x & 1:
                 raise ValueError(f"order is not reflexive at {x}")
         for x in range(self.size):
-            rest = self.up[x] & ~(1 << x)
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for y in bits_of(self.up[x] & ~(1 << x)):
                 if self.up[y] >> x & 1:
                     raise ValueError(f"order is not antisymmetric at ({x}, {y})")
                 if self.up[y] & ~self.up[x]:
@@ -327,10 +340,7 @@ def down_masks(order: PartialOrder) -> tuple[int, ...]:
     """Bitmask rows of the opposite relation: bit y of row x iff y <= x."""
     down = [0] * order.size
     for x in range(order.size):
-        rest = order.up[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for y in bits_of(order.up[x]):
             down[y] |= 1 << x
     return tuple(down)
 
@@ -353,14 +363,7 @@ def _bound_table(order, cones, kind):
         row = []
         for y in range(n):
             common = cones[x] & cones[y]
-            found = None
-            rest = common
-            while rest:
-                z = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if common & ~cones[z] == 0:
-                    found = z
-                    break
+            found = next((z for z in bits_of(common) if not common & ~cones[z]), None)
             if found is None:
                 raise NotALattice(f"elements {x} and {y} have no {kind}")
             row.append(found)

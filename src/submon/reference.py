@@ -31,13 +31,6 @@ SPECS = (
 )
 
 
-def format_rational(value: Fraction) -> str:
-    """Lowest terms, positive denominator, no "/1" on integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def load_reference_spectra() -> dict[str, list[tuple[int, Fraction, int]]]:
     """The bundled table keyed by monoid spec string.  Its readers are
     imported here, so no query that never reads it loads them."""

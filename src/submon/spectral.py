@@ -24,8 +24,7 @@ from .errors import (
     NonIntegerNormalization,
     NotIdempotent,
 )
-from .monoid import is_idempotent, make_chain, record
-from .submonoids import bits_of
+from .monoid import bits_of, is_idempotent, make_chain, record
 from .transfer import (
     CountSequence,
     RationalOGF,

@@ -11,17 +11,9 @@ from itertools import compress, repeat
 from operator import add, mul
 
 from .errors import SizeLimitExceeded
-from .monoid import CayleyMonoid, PartialOrder, record
+from .monoid import CayleyMonoid, PartialOrder, bit_columns, bits_of, record
 
 DEFAULT_MAX_MONOID_SIZE = 20
-
-
-def bits_of(mask: int):
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def closed_sets(bottom, bottom_gens: int, generators: int, extend):
@@ -98,13 +90,9 @@ class SubmonoidLattice:
     @cached_property
     def containing(self) -> tuple[int, ...]:
         """One bitset per element x of the monoid: bit j of
-        ``containing[x]`` is set iff member j contains x.  Built from one
-        string of the members' masks, one ``size``-digit binary numeral
-        per member, whose strided slices are the bitsets' numerals: time
-        and memory linear in k times the monoid's size, in C loops."""
-        n = self.monoid.size
-        numerals = "".join(map(format, reversed(self.members), repeat(f"0{n}b")))
-        return tuple(int(numerals[n - 1 - x :: n], 2) for x in range(n))
+        ``containing[x]`` is set iff member j contains x: the members'
+        masks transposed by :func:`bit_columns`."""
+        return bit_columns(self.members, self.monoid.size)
 
     def below(self, i: int) -> int:
         """The members contained in member i, bit i included, as a bitset

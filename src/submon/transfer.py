@@ -17,14 +17,8 @@ from math import log2
 from operator import mul, sub
 
 from .errors import InvariantViolation
-from .monoid import CACHE_SIZE, CayleyMonoid, record
-from .submonoids import (
-    DEFAULT_MAX_MONOID_SIZE,
-    SubmonoidLattice,
-    bits_of,
-    enumerate_submonoids,
-    ideal_row,
-)
+from .monoid import CACHE_SIZE, CayleyMonoid, bits_of, record
+from .submonoids import DEFAULT_MAX_MONOID_SIZE, SubmonoidLattice, enumerate_submonoids, ideal_row
 
 
 @record
@@ -119,7 +113,7 @@ class TransferMatrix:
         return RationalOGF(numerator=tuple(product), denominator_roots=roots)
 
 
-@record(frozen=False)
+@record
 class CountSequence:
     """Exact counts S_0..S_n for one monoid; always positive and nondecreasing."""
 

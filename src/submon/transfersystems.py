@@ -17,21 +17,20 @@ budget (``--max-monoid-size``), as ``count`` does.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
-from itertools import chain
 
 from .errors import InvariantViolation, NonUniqueMinimal, SizeLimitExceeded
 from .monoid import (
     CACHE_SIZE,
     PartialOrder,
+    bit_columns,
+    bits_of,
     down_masks,
     join_monoid,
     meet_table,
     record,
 )
-from .submonoids import bits_of, closed_sets
+from .submonoids import closed_sets
 from .transfer import CountSequence, build_transfer_matrix, walk
 
 DEFAULT_MAX_ST_SIZE = 8
@@ -220,10 +219,6 @@ def _grow(ctx: _LatticeContext, rows, cols, gens: int, x: int, z: int):
     return tuple(rows), tuple(cols), gens
 
 
-# Array typecodes by item size in bytes.
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
-
-
 def _invalid_systems(ctx: _LatticeContext, systems) -> int:
     """The relations in ``systems`` that are not saturated transfer systems,
     as a bitset over positions: bit s is set iff ``systems[s]`` is not
@@ -232,46 +227,26 @@ def _invalid_systems(ctx: _LatticeContext, systems) -> int:
     :func:`is_saturated_transfer_system` decides, read off the requirement
     table alone and without ``_grow``'s propagation.
 
-    Every row of every system is packed into one integer at a fixed number
-    of bits per row, which is written out once as a binary numeral.  The
-    numeral sliced at the stride of one system gives, for each entry
-    (x, y), the bitset of the systems that relate x to y; each clause is
-    then a big-integer operation that covers every system at once.
+    A system with a row bit at or above the lattice's size is flagged at
+    once.  Each system's rows, masked to ``size`` bits, are packed into
+    one integer at ``size`` bits per row, and :func:`bit_columns`
+    transposes the packed systems into, for each entry (x, y), the bitset
+    of the systems that relate x to y; each clause is then a big-integer
+    operation that covers every system at once.
     """
-    if not systems:
-        return 0
     n = ctx.order.size
-    width = max(n, max(map(int.bit_length, chain.from_iterable(systems))))
-    size = next((size for size in (1, 2, 4, 8) if 8 * size >= width), -(-width // 8))
-    if size in _TYPECODES:
-        packed = array(_TYPECODES[size], chain.from_iterable(systems))
-        if sys.byteorder == "big":
-            packed.byteswap()
-        packed = packed.tobytes()
-    else:
-        # Rows this wide belong to lattices of over 64 elements, far above
-        # the default budget; otherwise only a faulty enumeration gets here.
-        packed = b"".join(row.to_bytes(size, "little") for row in chain.from_iterable(systems))
-    numeral = format(int.from_bytes(packed, "little"), f"0{8 * len(packed)}b")
-    bits = 8 * size
-    stride = bits * n
-
-    def holding(x: int, y: int) -> int:
-        """Bit s is set iff bit y of row x of system s is set."""
-        return int(numeral[stride - 1 - bits * x - y :: stride], 2)
-
-    has = [holding(x, y) for x in range(n) for y in range(n)]
+    field = (1 << n) - 1
+    invalid = sum(1 << s for s, rows in enumerate(systems) if any(row >> n for row in rows))
+    packed = [sum((row & field) << n * x for x, row in enumerate(rows)) for rows in systems]
+    has = bit_columns(packed, n * n)
     every = (1 << len(systems)) - 1
     lacks = [every ^ holds for holds in has]
     up = ctx.order.up
     required = ctx.required
-    invalid = 0
     for x in range(n):
         invalid |= lacks[x * n + x]
-        for y in bits_of(~up[x] & ((1 << n) - 1)):
+        for y in bits_of(~up[x] & field):
             invalid |= has[x * n + y]
-        for y in range(n, width):
-            invalid |= holding(x, y)
         for z in bits_of(up[x] & ~(1 << x)):
             # Bit s: system s lacks an entry that x R z requires, by
             # transitivity or by the table.
@@ -319,7 +294,7 @@ def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
     systems = [rows for rows, _, _ in closed_sets((start, start, 0), 0, len(covers), extend)]
     invalid = _invalid_systems(ctx, systems)
     if invalid:
-        rows = systems[(invalid & -invalid).bit_length() - 1]
+        rows = systems[next(bits_of(invalid))]
         violation = is_saturated_transfer_system(order, rows)[1]
         raise InvariantViolation(
             "enumerated an invalid system: "
@@ -441,7 +416,7 @@ def _st_data(order: PartialOrder):
     down = down_masks(order)
     downsets = list(closed_sets(0, 0, n, lambda v, i: (v | down[i],) * 2))
     # Bit k of holding[x] is set iff down-set k holds x.
-    holding = [sum(1 << k for k, v in enumerate(downsets) if v >> x & 1) for x in range(n)]
+    holding = bit_columns(downsets, n)
     every = (1 << len(downsets)) - 1
     # Each system as one integer, row x at bits n * x up to n * x + n - 1.
     packed = [sum(row << n * x for x, row in enumerate(rows)) for rows in systems]
