@@ -149,9 +149,6 @@ class PartialOrder:
                 if self.up[y] & ~self.up[x]:
                     raise ValueError(f"order is not transitive at ({x}, {y})")
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1

@@ -222,6 +222,9 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
         return walk(free & ~multiples[x], columns) + walk(free & ~divisors[x], columns & keeps[x])
 
     diagonal = walk(a, start)
+    # The closure refers to itself; clearing it frees the walk's tables
+    # now, not at the next cyclic collection.
+    del walk
     where = _spread(start, i).to_bytes(i, "little")
     weights = ()
     for p in range(0, len(planes), 8):

@@ -35,18 +35,21 @@ class Orbits:
 
 @record
 class TransferMatrix:
-    """W as sparse rows of (column, weight) pairs in ascending column order.
+    """W over a lattice's submonoids, kept only as its lumped quotient.
 
-    W(A, B) is nonzero exactly when B is a subset of A, so the rows are
-    lower triangular and each ends with its diagonal pair.  Every
-    automorphism s of the monoid gives W(sA, sB) == W(A, B), so
-    ``quotient`` sums, over their ideals, only the rows of the orbit
-    representatives whose :func:`_shape` no earlier representative had,
-    and is the one piece of W a matrix keeps; ``roots``, the count
-    annihilator, and ``series``, the counts' generating function, are
-    read off it.  ``row`` sums one row of W over its submonoid's
-    ideals with :func:`ideal_row`, the one routine that computes a
-    weight, and is how every reader outside the quotient sees W.
+    W(A, B) is nonzero exactly when B is a subset of A, so W is lower
+    triangular.  Every automorphism s of the monoid gives W(sA, sB) ==
+    W(A, B), so ``quotient`` sums, over their ideals, only the rows of
+    the orbit representatives whose :func:`_shape` no earlier
+    representative had, and is the one piece of W a matrix keeps.  Each
+    of its rows is two flat arrays (see :func:`_lump`): the off-diagonal
+    class ids, ascending, and their weights with the diagonal last.
+    ``roots``, the count annihilator, and ``series``, the counts'
+    generating function, are read off it.  ``row`` sums one row of W
+    over its submonoid's ideals with :func:`ideal_row`, the one routine
+    that computes a weight, as (column, weight) pairs in ascending
+    column order, the diagonal pair last; it is how every reader outside
+    the quotient sees W.
     """
 
     lattice: SubmonoidLattice
@@ -74,8 +77,9 @@ class TransferMatrix:
     @cached_property
     def quotient(self):
         """W lumped by :func:`_lump` over the orbits, keyed by shape: the
-        quotient rows and class sizes.  Rows are summed only for
-        representatives of a new shape, and none is kept."""
+        quotient rows, each a (columns, weights) pair of arrays, and the
+        class sizes.  Rows of W are summed only for representatives of a
+        new shape, and none is kept."""
         return _lump(self.lattice, self.orbits)
 
     @cached_property
@@ -355,9 +359,11 @@ def _relayout(packed: list[int], old, new) -> None:
 
 
 def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
-    """S_0..S_steps for the lower-triangular quotient ``rows`` (sparse
-    (column, weight) pairs, diagonal last) with class sizes ``sizes`` and
-    annihilator ``roots``.
+    """S_0..S_steps for the lower-triangular quotient ``rows`` with class
+    sizes ``sizes`` and annihilator ``roots``.  Each row is read as
+    :func:`_lump` stores it, the off-diagonal columns and the weights
+    with the diagonal last, with no per-row copy: ``map`` over both
+    stops at the columns' end.
 
     Class C's sequence F[n] = (Q^n 1)[C] starts at F[0] = 1 and obeys
     F[n+1] = d*F[n] + g[n], with d its diagonal and g[n] the sum of
@@ -393,11 +399,11 @@ def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
     spans = _spans(widths)
     for c in range(len(rows) + 1):
         if c < len(rows):
-            columns, weights = zip(*rows[c])
+            columns, weights = rows[c]
             if min(weights) < 1:
                 raise InvariantViolation(f"quotient row {c} has a weight or diagonal below 1")
             # The diagonal is the last weight; map stops at the columns' end.
-            d, columns = weights[-1], columns[:-1]
+            d = weights[-1]
         else:
             d, columns, weights = None, range(c), sizes
         whole = sum(map(mul, weights, map(sums.__getitem__, columns)))
@@ -434,17 +440,18 @@ def _packed_solve(rows, sizes, roots, steps: int) -> list[int]:
 
 def annihilator(rows) -> tuple[int, ...]:
     """The roots of prod over v of (1 - v*x)**m_v for the quotient
-    ``rows``, ascending, each diagonal value v repeated m_v times.
+    ``rows`` (as :func:`_lump` stores them: each row's diagonal is its
+    last weight), ascending, each diagonal value v repeated m_v times.
 
     m_v is the most classes with diagonal v on one chain of direct nonzero
     edges, found in one bottom-up pass.  W(A, B) is nonzero for every B
     inside A, so the support of W, and of Q, is transitive: every path's
     classes with diagonal v are joined by direct edges, and m_v is also
     the most classes with diagonal v on any path."""
-    diagonal = [row[-1][1] for row in rows]
+    diagonal = [weights[-1] for _, weights in rows]
     longest, chains = [], {}
-    for row, v in zip(rows, diagonal):
-        below = (longest[j] for j, w in row[:-1] if w and diagonal[j] == v)
+    for (columns, weights), v in zip(rows, diagonal):
+        below = (longest[j] for j, w in zip(columns, weights) if w and diagonal[j] == v)
         longest.append(1 + max(below, default=0))
         chains[v] = max(chains.get(v, 0), longest[-1])
     return tuple(v for v in sorted(chains) for _ in range(chains[v]))
@@ -475,6 +482,17 @@ def _shape(table, mask: int) -> bytes:
     return bytes(products) if len(elements) <= 256 else array("H", products).tobytes()
 
 
+def _typed(values):
+    """``values`` in an array of the narrowest typecode that holds the
+    largest, so equal values give equal bytes, or in a tuple when no
+    typecode does.  A quotient weight of A's row sums at most 2**|A|
+    ideals over at most 2**|A| members, so a tuple needs a submonoid of
+    32 elements or more, above the default size budget."""
+    bits = max(values).bit_length()
+    width = min((b for b in _ARRAY_CODES if 8 * b >= bits), default=0)
+    return array(_ARRAY_CODES[width], values) if width else tuple(values)
+
+
 def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     """Lump W's rows into classes on which every W^n 1 is constant, and
     return the quotient rows and the class sizes.
@@ -487,9 +505,8 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     those columns lie below the row; orbits with equal signatures share
     a class.  (W v)[A] depends only on A's signature when v is constant
     on classes, so by induction W^n 1 is too.  A row's classes below it
-    were all formed before its own, so the quotient (each class's
-    signature with its diagonal pair appended last) keeps the
-    contract of ``row``.  The rows are summed by :func:`ideal_row`,
+    were all formed before its own, so every quotient row's columns lie
+    below it.  The rows are summed by :func:`ideal_row`,
     over each representative's ideals.  ``member_class`` maps each
     member to its class: before a row is lumped it is extended up to
     the row's member through ``classes``, which holds every orbit of
@@ -500,6 +517,16 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
     classes with a nonzero sum in ascending order, with no sort: every
     weight is at least 1 (the ideal A itself), so they are exactly the
     classes of the row's columns.
+
+    A quotient row is stored as it is lumped, in two flat arrays, with
+    no (column, weight) pair and no int object per nonzero: the columns
+    in an ``array('I')``, straight from ``compress``, and the summed
+    weights with the diagonal last in one array of the narrowest
+    typecode that holds them (:func:`_typed`).  That typecode is a
+    function of the values, so the bytes of the two arrays are the
+    signature's key: equal signatures give equal bytes, and the columns'
+    length fixes the weights' length, so unequal ones never do.  On
+    ``chain:3 x chain:3`` (466 classes) this keeps 9 bytes per nonzero.
 
     A representative whose :func:`_shape` an earlier one had takes that
     one's class, and its row is never summed.  This gives exactly the
@@ -529,10 +556,12 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
             sums = [0] * len(quotient)
             for b, w in zip(compress(member_class, where), weights):
                 sums[b] += w
-            below = tuple(zip(compress(range(len(sums)), sums), compress(sums, sums)))
-            c = class_of_shape[key] = index.setdefault((diagonal, below), len(quotient))
+            columns = array("I", compress(range(len(sums)), sums))
+            weights = _typed([*compress(sums, sums), diagonal])
+            signature = columns.tobytes(), weights if type(weights) is tuple else weights.tobytes()
+            c = class_of_shape[key] = index.setdefault(signature, len(quotient))
             if c == len(quotient):
-                quotient.append(below + ((c, diagonal),))
+                quotient.append((columns, weights))
         classes.append(c)
     sizes = [0] * len(quotient)
     for o in orbit_of:

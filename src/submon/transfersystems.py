@@ -59,13 +59,6 @@ class TransferRelation:
                 out.append((x, y))
         return out
 
-    @classmethod
-    def from_pairs(cls, order: PartialOrder, pairs) -> TransferRelation:
-        rows = [1 << x for x in range(order.size)]
-        for x, y in pairs:
-            rows[x] |= 1 << y
-        return cls(order=order, rows=tuple(rows))
-
 
 @record
 class Violation:
@@ -219,6 +212,13 @@ def _grow(ctx: _LatticeContext, rows, cols, gens: int, x: int, z: int):
     return tuple(rows), tuple(cols), gens
 
 
+def _packed(systems, n: int) -> list[int]:
+    """Each system as one integer, its row x masked to ``n`` bits at bits
+    n * x up to n * x + n - 1."""
+    field = (1 << n) - 1
+    return [sum((row & field) << n * x for x, row in enumerate(rows)) for rows in systems]
+
+
 def _invalid_systems(ctx: _LatticeContext, systems) -> int:
     """The relations in ``systems`` that are not saturated transfer systems,
     as a bitset over positions: bit s is set iff ``systems[s]`` is not
@@ -228,17 +228,16 @@ def _invalid_systems(ctx: _LatticeContext, systems) -> int:
     table alone and without ``_grow``'s propagation.
 
     A system with a row bit at or above the lattice's size is flagged at
-    once.  Each system's rows, masked to ``size`` bits, are packed into
-    one integer at ``size`` bits per row, and :func:`bit_columns`
-    transposes the packed systems into, for each entry (x, y), the bitset
-    of the systems that relate x to y; each clause is then a big-integer
-    operation that covers every system at once.
+    once.  :func:`_packed` packs each system into one integer at ``size``
+    bits per row, and :func:`bit_columns` transposes the packed systems
+    into, for each entry (x, y), the bitset of the systems that relate x
+    to y; each clause is then a big-integer operation that covers every
+    system at once.
     """
     n = ctx.order.size
     field = (1 << n) - 1
     invalid = sum(1 << s for s, rows in enumerate(systems) if any(row >> n for row in rows))
-    packed = [sum((row & field) << n * x for x, row in enumerate(rows)) for rows in systems]
-    has = bit_columns(packed, n * n)
+    has = bit_columns(_packed(systems, n), n * n)
     every = (1 << len(systems)) - 1
     lacks = [every ^ holds for holds in has]
     up = ctx.order.up
@@ -418,8 +417,7 @@ def _st_data(order: PartialOrder):
     # Bit k of holding[x] is set iff down-set k holds x.
     holding = bit_columns(downsets, n)
     every = (1 << len(downsets)) - 1
-    # Each system as one integer, row x at bits n * x up to n * x + n - 1.
-    packed = [sum(row << n * x for x, row in enumerate(rows)) for rows in systems]
+    packed = _packed(systems, n)
     field = (1 << n) - 1
     st_rows = []
     for top, t in zip(systems, packed):

@@ -9,9 +9,13 @@ shares no weight code with them: :func:`weight_row` computes each
 weight W(A, B) on its own, from the condensed divisibility preorder of
 A and a count of its upsets, and :func:`reference_row` gives its rows
 in the form of ``TransferMatrix.entries``; :func:`lump` checks the row
-contract of the rows it reads.  pytest does not collect this file.
+contract of the rows it reads.  The reference lumping stays in pair
+form; :func:`flat` puts a lumped quotient, or hand-built pair rows, in
+the form of ``TransferMatrix.quotient``, and :func:`paired` undoes it.
+pytest does not collect this file.
 """
 
+from array import array
 from dataclasses import dataclass
 
 from submon.errors import InvariantViolation
@@ -217,3 +221,35 @@ def shape_free(row, orbits):
     """Lumping by signatures alone: each representative is its own shape,
     so every representative's row is built and none is skipped."""
     return lump(row, orbits, lambda i: i)
+
+
+def _weights(values):
+    """A row's weights, the diagonal last: an array('Q'), or a tuple when
+    one is 2**64 or more."""
+    try:
+        return array("Q", values)
+    except OverflowError:
+        return tuple(values)
+
+
+def flat(quotient):
+    """Quotient rows of (column, weight) pairs, the diagonal pair last,
+    with their class sizes, in the form of ``TransferMatrix.quotient``:
+    each row's off-diagonal columns in an array('I') and its weights, the
+    diagonal last, in :func:`_weights`.  Arrays compare by value whatever
+    their typecodes, so this equals a quotient whose weights have the
+    narrowest typecode."""
+    rows, sizes = quotient
+    return tuple(
+        (array("I", [j for j, _ in row[:-1]]), _weights([w for _, w in row])) for row in rows
+    ), sizes
+
+
+def paired(quotient):
+    """``TransferMatrix.quotient`` in the form :func:`lump` returns, which
+    ``transfer.walk`` reads: each row as (column, weight) pairs, the
+    diagonal pair (c, d) last for row c."""
+    rows, sizes = quotient
+    return tuple(
+        (*zip(columns, weights), (c, weights[-1])) for c, (columns, weights) in enumerate(rows)
+    ), sizes

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from submon import cli
+from submon import cli, transfersystems
 from submon import monoid as monoid_module
+from submon.errors import InvariantViolation
 from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS, main
 from submon.monoid import from_spec, join_monoid, make_chain, monoid_to_json, semilattice_order
 from submon.transfer import TransferMatrix, build_transfer_matrix
-from submon.transfersystems import st_count_sequence
+from submon.transfersystems import st_count_sequence, verify_graph_isomorphism
 
 from dense_table import dense
 
@@ -555,6 +556,61 @@ def test_verify_triangular_rejects_a_tampered_row(capsys, monkeypatch, row4, mes
     monkeypatch.setattr(TransferMatrix, "row", lambda self, i: row4 if i == 4 else row(self, i))
     code, out, err = run(capsys, "verify", "triangular", "--monoid", "chain:1 x chain:1")
     assert (code, out, err) == (1, "", f"chain:1 x chain:1: {message}\n")
+
+
+def _plant_a_wrong_cylinder_weight(monkeypatch):
+    """Raise the first weight of the last cylinder row by one."""
+    keep = transfersystems._st_data
+
+    def tampered(order):
+        systems, rows = keep(order)
+        (j, w), *rest = rows[-1]
+        return systems, rows[:-1] + (((j, w + 1), *rest),)
+
+    monkeypatch.setattr(transfersystems, "_st_data", tampered)
+
+
+def _plant_a_non_bijective_chi(monkeypatch):
+    """Map every system to the bottom element's submonoid."""
+    monkeypatch.setattr(transfersystems, "chi", lambda order, relation: 1)
+
+
+def test_graph_isomorphism_names_a_wrong_cylinder_weight(monkeypatch):
+    _plant_a_wrong_cylinder_weight(monkeypatch)
+    ok, details = verify_graph_isomorphism(semilattice_order(from_spec("chain:2")))
+    label, r_pairs, q_pairs, st, w = details
+    assert (ok, label, st) == (False, "weight mismatch", w + 1)
+    assert r_pairs == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_graph_isomorphism_names_a_chi_that_is_no_bijection(monkeypatch):
+    _plant_a_non_bijective_chi(monkeypatch)
+    ok, details = verify_graph_isomorphism(semilattice_order(from_spec("chain:2")))
+    assert (ok, details) == (False, ("chi is not a bijection onto the submonoids", [1] * 4))
+
+
+@pytest.mark.parametrize(
+    "plant, detail",
+    [
+        (_plant_a_wrong_cylinder_weight, "('weight mismatch', [(0, 1), (0, 2), (1, 2)], "),
+        (_plant_a_non_bijective_chi, "('chi is not a bijection onto the submonoids', [1, 1, 1, 1])"),
+    ],
+)
+def test_verify_transfer_iso_fails_on_a_planted_fault(capsys, monkeypatch, plant, detail):
+    plant(monkeypatch)
+    code, out, err = run(capsys, "verify", "transfer-iso", "--monoid", "chain:2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"chain:2: {detail}") and err.endswith("\n")
+
+
+def test_main_maps_an_invariant_violation_to_exit_1(capsys, monkeypatch):
+    def violated(*args):
+        raise InvariantViolation("a planted violation")
+
+    monkeypatch.setattr(cli, "count_sequence", violated)
+    assert run(capsys, "count", "--monoid", "chain:1", "--n", "2") == (
+        1, "", "error: a planted violation\n"
+    )
 
 
 def test_oracle_mismatches_exit_1_at_the_first_wrong_term(capsys, monkeypatch):

@@ -25,6 +25,8 @@ from submon.spectral import eigenvalues, spectrum_of
 from submon.submonoids import bits_of, enumerate_submonoids, inclusion_order
 from submon.transfer import build_transfer_matrix, count_sequence
 
+from relations import leq
+
 
 def _brute_force_chains(order):
     elements = range(order.size)
@@ -34,7 +36,7 @@ def _brute_force_chains(order):
         total = 0
         for combo in combinations(elements, length + 1):
             if all(
-                order.leq(combo[i], combo[i + 1]) and combo[i] != combo[i + 1]
+                leq(order, combo[i], combo[i + 1]) and combo[i] != combo[i + 1]
                 for i in range(length)
             ):
                 total += 1

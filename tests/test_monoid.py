@@ -34,7 +34,9 @@ from submon.monoid import (
 from submon.spectral import spectrum_of
 from submon.submonoids import SubmonoidLattice, enumerate_submonoids
 from submon.transfer import CountSequence, TransferMatrix, build_transfer_matrix, count_sequence
-from submon.transfersystems import TransferRelation, Violation, _lattice_context
+from submon.transfersystems import Violation, _lattice_context
+
+from relations import from_pairs, leq
 
 
 def test_from_table_accepts_small_monoids():
@@ -146,7 +148,7 @@ def _records(spec):
         count_sequence(matrix, 3),
         matrix.series,
         spectrum_of(matrix),
-        TransferRelation.from_pairs(order, []),
+        from_pairs(order, []),
         Violation("reflexive", (order.size,)),
         _lattice_context(order),
     ]
@@ -213,9 +215,9 @@ def test_make_mk_shape():
 def test_make_n5_order():
     order = semilattice_order(make_n5())
     # bottom 0, a 1, b 2, c 3, top 4 with a < c and b incomparable to both
-    assert order.leq(0, 4) and order.leq(1, 3)
-    assert not order.leq(2, 1) and not order.leq(1, 2)
-    assert not order.leq(2, 3) and not order.leq(3, 2)
+    assert leq(order, 0, 4) and leq(order, 1, 3)
+    assert not leq(order, 2, 1) and not leq(order, 1, 2)
+    assert not leq(order, 2, 3) and not leq(order, 3, 2)
     assert make_n5().table[1][2] == 4
 
 
@@ -236,7 +238,7 @@ def test_is_group_on_non_groups():
 
 def test_semilattice_order_chain_is_total():
     order = semilattice_order(make_chain(2))
-    assert all(order.leq(x, y) for x in range(3) for y in range(x, 3))
+    assert all(leq(order, x, y) for x in range(3) for y in range(x, 3))
 
 
 def test_semilattice_order_rejects_groups():
@@ -249,7 +251,7 @@ def test_semilattice_order_grid_is_componentwise():
     for x in range(4):
         for y in range(4):
             expected = x >> 1 <= y >> 1 and x & 1 <= y & 1
-            assert order.leq(x, y) == expected
+            assert leq(order, x, y) == expected
 
 
 def test_join_monoid_round_trip():

@@ -38,7 +38,7 @@ from submon.transfer import (
     walk_counts,
 )
 
-from reference_quotient import shape_free
+from reference_quotient import flat, shape_free
 
 IDEMPOTENT_SPECS = [
     "chain:0",
@@ -290,7 +290,7 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
     tampered = TransferMatrix(lattice=grid.lattice, orbits=trivial)
     # Lumped by signatures alone: row 2 shares row 1's shape, which would
     # skip it.
-    vars(tampered)["quotient"] = shape_free(rows.__getitem__, trivial)
+    vars(tampered)["quotient"] = flat(shape_free(rows.__getitem__, trivial))
     with pytest.raises(InvariantViolation, match="equal-diagonal block"):
         eigenvalues(tampered)
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import cache, partial
 from itertools import permutations
 from pathlib import Path
@@ -46,12 +48,13 @@ from submon.transfer import (
     _orbits,
     _packed_solve,
     _shape,
+    _typed,
 )
 
 from check_swap import swap_checks
 from dense_table import dense
 from reference_counts import brute_force_projection_count
-from reference_quotient import reference_row, shape_free, weight_row
+from reference_quotient import flat, paired, reference_row, shape_free, weight_row
 
 GRID = make_product(make_chain(1), make_chain(1))
 
@@ -142,7 +145,7 @@ def _growth(matrix):
     rows, sizes = matrix.quotient
     roots = annihilator(rows)
     base = roots[-1]
-    attaining = sum(s for row, s in zip(rows, sizes) if row[-1][1] == base)
+    attaining = sum(s for (_, weights), s in zip(rows, sizes) if weights[-1] == base)
     return base, attaining, roots.count(base) - 1
 
 
@@ -167,7 +170,7 @@ def test_count_sequence_rejects_decreasing_counts():
     trivial = Orbits((0,), (0,))
     # Set on a fresh matrix: a built one is cached and shared.
     tampered = TransferMatrix(lattice=lattice, orbits=trivial)
-    vars(tampered)["quotient"] = shape_free((((0, 0),),).__getitem__, trivial)
+    vars(tampered)["quotient"] = flat(shape_free((((0, 0),),).__getitem__, trivial))
     with pytest.raises(InvariantViolation):
         count_sequence(tampered, 1)
 
@@ -186,7 +189,7 @@ def test_count_sequence_rejects_broken_row_contract(entries, message, monkeypatc
     # A fresh matrix lumps these rows in place of W's into its quotient,
     # by the reference lumping, which checks them.
     monkeypatch.setattr(
-        transfer, "_lump", lambda lattice, orbits: shape_free(entries.__getitem__, orbits)
+        transfer, "_lump", lambda lattice, orbits: flat(shape_free(entries.__getitem__, orbits))
     )
     tampered = TransferMatrix(lattice=lattice, orbits=Orbits((0, 1), (0, 1)))
     with pytest.raises(InvariantViolation, match=message):
@@ -243,14 +246,73 @@ def test_lumped_counts_match_full_walk(spec, n):
 
 @pytest.mark.parametrize("spec, k, classes", [("mk:9", 522, 11), ("cyclic:2 x mk:6", 877, 44)])
 def test_lumping_shrinks_symmetric_monoids(spec, k, classes):
-    rows, sizes = shape_free(_entries(spec).__getitem__, _trivial(k))
+    lumped = shape_free(_entries(spec).__getitem__, _trivial(k))
+    rows, sizes = _matrix(spec).quotient
     assert (sum(sizes), len(rows)) == (k, classes)
     # Lumping the representatives' rows over their orbits gives the same classes.
-    assert _matrix(spec).quotient == (rows, sizes)
-    # The quotient keeps the row contract: columns below the row, diagonal last.
-    for c, row in enumerate(rows):
-        assert row[-1][0] == c
-        assert all(j < c for j, _ in row[:-1])
+    assert (rows, sizes) == flat(lumped)
+    # The quotient keeps the row contract: columns ascending and below the
+    # row, one weight more than columns, the diagonal last.
+    # Each row's weights take the narrowest typecode that holds them.
+    for c, (columns, weights) in enumerate(rows):
+        assert list(columns) == sorted(set(columns)) and all(j < c for j in columns)
+        assert len(weights) == len(columns) + 1
+        assert columns.typecode == "I"
+        assert 256 ** (weights.itemsize // 2) <= max(weights) < 256**weights.itemsize
+
+
+@pytest.mark.parametrize(
+    "values, width",
+    [((1, 255), 1), ((256, 1), 2), ((2**16 - 1, 2**16), 4), ((2**32,), 8), ((2**64 - 1, 3), 8)],
+)
+def test_typed_weights_take_the_narrowest_typecode(values, width):
+    assert (_typed(values).itemsize, list(_typed(values))) == (width, list(values))
+
+
+def test_weights_past_64_bits_lump_into_tuples(monkeypatch):
+    # No submonoid within the default budget has a weight of 2**64, so
+    # every weight and diagonal is scaled by 2**64.  Signatures scale
+    # alike, so the classes are those of the scaled reference rows, each
+    # row's weights a tuple, and the annihilator and the solve read them.
+    matrix = _matrix("chain:2 x chain:1")
+    roots, keep = matrix.roots, transfer.ideal_row
+
+    def scaled(lattice, i):
+        diagonal, where, weights = keep(lattice, i)
+        return diagonal << 64, where, [w << 64 for w in weights]
+
+    monkeypatch.setattr(transfer, "ideal_row", scaled)
+    big = TransferMatrix(matrix.lattice, matrix.orbits)
+    rows, sizes = big.quotient
+    reference = shape_free(
+        lambda i: tuple((j, w << 64) for j, w in reference_row(matrix.lattice, i)), matrix.orbits
+    )
+    assert (rows, sizes) == flat(reference)
+    assert all(type(weights) is tuple for _, weights in rows)
+    assert big.roots == tuple(v << 64 for v in roots)
+    assert walk_counts(big, 3) == _walked(big, 3)
+
+
+def test_the_quotient_keeps_at_most_12_bytes_per_nonzero():
+    # chain:3 x chain:3 lumps into 466 classes, past 256, the largest int
+    # that CPython shares; kept as (column, weight) pairs, each with its
+    # own int for a class id above 256, the quotient took 68 bytes per
+    # nonzero, and as flat typed arrays it takes about 9.
+    matrix = _matrix("chain:3 x chain:3")
+    matrix.lattice.containing  # the lattice's cache, not the quotient's
+    fresh = TransferMatrix(matrix.lattice, matrix.orbits)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows, _ = fresh.quotient
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    nonzeros = sum(len(weights) for _, weights in rows)
+    assert (len(rows), nonzeros) == (466, 31054)
+    assert kept <= 12 * nonzeros
 
 
 SYMMETRIC = [
@@ -265,7 +327,7 @@ def test_orbit_rows_match_a_build_without_automorphisms(spec):
     # quotient lumps every row of W; the rows are shared with the other
     # full-row tests instead of being built again.
     plain = TransferMatrix(matrix.lattice, _trivial(matrix.size))
-    assert matrix.quotient == shape_free(_entries(spec).__getitem__, plain.orbits)
+    assert matrix.quotient == flat(shape_free(_entries(spec).__getitem__, plain.orbits))
     full = walk(_entries(spec), [1] * plain.size, 6)
     assert list(count_sequence(matrix, 6).values[1:]) == [sum(v) for v in full]
 
@@ -511,7 +573,7 @@ def test_rows_built_per_shape(spec, orbits, rows, classes, monkeypatch):
 )
 def test_shape_keyed_quotient_matches_signature_lumping(spec):
     matrix = _matrix(spec)
-    assert matrix.quotient == shape_free(partial(reference_row, matrix.lattice), matrix.orbits)
+    assert matrix.quotient == flat(shape_free(partial(reference_row, matrix.lattice), matrix.orbits))
 
 
 # Every row summed over ideals against the reference row, built column
@@ -557,6 +619,21 @@ def test_ideal_rows_prune_subtrees_with_no_column(monkeypatch):
     assert row == reference_row(matrix.lattice, top)
 
 
+def test_ideal_rows_leave_no_reference_cycle():
+    # The ideal walk is a closure that calls itself; a row that left
+    # that cycle behind would keep its tables until the cyclic collector
+    # ran, so with the collector off, every row leaves nothing for it.
+    lattice = _matrix("bool:3").lattice
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(len(lattice)):
+            list(ideal_row(lattice, i)[2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "spec, coarse",
     [
@@ -570,7 +647,7 @@ def test_a_coarser_shape_lumps_a_different_quotient(spec, coarse, monkeypatch):
     matrix = _matrix(spec)
     monkeypatch.setattr(transfer, "_shape", coarse)
     coarsened = TransferMatrix(matrix.lattice, matrix.orbits).quotient
-    assert coarsened != shape_free(partial(reference_row, matrix.lattice), matrix.orbits)
+    assert coarsened != flat(shape_free(partial(reference_row, matrix.lattice), matrix.orbits))
 
 
 def _preorder_shape(table, mask):
@@ -601,7 +678,7 @@ def _quotients(monoid):
     """The quotient, streamed from the representatives' rows, and the
     lumping of every reference row of W with one orbit per member."""
     matrix = build_transfer_matrix(monoid)
-    return matrix.quotient, shape_free(partial(reference_row, matrix.lattice), _trivial(matrix.size))
+    return matrix.quotient, flat(shape_free(partial(reference_row, matrix.lattice), _trivial(matrix.size)))
 
 
 @pytest.mark.parametrize("spec", DEFAULT_MONOIDS)
@@ -619,7 +696,7 @@ def test_streamed_quotient_matches_eager_rows_on_random_monoids(monoid):
 
 def _walked(matrix, n):
     """S_0..S_n by the plain walk of the quotient, with no recurrence."""
-    rows, sizes = matrix.quotient
+    rows, sizes = paired(matrix.quotient)
     vectors = walk(rows, [1] * len(rows), n)
     return [matrix.size] + [sum(s * u for s, u in zip(sizes, v)) for v in vectors]
 
@@ -708,7 +785,7 @@ def _relayout_problems(rows, sizes, roots, steps):
 
     transfer._relayout = recorded
     try:
-        solved = _packed_solve(rows, sizes, roots, steps)
+        solved = _packed_solve(*flat((rows, sizes)), roots, steps)
     finally:
         transfer._relayout = keep
     walked = [sum(sizes)] + [
@@ -781,7 +858,7 @@ def _relayouts_from_no_head(rows, sizes, roots, steps):
 
     transfer._relayout, transfer._HEAD_BITS = recorded, 0
     try:
-        solved = _packed_solve(rows, sizes, roots, steps)
+        solved = _packed_solve(*flat((rows, sizes)), roots, steps)
     finally:
         transfer._relayout, transfer._HEAD_BITS = keep, head
     walked = [sum(sizes)] + [
@@ -856,7 +933,7 @@ def test_a_faulty_relayout_raises_and_stops(monkeypatch):
     # widen on.
     monkeypatch.setattr(transfer, "_relayout", _spaced_relayout())
     with pytest.raises(InvariantViolation, match="carried out of slots as wide as its sum"):
-        _packed_solve(GROWING_ROWS, (1, 2, 3, 4, 5), (1,), 12)
+        _packed_solve(*flat((GROWING_ROWS, (1, 2, 3, 4, 5))), (1,), 12)
 
 
 def test_a_faulty_relayout_at_the_totals_row_raises_and_stops(monkeypatch):
@@ -866,7 +943,8 @@ def test_a_faulty_relayout_at_the_totals_row_raises_and_stops(monkeypatch):
     monkeypatch.setattr(transfer, "_relayout", _spaced_relayout())
     monkeypatch.setattr(transfer, "_HEAD_BITS", 0)
     with pytest.raises(InvariantViolation, match="^the totals row carried out of slots"):
-        _packed_solve(*TOTALS_CASES["between-slots"])
+        rows, sizes, roots, steps = TOTALS_CASES["between-slots"]
+        _packed_solve(*flat((rows, sizes)), roots, steps)
 
 
 @pytest.mark.parametrize(
@@ -883,16 +961,17 @@ def test_packed_solve_rejects_broken_premises_under_dash_o(rows):
         "import sys\n"
         "from submon.errors import InvariantViolation\n"
         "from submon.transfer import _packed_solve, annihilator\n"
+        "from reference_quotient import flat\n"
         "if __debug__: sys.exit(2)\n"
-        f"rows = {rows!r}\n"
+        f"rows, sizes = flat(({rows!r}, (1, 1)))\n"
         "try:\n"
-        "    _packed_solve(rows, (1, 1), annihilator(rows), 3)\n"
+        "    _packed_solve(rows, sizes, annihilator(rows), 3)\n"
         "except InvariantViolation:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
     )
-    src = str(Path(transfer.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    path = os.pathsep.join([str(Path(transfer.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0
 
 
@@ -996,19 +1075,20 @@ def test_count_prints_the_walked_counts_under_dash_o():
         "from submon.cli import main\n"
         "from submon.monoid import from_spec\n"
         "from submon.transfer import build_transfer_matrix, walk\n"
+        "from reference_quotient import paired\n"
         "if __debug__: sys.exit(2)\n"
         "spec = 'cyclic:2 x chain:3 x chain:1'\n"
         "printed = io.StringIO()\n"
         "with contextlib.redirect_stdout(printed):\n"
         "    code = main(['count', '--monoid', spec, '--n', '300'])\n"
         "matrix = build_transfer_matrix(from_spec(spec))\n"
-        "rows, sizes = matrix.quotient\n"
+        "rows, sizes = paired(matrix.quotient)\n"
         "walked = [matrix.size] + [sum(s * u for s, u in zip(sizes, v)) for v in walk(rows, [1] * len(rows), 300)]\n"
         "lines = ['n,count'] + [f'{n},{value}' for n, value in enumerate(walked)]\n"
         "sys.exit(code or printed.getvalue() != '\\n'.join(lines) + '\\n')\n"
     )
-    src = str(Path(transfer.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src})
+    path = os.pathsep.join([str(Path(transfer.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0
 
 

@@ -25,6 +25,7 @@ from submon.transfersystems import (
 )
 
 from reference_cylinder import cylinder_order, cylinder_tally
+from relations import from_pairs
 
 LATTICE_SPECS = ["chain:1", "chain:2", "chain:1 x chain:1", "chain:1 x chain:2", "mk:3"]
 
@@ -34,7 +35,7 @@ def _order(spec):
 
 
 def _discrete(order):
-    return TransferRelation.from_pairs(order, [])
+    return from_pairs(order, [])
 
 
 def _strict_pairs(order):
@@ -46,7 +47,7 @@ def _strict_pairs(order):
 
 
 def _full(order):
-    return TransferRelation.from_pairs(order, _strict_pairs(order))
+    return from_pairs(order, _strict_pairs(order))
 
 
 def _refines(a, b):
@@ -72,24 +73,24 @@ def test_discrete_and_full_systems_are_valid():
 def test_violations_are_reported():
     chain = _order("chain:2")
     # A bare jump 0 R 2 already fails restriction along the middle element.
-    jump = TransferRelation.from_pairs(chain, [(0, 2)])
+    jump = from_pairs(chain, [(0, 2)])
     ok, violation = is_saturated_transfer_system(chain, jump.rows)
     assert not ok and violation.rule == "restriction"
     assert violation.elements == (0, 2, 1)
 
     # With 0 R 1 added, restriction holds but 1 R 2 is still missing.
-    partial_chain = TransferRelation.from_pairs(chain, [(0, 1), (0, 2)])
+    partial_chain = from_pairs(chain, [(0, 1), (0, 2)])
     ok, violation = is_saturated_transfer_system(chain, partial_chain.rows)
     assert not ok and violation.rule == "saturation"
     assert violation.elements == (0, 1, 2)
 
     grid = _order("chain:1 x chain:1")
     # (0,1) R (1,1) alone breaks restriction along the other axis.
-    partial = TransferRelation.from_pairs(grid, [(1, 3)])
+    partial = from_pairs(grid, [(1, 3)])
     ok, violation = is_saturated_transfer_system(grid, partial.rows)
     assert not ok and violation.rule == "restriction"
 
-    not_refining = TransferRelation.from_pairs(chain, [(2, 0)])
+    not_refining = from_pairs(chain, [(2, 0)])
     ok, violation = is_saturated_transfer_system(chain, not_refining.rows)
     assert not ok and violation.rule == "refines-order"
 
@@ -226,7 +227,7 @@ def test_random_lattices_layer_counts_match_the_cylinder(order):
 def test_pairs_round_trip():
     order = _order("chain:2")
     for system in enumerate_saturated_transfer_systems(order):
-        rebuilt = TransferRelation.from_pairs(order, system.pairs())
+        rebuilt = from_pairs(order, system.pairs())
         assert rebuilt.rows == system.rows
 
 
@@ -267,9 +268,7 @@ def _brute_force_systems(order):
     pairs = _strict_pairs(order)
     found = []
     for subset in range(1 << len(pairs)):
-        rows = TransferRelation.from_pairs(
-            order, [pairs[i] for i in bits_of(subset)]
-        ).rows
+        rows = from_pairs(order, [pairs[i] for i in bits_of(subset)]).rows
         if is_saturated_transfer_system(order, rows)[0]:
             found.append(rows)
     return tuple(sorted(found, key=lambda r: (sum(v.bit_count() for v in r), r)))
@@ -445,7 +444,7 @@ def _planted_faults():
     for position in (5, 7, 8, 63, 64, 100):
         yield "refines-order", (discrete[0] | 1 << position, *discrete[1:])
     # 0 R 1 and 1 R 2 without 0 R 2.
-    yield "transitive", TransferRelation.from_pairs(chain, [(0, 1), (1, 2)]).rows
+    yield "transitive", from_pairs(chain, [(0, 1), (1, 2)]).rows
     # The full system less 1 R 2, which 0 R 2 requires through 1.
     yield "saturation", (full[0], full[1] & ~0b100, *full[2:])
 
