@@ -9,11 +9,11 @@ lattice).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import cache
 from itertools import chain
+from types import SimpleNamespace
 
 from . import oracle, reference
 from .closedforms import (
@@ -109,17 +109,9 @@ def _oracle_terms(monoid, values, budget):
         yield n, value, brute_force_submonoid_count(monoid, n, max_size=budget)
 
 
-class _Given(argparse.Action):
-    """Store the flag's value and add the flag to ``args.given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given += (self.option_strings[0],)
-
-
 def _refuse_unread(args, reads, query: str) -> None:
-    """Raise ValueError if a flag in ``args.given``, the flags recorded by
-    :class:`_Given`, is not one that ``query`` ``reads``."""
+    """Raise ValueError if a flag in ``args.given``, the flags given that
+    :data:`COMMANDS` marks ``given``, is not one that ``query`` ``reads``."""
     for flag in args.given:
         if flag not in reads:
             raise ValueError(f"{query} takes no {flag}")
@@ -395,93 +387,184 @@ def _run_suite(args) -> int:
     return SUITES[args.suite](args)
 
 
-def _add_common(parser):
-    parser.add_argument("--monoid", required=True, help="monoid spec string")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--max-monoid-size", type=int, default=DEFAULT_MAX_MONOID_SIZE,
-        help="submonoid enumeration budget",
-    )
+FORMATS = ("csv", "json")
+_COMMON = {
+    "--monoid": {"required": True, "help": "monoid spec string"},
+    "--format": {"choices": FORMATS, "default": "csv"},
+    "--max-monoid-size": {
+        "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "help": "submonoid enumeration budget"
+    },
+}
+
+# Each command's grammar, in help order.  A flag's entry holds the
+# keywords of its add_argument call, and "given": True for a flag that
+# args.given records.  A command may take a suite positional before its
+# flags and name flags that exclude each other.
+COMMANDS = {
+    "count": {
+        "help": "counts of submonoids of monoid x chain",
+        "func": cmd_count,
+        "flags": {
+            **_COMMON,
+            "--n": {"type": int, "required": True, "help": "largest chain length"},
+            "--oracle": {"action": "store_true", "help": "cross-check small cases"},
+            "--max-oracle-size": {
+                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "given": True,
+                "help": "largest product, in elements, that --oracle brute-forces",
+            },
+        },
+    },
+    "spectrum": {"help": "eigenvalues and exact coefficients", "func": cmd_spectrum, "flags": _COMMON},
+    "matrix": {"help": "dump the transfer matrix", "func": cmd_matrix, "flags": _COMMON},
+    "ogf": {"help": "generating function of the counts", "func": cmd_ogf, "flags": _COMMON},
+    "polybernoulli": {
+        "help": "poly-Bernoulli number B(m, n)",
+        "func": cmd_polybernoulli,
+        "flags": {"--m": {"type": int, "required": True}, "--n": {"type": int, "required": True}},
+    },
+    "sattr": {
+        "help": "saturated transfer systems on a lattice",
+        "func": cmd_sattr,
+        "flags": {
+            "--lattice": {"required": True, "help": "monoid spec of a lattice"},
+            # --n has no default: argparse lets a flag given its default
+            # value join the other flag of the group (--n 0 --list).
+            "--n": {"type": int, "help": "largest chain length (default 0)"},
+            "--list": {"action": "store_true", "help": "dump the systems as JSON"},
+            # No default, so that --list can refuse an explicit --format csv.
+            "--format": {"choices": FORMATS, "help": "default csv; --list takes json"},
+            "--max-st-size": {
+                "type": int, "default": DEFAULT_MAX_ST_SIZE, "given": True,
+                "help": "largest lattice, in elements, that --list accepts",
+            },
+            "--max-monoid-size": {
+                "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "given": True,
+                "help": "largest lattice, in elements, that --n accepts",
+            },
+        },
+        "exclusive": ("--n", "--list"),
+    },
+    "verify": {
+        "help": "run a named invariant sweep",
+        "func": _run_suite,
+        "suite": {"choices": SUITES, "help": "the sweep to run"},
+        "flags": {
+            "--monoid": {"given": True, "help": "restrict the sweep to one monoid"},
+            "--n": {"type": int, "given": True, "help": "largest chain length for the oracle suite"},
+            "--max-monoid-size": {"type": int, "default": DEFAULT_MAX_MONOID_SIZE, "given": True},
+            "--max-oracle-size": {
+                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "given": True
+            },
+            "--max-st-size": {"type": int, "default": DEFAULT_MAX_ST_SIZE, "given": True},
+        },
+    },
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, read from
+    :data:`COMMANDS` without argparse, for an ``argv`` of the form
+    ``COMMAND [SUITE] (--flag VALUE | --switch)*``: each flag spelled in
+    full and given once, no value starting with ``-``, every int and
+    choice valid, every required flag given and no two exclusive ones.
+    None for any other ``argv``, which argparse then reads: help,
+    abbreviations, ``--flag=value`` and every usage error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": command["func"], "given": ()}
+    tokens = iter(argv[1:])
+    if "suite" in command:
+        suite = next(tokens, None)
+        if suite not in command["suite"]["choices"]:
+            return None
+        args["suite"] = suite
+    flags, seen = command["flags"], set()
+    for flag in tokens:
+        spec = flags.get(flag)
+        if spec is None or flag in seen:
+            return None
+        seen.add(flag)
+        value = True
+        if "action" not in spec:
+            # A missing value reads as "-", which declines too.
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            if spec.get("type") is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        args[flag[2:].replace("-", "_")] = value
+        if spec.get("given"):
+            args["given"] += (flag,)
+    if len(seen.intersection(command.get("exclusive", ()))) > 1:
+        return None
+    for flag, spec in flags.items():
+        if flag not in seen:
+            if spec.get("required"):
+                return None
+            args[flag[2:].replace("-", "_")] = False if "action" in spec else spec.get("default")
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`: it prints the help and
+    the usage errors and reads every ``argv`` :func:`read_argv` declines.
+    ``argparse`` is imported here, so a query that builds no parser never
+    loads it, nor the ``gettext`` and ``locale`` it calls on."""
+    import argparse
+
+    class _Given(argparse.Action):
+        """Store the flag's value and add the flag to ``args.given``."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            setattr(namespace, self.dest, values)
+            namespace.given += (self.option_strings[0],)
+
     parser = argparse.ArgumentParser(
         prog="submon",
         description="Exact submonoid and saturated transfer system enumeration",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="counts of submonoids of monoid x chain")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="largest chain length")
-    p.add_argument("--oracle", action="store_true", help="cross-check small cases")
-    p.add_argument(
-        "--max-oracle-size", type=int, action=_Given, default=oracle.DEFAULT_MAX_ORACLE_SIZE,
-        help="largest product, in elements, that --oracle brute-forces",
-    )
-    p.set_defaults(func=cmd_count, given=())
-
-    for name, func, text in (
-        ("spectrum", cmd_spectrum, "eigenvalues and exact coefficients"),
-        ("matrix", cmd_matrix, "dump the transfer matrix"),
-        ("ogf", cmd_ogf, "generating function of the counts"),
-    ):
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("polybernoulli", help="poly-Bernoulli number B(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_polybernoulli)
-
-    p = sub.add_parser("sattr", help="saturated transfer systems on a lattice")
-    p.add_argument("--lattice", required=True, help="monoid spec of a lattice")
-    # --n has no default: argparse lets a flag given its default value
-    # join the other flag of a mutually exclusive group (--n 0 --list).
-    query = p.add_mutually_exclusive_group()
-    query.add_argument("--n", type=int, help="largest chain length (default 0)")
-    query.add_argument("--list", action="store_true", help="dump the systems as JSON")
-    # No default, so that --list can refuse an explicit --format csv.
-    p.add_argument("--format", choices=("csv", "json"), help="default csv; --list takes json")
-    p.add_argument(
-        "--max-st-size", type=int, action=_Given, default=DEFAULT_MAX_ST_SIZE,
-        help="largest lattice, in elements, that --list accepts",
-    )
-    p.add_argument(
-        "--max-monoid-size", type=int, action=_Given, default=DEFAULT_MAX_MONOID_SIZE,
-        help="largest lattice, in elements, that --n accepts",
-    )
-    p.set_defaults(func=cmd_sattr, given=())
-
-    p = sub.add_parser("verify", help="run a named invariant sweep")
-    p.add_argument("suite", choices=SUITES, help="the sweep to run")
-    p.add_argument("--monoid", action=_Given, help="restrict the sweep to one monoid")
-    p.add_argument(
-        "--n", type=int, action=_Given, help="largest chain length for the oracle suite"
-    )
-    p.add_argument(
-        "--max-monoid-size", type=int, action=_Given, default=DEFAULT_MAX_MONOID_SIZE
-    )
-    p.add_argument(
-        "--max-oracle-size", type=int, action=_Given, default=oracle.DEFAULT_MAX_ORACLE_SIZE
-    )
-    p.add_argument("--max-st-size", type=int, action=_Given, default=DEFAULT_MAX_ST_SIZE)
-    p.set_defaults(func=_run_suite, given=())
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command["help"])
+        if "suite" in command:
+            p.add_argument("suite", **command["suite"])
+        exclusive = command.get("exclusive", ())
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for flag, spec in command["flags"].items():
+            spec = dict(spec)
+            if spec.pop("given", False):
+                spec["action"] = _Given
+            (group if flag in exclusive else p).add_argument(flag, **spec)
+        p.set_defaults(func=command["func"], given=())
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call, not at import,
-    and then kept: a build takes about 2 ms and leaves hundreds of objects
-    in reference cycles for the garbage collector."""
+def _parser():
+    """The parser of :func:`main`, built the first time an ``argv`` is
+    declined by :func:`read_argv`, and then kept: a build takes about
+    2 ms, after ``import argparse``'s 2.7 ms, and its first message
+    imports ``locale`` and ``shutil`` for 4.5 ms more; the parser holds
+    hundreds of objects in reference cycles."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line, ``argv`` or else ``sys.argv[1:]``, and return
+    its exit code.  A well-formed ``argv`` is read by :func:`read_argv`;
+    argparse reads every other one, printing help or a usage error and
+    raising ``SystemExit`` where it does."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     for flag in BUDGET_FLAGS:
         budget = getattr(args, flag.lstrip("-").replace("-", "_"), None)
         if budget is not None and budget < 1:

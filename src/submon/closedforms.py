@@ -8,7 +8,6 @@ ladders, and the bottom/middles/top lattices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 
@@ -101,6 +100,8 @@ def chain_coefficient(m: int, j: int) -> Fraction:
     """
     if not 2 <= j <= m + 2:
         raise IndexOutOfRange(f"j must lie in 2..{m + 2}, got {j}")
+    from fractions import Fraction
+
     return Fraction((-1) ** (m + j) * factorial(j) * stirling2(m + 1, j - 1), 2)
 
 

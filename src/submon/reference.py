@@ -8,8 +8,6 @@ spectrum from scratch and compare row by row.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .monoid import from_spec
 from .spectral import spectrum_of
 from .transfer import build_transfer_matrix
@@ -35,6 +33,7 @@ def load_reference_spectra() -> dict[str, list[tuple[int, Fraction, int]]]:
     """The bundled table keyed by monoid spec string.  Its readers are
     imported here, so no query that never reads it loads them."""
     import csv
+    from fractions import Fraction
     from importlib.resources import files
 
     table: dict[str, list[tuple[int, Fraction, int]]] = {}

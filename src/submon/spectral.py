@@ -13,7 +13,6 @@ commutative monoid has.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 
 from .errors import (
@@ -87,6 +86,8 @@ def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:
         raise DegenerateSystem("denominator roots must be distinct")
     if len(series.numerator) > len(roots):
         raise ValueError("need a numerator of degree below the number of roots")
+    from fractions import Fraction
+
     numerator = series.numerator + (0,) * (len(roots) - len(series.numerator))
     out = []
     for v in roots:
@@ -100,6 +101,8 @@ def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:
 def normalize_coefficients(eigs, coefficients) -> tuple[int, ...]:
     """Clear denominators: multiply each coefficient by the product of
     eigenvalue gaps (other - this).  The results are always integers."""
+    from fractions import Fraction
+
     out = []
     for i, v in enumerate(eigs):
         gap = 1
@@ -203,6 +206,8 @@ def _check_chain_eigenmatrix(matrix: TransferMatrix, q) -> None:
 
     q is lower triangular, so q x = 1 is solved by forward substitution.
     They run on every call, since nothing else checks q's closed formula."""
+    from fractions import Fraction
+
     members = matrix.lattice.members
     for i in range(matrix.size):
         row = matrix.row(i)

@@ -1,8 +1,10 @@
 """The ladder: time and peak RSS of each stage of the count path, rung by rung.
 
-Each rung is one monoid, run in a fresh interpreter that pins itself to
-the lowest-numbered CPU it may use with ``os.sched_setaffinity`` (its
-own process only) and writes no bytecode.  It times four stages through the public API:
+Each rung is one monoid, run in a fresh interpreter that writes no
+bytecode and pins itself (its own process only) to the allowed CPU on
+which the calibration loop runs fastest at its start, with
+``perfbench/run.py``'s ``pin_fastest_cpu``.  It times four stages
+through the public API:
 
 - ``build``: ``build_transfer_matrix``, the enumeration, Aut(M) and the
   orbits;
@@ -13,9 +15,10 @@ own process only) and writes no bytecode.  It times four stages through the publ
 After each stage it reads the peak RSS so far.  It also reports k, the
 orbits, the classes, the quotient's nonzeros, D, and ``quotient_mb``,
 the memory the kept quotient takes (``sys.getsizeof`` over its tuples,
-arrays and ints, each object once).  Every time is also given scaled to
-a reference CPU speed by ``perfbench/speed.py``'s calibration loop, run
-before and after the stages; that file is imported and not changed.
+arrays and ints, each object once), and the CPU it ran on.  Every time
+is also given scaled to a reference CPU speed by ``perfbench/speed.py``'s
+calibration loop, run before and after the stages; both perfbench files
+are imported and not changed.
 
 Each rung runs ``REPEATS`` times, the rungs taking turns, and the
 output gives, per stage, the median and quartiles of the scaled times,
@@ -78,11 +81,13 @@ def _nonzeros(row) -> int:
     return len(row) if type(row[0]) is tuple else len(row[1])
 
 
-def _rung(spec: str, cpu: int, src: Path) -> dict:
+def _rung(spec: str, src: Path) -> dict:
     """One run of one rung, in this process, on the package under ``src``."""
-    os.sched_setaffinity(0, {cpu})
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from run import pin_fastest_cpu
     from speed import REFERENCE_S, calibrate
+
+    cpu, _ = pin_fastest_cpu()
 
     from submon.monoid import from_spec
     from submon.transfer import build_transfer_matrix, count_sequence, walk_counts
@@ -115,6 +120,7 @@ def _rung(spec: str, cpu: int, src: Path) -> dict:
         "D": len(matrix.roots),
         "quotient_mb": _kept_bytes(matrix.quotient, set()) / 2**20,
         "scale": factor,
+        "cpu": cpu,
         "stages": stages,
     }
 
@@ -173,9 +179,8 @@ def main() -> None:
     parser.add_argument("--rung", help=argparse.SUPPRESS)
     parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    cpu = min(os.sched_getaffinity(0))
     if args.rung:
-        print(json.dumps(_rung(args.rung, cpu, args.src)))
+        print(json.dumps(_rung(args.rung, args.src)))
         return
     if not args.out:
         parser.error("--out is required")
@@ -194,7 +199,6 @@ def main() -> None:
     report = {
         "python": platform.python_version(),
         "cpu": _cpu_name(),
-        "pinned_cpu": cpu,
         "repeats": REPEATS,
         "count_n": 30,
         **_tree(ROOT, runs[ROOT]),

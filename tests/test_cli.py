@@ -1,14 +1,21 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submon import cli, transfersystems
+from submon import cli, reference, transfersystems
 from submon import monoid as monoid_module
 from submon.errors import InvariantViolation
 from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS, main
@@ -330,6 +337,44 @@ def test_verify_recurrence_reads_walked_terms_only(capsys, monkeypatch):
     assert "ok recurrence cyclic:2\n" in out
 
 
+@pytest.mark.parametrize("spec, n", [("chain:1", 1), ("chain:2", 2), ("mk:3", 4)])
+def test_verify_recurrence_fails_with_a_root_dropped(capsys, monkeypatch, spec, n):
+    generating_function = cli.ogf
+
+    def dropped(matrix):
+        return SimpleNamespace(denominator_roots=generating_function(matrix).denominator_roots[:-1])
+
+    monkeypatch.setattr(cli, "ogf", dropped)
+    assert run(capsys, "verify", "recurrence", "--monoid", spec) == (
+        1, "", f"{spec}: recurrence fails at n={n}\n"
+    )
+
+
+def _drop_a_spec(table):
+    del table["mk:3"]
+    return ["mk:3: missing from the bundled table"]
+
+
+def _drop_a_row(table):
+    table["n5"].pop()
+    return ["n5: 6 eigenvalues computed, 5 in the table"]
+
+
+def _raise_a_coefficient(table):
+    rows = table["bool:3"]
+    got = rows[1]
+    rows[1] = (got[0], got[1] + 1, got[2])
+    return [f"bool:3: computed {got}, table has {rows[1]}"]
+
+
+@pytest.mark.parametrize("tamper", [_drop_a_spec, _drop_a_row, _raise_a_coefficient])
+def test_verify_appendix_names_each_kind_of_mismatch(capsys, monkeypatch, tamper):
+    table = reference.load_reference_spectra()
+    problems = tamper(table)
+    monkeypatch.setattr(reference, "load_reference_spectra", lambda: table)
+    assert run(capsys, "verify", "appendix") == (1, "", "\n".join(problems) + "\n")
+
+
 def test_not_idempotent_exit_code(capsys):
     code, _, err = run(capsys, "spectrum", "--monoid", "cyclic:2")
     assert code == 4 and "idempotent" in err
@@ -549,6 +594,8 @@ NOT_INSIDE = "row 4's nonzero columns are not the members inside it"
         (((0, 2), (1, 3), (2, 1), (3, 2), (4, 4)), NOT_INSIDE),
         (((0, 2), (1, 3), (3, 2), (4, 3)), "diagonal not strictly increasing at (1,4)"),
         (((0, 2), (1, 3), (3, 2), (5, 1), (4, 4)), "nonzero entry above diagonal at (4,5)"),
+        (((0, 2), (1, 3), (3, 2), (4, 1)), "diagonal entry 4 is 1"),
+        (((0, 2), (1, 3), (3, 2)), "diagonal entry 4 is 0"),
     ],
 )
 def test_verify_triangular_rejects_a_tampered_row(capsys, monkeypatch, row4, message):
@@ -660,6 +707,28 @@ def test_a_cold_cli_import_loads_no_record_or_table_machinery():
         [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
     )
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_well_formed_queries_load_no_argparse_or_fractions():
+    # argparse, and the gettext and locale its first message pulls in,
+    # load only for help and usage errors; fractions only where a
+    # coefficient is made.
+    script = (
+        "import sys, submon.cli as cli\n"
+        "assert cli.main(['count', '--monoid', 'chain:1', '--n', '2']) == 0\n"
+        "assert cli.main(['sattr', '--lattice', 'chain:1', '--n', '2']) == 0\n"
+        "lazy = ('argparse', 'gettext', 'locale', 'fractions', 'decimal')\n"
+        "sys.exit(sorted(set(lazy) & set(sys.modules)) or None)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "n,count\n0,2\n1,7\n2,23\n" * 2
+    spectrum = [sys.executable, "-S", "-m", "submon", "spectrum", "--monoid", "chain:1 x chain:1"]
+    done = subprocess.run(spectrum, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "eigenvalue,coefficient,normalized\n2,1/2,4\n3,1,-3\n4,-12,-48\n6,35/2,-420\n", ""
+    )
 
 
 def test_a_file_table_counts_as_its_spec_does_under_dash_o(tmp_path):
@@ -775,6 +844,7 @@ def test_verify_appendix_checks_every_table_row(capsys):
 
 
 def test_one_parser_per_process_prints_as_fresh_parsers(capsys, monkeypatch):
+    # The reader and a fresh argparse parser per query print the same.
     kept = [_run_exiting(capsys, argv) for argv in MIXED_QUERIES]
     assert {code for code, _, _ in kept} == {0, 2, 3, 4}
     builds = []
@@ -784,11 +854,17 @@ def test_one_parser_per_process_prints_as_fresh_parsers(capsys, monkeypatch):
         return cli.build_parser()
 
     monkeypatch.setattr(cli, "_parser", fresh)
+    declined = [argv for argv in MIXED_QUERIES if cli.read_argv(argv) is None]
     assert [_run_exiting(capsys, argv) for argv in MIXED_QUERIES] == kept
-    assert len(builds) == len(MIXED_QUERIES)
+    assert len(builds) == len(declined) == 3
+    monkeypatch.setattr(cli, "read_argv", lambda argv: None)
+    assert [_run_exiting(capsys, argv) for argv in MIXED_QUERIES] == kept
+    assert len(builds) == len(declined) + len(MIXED_QUERIES)
 
 
-def test_parser_is_built_on_first_use_only(monkeypatch):
+def test_parser_is_built_on_first_use_only(capsys, monkeypatch):
+    # A well-formed argv builds no parser; the first declined one builds
+    # the one that every later declined argv reuses.
     builds = []
     build = cli.build_parser
 
@@ -800,12 +876,156 @@ def test_parser_is_built_on_first_use_only(monkeypatch):
     cli._parser.cache_clear()
     for argv in (["polybernoulli", "--m", "1", "--n", "1"], ["count", "--monoid", "chain:0", "--n", "1"]):
         assert main(argv) == 0
+    assert builds == []
+    for argv in (["count", "--mon", "chain:0", "--n", "1"], ["count", "--monoid=chain:0", "--n", "1"]):
+        assert main(argv) == 0
+    assert len(builds) == 1
+    assert _run_exiting(capsys, ("count", "--monoid", "chain:0"))[0] == 2
     assert len(builds) == 1
     # Importing the CLI builds no parser.
     script = "import submon.cli as cli; raise SystemExit(cli._parser.cache_info().currsize)"
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--monoid", "chain:1", "--n", "2", "--bogus"],
+        ["count", "--mon", "chain:1", "--n", "2"],
+        ["count", "-h"],
+        ["count", "--monoid=chain:1", "--n", "2"],
+        ["count", "--monoid", "chain:1", "--n", "2", "--n", "3"],
+        ["count", "--monoid", "chain:1", "--n", "-1"],
+        ["count", "--monoid", "chain:1", "--n", "two"],
+        ["count", "--monoid", "chain:1", "--n", "2", "--format", "xml"],
+        ["count", "--monoid", "chain:1"],
+        ["sattr", "--lattice", "chain:1", "--n", "2", "--list"],
+        ["verify", "--monoid", "chain:1", "triangular"],
+    ],
+)
+def test_the_reader_declines_every_other_form(argv):
+    assert cli.read_argv(argv) is None
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["submon", "polybernoulli", "--m", "2", "--n", "3"])
+    assert main() == 0 and capsys.readouterr().out == "46\n"
+    monkeypatch.setattr(sys, "argv", ["submon", "polybernoulli", "--m", "2"])
+    with pytest.raises(SystemExit) as exit:
+        main()
+    assert exit.value.code == 2 and "required: --n" in capsys.readouterr().err
+
+
+def _argparse_vars(argv):
+    """``vars`` of the kept parser's namespace for ``argv``, or None
+    where argparse exits: help and usage errors."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(list(argv)))
+        except SystemExit:
+            return None
+
+
+def _smoke_argvs():
+    """The argv of every ``python ... -m submon`` line of the CI workflow."""
+    ci = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    return [
+        shlex.split(line.split("-m submon", 1)[1].split("||")[0])
+        for line in ci.read_text(encoding="utf-8").splitlines()
+        if "-m submon" in line
+    ]
+
+
+def _benchmark_argvs():
+    """Every query any seed of any benchmark workload can send, read from
+    perfbench's ``workloads.pool``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.BATCHES for argv in workloads.pool(name)]
+
+
+# argparse takes these, but the reader takes flags spelled in full only.
+ABBREVIATED = [("count", "--mon", "chain:1", "--n", "2")]
+
+
+def test_the_reader_reads_every_well_formed_query_as_argparse_does():
+    queries = _benchmark_argvs()
+    assert len(queries) == 102
+    smoke = _smoke_argvs()
+    assert ["--help"] in smoke and list(ABBREVIATED[0]) in smoke
+    read = 0
+    for argv in map(tuple, queries + smoke + MIXED_QUERIES):
+        want = _argparse_vars(argv)
+        if want is None or argv in ABBREVIATED:
+            assert cli.read_argv(argv) is None, argv
+        else:
+            assert vars(cli.read_argv(argv)) == want, argv
+            read += 1
+    assert read > len(queries)
+
+
+_FLAGS = sorted({flag for command in cli.COMMANDS.values() for flag in command["flags"]})
+_VALUES = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["", "-x", "--", "chain:1 x chain:1", "csv", "json", "xml", " 3", "1.5", "oracle"]),
+)
+_TOKENS = st.one_of(_VALUES, st.sampled_from([*_FLAGS, "--bogus", "-h", "--help", "-n", "--m=1"]))
+
+
+def _value(spec):
+    """A value for a flag: most often one it takes, else any value."""
+    if "choices" in spec:
+        valid = st.sampled_from(spec["choices"])
+    elif spec.get("type") is int:
+        valid = st.integers(0, 30).map(str)
+    else:
+        valid = st.sampled_from(["chain:1", "chain:1 x chain:1"])
+    return st.one_of(valid, valid, _VALUES)
+
+
+@st.composite
+def _token_argvs(draw):
+    """A command's flags, the required ones more often, with their values,
+    in any order; then a few edits: a token inserted, a flag repeated,
+    abbreviated or ``=`` joined to its value, or a value dropped."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    command = cli.COMMANDS.get(name, cli.COMMANDS["count"])
+    head = [name]
+    if "suite" in command or draw(st.integers(0, 9)) == 0:
+        head.append(draw(st.sampled_from([*cli.SUITES, "bogus"])))
+    items = [
+        [flag] if "action" in spec else [flag, draw(_value(spec))]
+        for flag, spec in command["flags"].items()
+        if draw(st.integers(0, 3)) < (3 if spec.get("required") else 1)
+    ]
+    items = draw(st.permutations(items))
+    for edit in draw(st.lists(st.sampled_from("irajd"), max_size=2)):
+        at = draw(st.integers(0, len(items)))
+        if edit == "i":
+            items.insert(at, draw(st.lists(_TOKENS, min_size=1, max_size=2)))
+        elif items:
+            item = items[at % len(items)]
+            if edit == "r":
+                items.insert(at, list(item))
+            elif edit == "a":
+                item[0] = item[0][: draw(st.integers(0, len(item[0])))]
+            elif edit == "j":
+                item[:] = ["=".join(item)]
+            else:
+                del item[1:]
+    return head + [token for item in items for token in item]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_token_argvs())
+def test_the_reader_declines_or_reads_as_argparse_does(argv):
+    reading = cli.read_argv(argv)
+    if reading is not None:
+        assert vars(reading) == _argparse_vars(argv)
 
 
 def test_full_row_queries_keep_no_rows_in_the_cache(capsys):
