@@ -9,7 +9,6 @@ lattice).
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import cache
 from itertools import chain
@@ -87,8 +86,16 @@ def _fail(message: str, code: int) -> int:
 def _output(args, payload: dict, lines) -> int:
     """``payload`` as JSON under ``--format json``, else the CSV
     ``lines``, an iterable read only when it is printed."""
-    _emit(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    _emit(_dumps(payload) if args.format == "json" else "\n".join(lines))
     return 0
+
+
+def _dumps(payload) -> str:
+    """``json.dumps``: ``json``, with the ``re`` and ``enum`` it imports,
+    loads only where JSON is written."""
+    import json
+
+    return json.dumps(payload)
 
 
 def _counts(args, key: str, values) -> int:
@@ -168,7 +175,7 @@ def cmd_matrix(args) -> int:
     legend = [hex(m) for m in matrix.lattice.members]
     write = sys.stdout.write
     if args.format == "json":
-        head = json.dumps({"monoid": args.monoid, "size": matrix.size, "legend": legend, "rows": []})
+        head = _dumps({"monoid": args.monoid, "size": matrix.size, "legend": legend, "rows": []})
         write(head[:-2])  # up to the rows' opening bracket
         for i, cells in enumerate(_dense_rows(matrix)):
             write((", [" if i else "[") + ", ".join(cells) + "]")
@@ -202,7 +209,7 @@ def cmd_sattr(args) -> int:
         _refuse_unread(args, ("--max-st-size",), "sattr --list")
         order = semilattice_order(from_spec(args.lattice, args.max_st_size))
         systems = enumerate_saturated_transfer_systems(order, max_size=args.max_st_size)
-        _emit(json.dumps({"lattice": args.lattice, "systems": [s.pairs() for s in systems]}))
+        _emit(_dumps({"lattice": args.lattice, "systems": [s.pairs() for s in systems]}))
         return 0
     # Systems on P x [n] correspond to submonoids of (P, join) x [n].  An
     # idempotent commutative monoid's table is the join of its own order,

@@ -10,7 +10,6 @@ live here, in the module every other one imports.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache, partial, reduce
 from itertools import repeat
 from operator import attrgetter
@@ -439,6 +438,8 @@ def _parse_atom(token: str, max_size: int) -> CayleyMonoid:
             raise _over_budget(token, max_size)
         return make_n5()
     if head == "file" and sep:
+        import json
+
         try:
             with open(arg, encoding="utf-8") as fh:
                 data = json.load(fh)

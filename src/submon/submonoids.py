@@ -51,22 +51,23 @@ def closed_sets(bottom, bottom_gens: int, generators: int, extend):
         stack.extend((*child, failed) for child in children)
 
 
-def _add_element(table, mask: int, x: int) -> int:
+def _add_element(table, mask: int, elements, x: int) -> int:
     """Smallest submonoid containing the submonoid ``mask`` and element ``x``.
 
-    ``mask`` must be a submonoid A.  Then the answer is the union of A and
-    p*A over the powers p = x, x*x, ... of x, which is closed since
-    x**i*a times x**j*b is x**(i+j)*(a*b).  The powers are taken in turn
-    until one lies in the union so far, say x**i in x**j*A with j < i:
-    then every later x**(i+m)*A lies inside x**(j+m)*A, and by induction
-    in the union.  An idempotent x takes the one product x*A.
+    ``mask`` must be a submonoid A, and ``elements`` its elements.  Then
+    the answer is the union of A and p*A over the powers p = x, x*x, ...
+    of x, which is closed since x**i*a times x**j*b is x**(i+j)*(a*b).
+    The powers are taken in turn until one lies in the union so far, say
+    x**i in x**j*A with j < i: then every later x**(i+m)*A lies inside
+    x**(j+m)*A, and by induction in the union.  An idempotent x takes the
+    one product x*A.
     """
     if mask >> x & 1:
         return mask
     grown, p = mask, x
     while not grown >> p & 1:
         row = table[p]
-        for y in bits_of(mask):
+        for y in elements:
             grown |= 1 << row[y]
         p = row[x]
     return grown
@@ -118,8 +119,14 @@ def enumerate_submonoids(
             f"monoid has {monoid.size} elements, enumeration budget {max_size}"
         )
 
+    # closed_sets extends one state by each element in turn, so its
+    # elements are listed once per state.
+    last = [None, ()]
+
     def extend(mask, x):
-        grown = _add_element(monoid.table, mask, x)
+        if mask != last[0]:
+            last[:] = mask, tuple(bits_of(mask))
+        grown = _add_element(monoid.table, mask, last[1], x)
         return grown, grown
 
     bottom = 1 << monoid.identity

@@ -322,40 +322,73 @@ def chi(order: PartialOrder, relation: TransferRelation) -> int:
     """Minimal element of each connected component of the relation.
 
     The result, as a subset mask, is a submonoid of the lattice under
-    join, and the assignment reverses the refinement order.
+    join, and the assignment reverses the refinement order.  The relation
+    must be a partial order, as every transfer system is; this is
+    :func:`_chi_masks` on one system.
+    """
+    return _chi_masks(order, [relation.rows])[0]
+
+
+def _chi_masks(order: PartialOrder, systems) -> list[int]:
+    """:func:`chi` of every system in ``systems``, in order, all at once.
+
+    The bitset ``minimal[m]`` holds the systems in which no other element
+    relates to m.  In a partial order every element y lies above some
+    minimal element, and each component has one minimum exactly when
+    every y lies above exactly one: then that minimal element is the same
+    for y and for everything related to y.  So a system passes when, for
+    every y, one minimal m with m R y is seen and none twice; two
+    bit-sliced counters per y check that for every system at once, from
+    the :func:`bit_columns` transpose of the packed systems that
+    :func:`_invalid_systems` also reads.  The masks are then the
+    transpose of ``minimal``.  The first system that fails is scanned
+    component by component to name a component without one minimum.
     """
     n = order.size
-    rows = relation.rows
+    has = bit_columns(_packed(systems, n), n * n)
+    every = (1 << len(systems)) - 1
+    minimal = []
+    for m in range(n):
+        related = 0
+        for x in range(n):
+            if x != m:
+                related |= has[x * n + m]
+        minimal.append(every & ~related)
+    bad = 0
+    for y in range(n):
+        seen = twice = 0
+        for m in range(n):
+            above = minimal[m] & has[m * n + y]
+            twice |= seen & above
+            seen |= above
+        bad |= (every & ~seen) | twice
+    if bad:
+        raise _non_unique_minimal(systems[next(bits_of(bad))])
+    return list(bit_columns(minimal, len(systems)))
+
+
+def _non_unique_minimal(rows) -> NonUniqueMinimal:
+    """The error naming the first component of the relation ``rows``, by
+    least element, that has no single element which nothing else relates
+    to; such a component exists whenever ``rows`` is a partial order that
+    :func:`_chi_masks` rejects."""
+    n = len(rows)
     incoming = [0] * n
     for x in range(n):
         for y in bits_of(rows[x] & ~(1 << x)):
             incoming[y] |= 1 << x
-    component = list(range(n))
-
-    def find(x):
-        while component[x] != x:
-            component[x] = component[component[x]]
-            x = component[x]
-        return x
-
-    for x in range(n):
-        for y in bits_of(rows[x]):
-            component[find(x)] = find(y)
-    members: dict[int, list[int]] = {}
-    for x in range(n):
-        members.setdefault(find(x), []).append(x)
-    result = 0
-    for group in members.values():
-        group_mask = 0
-        for x in group:
-            group_mask |= 1 << x
-        minima = [x for x in group if not incoming[x] & group_mask]
+    left = (1 << n) - 1
+    while left:
+        group, reach = 0, left & -left
+        while reach != group:
+            group = reach
+            for x in bits_of(group):
+                reach |= rows[x] | incoming[x]
+        left &= ~group
+        minima = [x for x in bits_of(group) if not incoming[x] & group]
         if len(minima) != 1:
-            raise NonUniqueMinimal(
-                f"component {sorted(group)} has minima {minima}"
-            )
-        result |= 1 << minima[0]
-    return result
+            return NonUniqueMinimal(f"component {list(bits_of(group))} has minima {minima}")
+    return NonUniqueMinimal("the relation is not a partial order")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -419,6 +452,9 @@ def _st_data(order: PartialOrder):
     every = (1 << len(downsets)) - 1
     packed = _packed(systems, n)
     field = (1 << n) - 1
+    # The down-sets that hold an element of each column mask met so far:
+    # at most one entry per mask of n bits.
+    hits = {}
     st_rows = []
     for top, t in zip(systems, packed):
         closed = every
@@ -434,10 +470,12 @@ def _st_data(order: PartialOrder):
             while extra:
                 differ |= extra & field
                 extra >>= n
-            # The down-sets that hold one of those columns.
-            hit = 0
-            for x in bits_of(differ):
-                hit |= holding[x]
+            hit = hits.get(differ)
+            if hit is None:
+                hit = 0
+                for x in bits_of(differ):
+                    hit |= holding[x]
+                hits[differ] = hit
             row.append((j, (closed & ~hit).bit_count()))
         st_rows.append(tuple(row))
     return systems, tuple(st_rows)
@@ -457,15 +495,20 @@ def verify_graph_isomorphism(
     monoid = join_monoid(order)
     weights = build_transfer_matrix(monoid)
     lattice = weights.lattice
-    masks = [chi(order, TransferRelation(order, rows)) for rows in systems]
+    masks = _chi_masks(order, systems)
     if sorted(masks) != sorted(lattice.members):
         return False, ("chi is not a bijection onto the submonoids", masks)
+    columns = [lattice.index_of[mask] for mask in masks]
     for i, r_rows in enumerate(systems):
-        st_row = dict(st_rows[i])
-        w_row = dict(weights.row(lattice.index_of[masks[i]]))
+        # Both rows list exactly their nonzero entries, so equal rows are
+        # equal lists; only a row that differs is read entry by entry.
+        w_row = weights.row(columns[i])
+        if sorted((columns[j], st) for j, st in st_rows[i]) == list(w_row):
+            continue
+        st_row, w_row = dict(st_rows[i]), dict(w_row)
         for j, q_rows in enumerate(systems):
             st = st_row.get(j, 0)
-            w = w_row.get(lattice.index_of[masks[j]], 0)
+            w = w_row.get(columns[j], 0)
             if st != w:
                 return False, (
                     "weight mismatch",

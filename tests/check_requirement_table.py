@@ -6,8 +6,10 @@ relation bit of every system (about 955k relations) and requires the
 table and ``is_saturated_transfer_system`` to agree, and every valid
 result to be an enumerated system.  The table is read by the bulk check,
 one call per system on a block of the system and its single-bit changes.
-It takes about 15 s, too slow for the tier-1 suite, so pytest does not
-collect this file.  Run it, from the repository root, as::
+It also requires the bulk ``chi`` of all the systems at once to equal the
+union-find reference's on each.  It takes about 15 s, too slow for the
+tier-1 suite, so pytest does not collect this file.  Run it, from the
+repository root, as::
 
     PYTHONPATH=src python -O tests/check_requirement_table.py
 """
@@ -16,6 +18,7 @@ from submon import transfersystems as ts
 from submon.monoid import from_spec, semilattice_order
 
 from reference_cylinder import cylinder_order
+from relations import union_find_chi
 
 for spec in ("bool:3", "mk:5"):
     order = cylinder_order(semilattice_order(from_spec(spec)))
@@ -38,3 +41,9 @@ for spec in ("bool:3", "mk:5"):
                 raise SystemExit(f"{spec} cylinder: missed system {changed}")
         checked += len(block) - 1
     print(f"{spec} cylinder: {len(systems)} systems, {checked} relations agree")
+    ordered = sorted(systems)
+    masks = ts._chi_masks(order, ordered)
+    for rows, mask in zip(ordered, masks, strict=True):
+        if mask != union_find_chi(order, ts.TransferRelation(order, rows)):
+            raise SystemExit(f"{spec} cylinder: chi disagrees with the reference on {rows}")
+    print(f"{spec} cylinder: chi agrees with the reference on {len(masks)} systems")

@@ -619,7 +619,7 @@ def _plant_a_wrong_cylinder_weight(monkeypatch):
 
 def _plant_a_non_bijective_chi(monkeypatch):
     """Map every system to the bottom element's submonoid."""
-    monkeypatch.setattr(transfersystems, "chi", lambda order, relation: 1)
+    monkeypatch.setattr(transfersystems, "_chi_masks", lambda order, systems: [1] * len(systems))
 
 
 def test_graph_isomorphism_names_a_wrong_cylinder_weight(monkeypatch):
@@ -712,12 +712,13 @@ def test_a_cold_cli_import_loads_no_record_or_table_machinery():
 def test_well_formed_queries_load_no_argparse_or_fractions():
     # argparse, and the gettext and locale its first message pulls in,
     # load only for help and usage errors; fractions only where a
-    # coefficient is made.
+    # coefficient is made; json, and the re and enum it pulls in, only
+    # for JSON output and file: specs.
     script = (
         "import sys, submon.cli as cli\n"
         "assert cli.main(['count', '--monoid', 'chain:1', '--n', '2']) == 0\n"
         "assert cli.main(['sattr', '--lattice', 'chain:1', '--n', '2']) == 0\n"
-        "lazy = ('argparse', 'gettext', 'locale', 'fractions', 'decimal')\n"
+        "lazy = ('argparse', 'gettext', 'locale', 'fractions', 'decimal', 'json', 're', 'enum')\n"
         "sys.exit(sorted(set(lazy) & set(sys.modules)) or None)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

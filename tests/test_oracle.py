@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submon.errors import SizeLimitExceeded
-from submon.monoid import from_table, make_chain, make_cyclic_group, make_power, make_product
+from submon.monoid import bits_of, from_table, make_chain, make_cyclic_group, make_power, make_product
 from submon.oracle import DEFAULT_MAX_ORACLE_SIZE, _closed_masks, brute_force_submonoid_count
 from submon.submonoids import _add_element, enumerate_submonoids
 from submon.transfer import Orbits, TransferMatrix, build_transfer_matrix, count_sequence, walk
@@ -125,7 +125,7 @@ def closure_mismatches(monoid):
     for a in masks:
         for x in range(monoid.size):
             need = a | 1 << x
-            if _add_element(monoid.table, a, x) != reduce(and_, (m for m in masks if m & need == need)):
+            if _add_element(monoid.table, a, tuple(bits_of(a)), x) != reduce(and_, (m for m in masks if m & need == need)):
                 mismatches.append((a, x))
     return mismatches
 

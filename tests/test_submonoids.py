@@ -51,7 +51,7 @@ def closure(monoid, seed):
     elements of ``seed`` added one at a time, as enumeration grows them."""
     mask = 1 << monoid.identity
     for x in bits_of(seed):
-        mask = _add_element(monoid.table, mask, x)
+        mask = _add_element(monoid.table, mask, tuple(bits_of(mask)), x)
     return mask
 
 

@@ -25,7 +25,7 @@ from submon.transfersystems import (
 )
 
 from reference_cylinder import cylinder_order, cylinder_tally
-from relations import from_pairs
+from relations import from_pairs, union_find_chi
 
 LATTICE_SPECS = ["chain:1", "chain:2", "chain:1 x chain:1", "chain:1 x chain:2", "mk:3"]
 
@@ -127,6 +127,52 @@ def test_chi_rejects_a_component_with_two_minima():
     order = _order("mk:2")
     with pytest.raises(NonUniqueMinimal, match=r"component \[1, 2, 3\] has minima \[1, 2\]"):
         chi(order, TransferRelation(order, (1, 0b1010, 0b1100, 0b1000)))
+
+
+def test_chi_rejects_a_preorder_without_a_minimum_below_each_element():
+    # 1 R 2 and 2 R 1 with both above 3, and 0 R 3: 0 is the one element
+    # nothing else relates to, but it lies below neither 1 nor 2.  The
+    # union-find reference, which never asks that, takes 0 as the minimum.
+    order = _order("bool:2")
+    rows = (0b1001, 0b1110, 0b1110, 0b1000)
+    assert union_find_chi(order, TransferRelation(order, rows)) == 0b0001
+    with pytest.raises(NonUniqueMinimal, match="the relation is not a partial order"):
+        chi(order, TransferRelation(order, rows))
+
+
+def _is_preorder(rows):
+    """Whether the relation ``rows`` is reflexive and transitive."""
+    return all(
+        rows[x] >> x & 1 and not any(rows[y] & ~rows[x] for y in bits_of(rows[x]))
+        for x in range(len(rows))
+    )
+
+
+def _chi_outcome(chi_of, order, rows):
+    """The mask ``chi_of`` gives the relation, or its error's message."""
+    try:
+        return chi_of(order, TransferRelation(order, rows))
+    except NonUniqueMinimal as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS + ["chain:0"])
+def test_bulk_chi_matches_the_union_find_reference(spec):
+    # Every system, and every single-bit change of one that is still
+    # reflexive and transitive: the same mask, or the same error.
+    order = _order(spec)
+    systems = list(transfersystems._saturated_rows(order))
+    relations = systems + [c for rows in systems for c in _single_bit_changes(rows) if _is_preorder(c)]
+    outcomes = [_chi_outcome(union_find_chi, order, rows) for rows in relations]
+    assert [_chi_outcome(chi, order, rows) for rows in relations] == outcomes
+    assert transfersystems._chi_masks(order, systems) == outcomes[: len(systems)]
+    # All at once, the first relation without a unique minimum names its
+    # component.
+    errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    if errors:
+        with pytest.raises(NonUniqueMinimal) as raised:
+            transfersystems._chi_masks(order, relations)
+        assert str(raised.value) == errors[0]
 
 
 def test_chi_is_an_order_reversing_bijection():
