@@ -44,7 +44,6 @@ from .spectral import (
     chain_eigenmatrix,
     closed_form_eval,
     eigenvalues,
-    normalize_coefficients,
     ogf,
     solve_coefficients,
     spectrum_of,

@@ -366,32 +366,24 @@ def _suite_appendix(args) -> int:
     return 0
 
 
+# Each suite with the flags it reads.  Any other flag given exits 2, so
+# none goes unread; a suite that reads none checks a fixed table.
 SUITES = {
-    "triangular": _suite_triangular,
-    "recurrence": _suite_recurrence,
-    "oracle": _suite_oracle,
-    "transfer-iso": _suite_transfer_iso,
-    "closed-forms": _suite_closed_forms,
-    "appendix": _suite_appendix,
-}
-# The flags each suite reads.  Any other flag given exits 2, so none goes
-# unread; a suite that reads none checks a fixed table.
-SUITE_FLAGS = {
-    "triangular": ("--monoid", "--max-monoid-size"),
-    "recurrence": ("--monoid", "--max-monoid-size"),
-    "oracle": ("--monoid", "--n", "--max-monoid-size", "--max-oracle-size"),
-    "transfer-iso": ("--monoid", "--max-st-size"),
-    "closed-forms": (),
-    "appendix": (),
+    "triangular": (_suite_triangular, ("--monoid", "--max-monoid-size")),
+    "recurrence": (_suite_recurrence, ("--monoid", "--max-monoid-size")),
+    "oracle": (_suite_oracle, ("--monoid", "--n", "--max-monoid-size", "--max-oracle-size")),
+    "transfer-iso": (_suite_transfer_iso, ("--monoid", "--max-st-size")),
+    "closed-forms": (_suite_closed_forms, ()),
+    "appendix": (_suite_appendix, ()),
 }
 
 
 def _run_suite(args) -> int:
     """Run ``args.suite`` once every flag given is one it reads."""
-    reads = SUITE_FLAGS[args.suite]
+    suite, reads = SUITES[args.suite]
     fixed = "" if reads else " checks a fixed table and"
     _refuse_unread(args, reads, f"verify {args.suite}{fixed}")
-    return SUITES[args.suite](args)
+    return suite(args)
 
 
 FORMATS = ("csv", "json")

@@ -52,10 +52,6 @@ class DegenerateSystem(SubmonError):
     """A linear system that should be uniquely solvable is singular."""
 
 
-class NonIntegerNormalization(SubmonError):
-    """A normalized coefficient failed to be an integer (arithmetic bug)."""
-
-
 class NonIntegerCount(SubmonError):
     """A closed-form count failed to be an integer (arithmetic bug)."""
 

@@ -20,7 +20,6 @@ from .errors import (
     FormulaMismatch,
     InvariantViolation,
     NonIntegerCount,
-    NonIntegerNormalization,
     NotIdempotent,
 )
 from .monoid import bits_of, is_idempotent, make_chain, record
@@ -71,64 +70,62 @@ def eigenvalues(matrix: TransferMatrix) -> list[int]:
     return list(roots)
 
 
-def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:
-    """Coefficients c with sum(c_v * v**n) == ``series.expand(n)[n]`` for
-    every n, one per root v, for distinct roots and a numerator of degree
-    below their number D.
+def _residues(series: RationalOGF) -> list[tuple[int, int]]:
+    """The integers (h_v, g_v) for each root v, with c_v = h_v / g_v the
+    coefficient of v**n in ``series.expand(n)[n]``, for distinct roots and
+    a numerator of degree below their number D.
 
     They are the residues of the partial fractions,
     c_v = P(1/v) / prod over u != v of (1 - u/v)
         = v**(D-1) * P(1/v) / prod over u != v of (v - u),
-    with v**(D-1) * P(1/v) one Horner pass over the numerator.
+    so h_v = v**(D-1) * P(1/v), one Horner pass over the numerator, and
+    g_v = prod over u != v of (v - u).
     """
     roots = series.denominator_roots
     if len(set(roots)) != len(roots):
         raise DegenerateSystem("denominator roots must be distinct")
     if len(series.numerator) > len(roots):
         raise ValueError("need a numerator of degree below the number of roots")
-    from fractions import Fraction
-
     numerator = series.numerator + (0,) * (len(roots) - len(series.numerator))
     out = []
     for v in roots:
         acc = 0
         for p in numerator:
             acc = acc * v + p
-        out.append(Fraction(acc, prod(v - u for u in roots if u != v)))
-    return tuple(out)
+        out.append((acc, prod(v - u for u in roots if u != v)))
+    return out
 
 
-def normalize_coefficients(eigs, coefficients) -> tuple[int, ...]:
-    """Clear denominators: multiply each coefficient by the product of
-    eigenvalue gaps (other - this).  The results are always integers."""
+def solve_coefficients(series: RationalOGF) -> tuple[Fraction, ...]:
+    """Coefficients c with sum(c_v * v**n) == ``series.expand(n)[n]`` for
+    every n, one per root v, for distinct roots and a numerator of degree
+    below their number D: the residues h_v / g_v of :func:`_residues`."""
     from fractions import Fraction
 
-    out = []
-    for i, v in enumerate(eigs):
-        gap = 1
-        for j, u in enumerate(eigs):
-            if j != i:
-                gap *= u - v
-        value = Fraction(coefficients[i]) * gap
-        if value.denominator != 1:
-            raise NonIntegerNormalization(
-                f"normalized coefficient at eigenvalue {v} is {value}"
-            )
-        out.append(int(value))
-    return tuple(out)
+    return tuple(Fraction(h, g) for h, g in _residues(series))
 
 
 def spectrum_of(matrix: TransferMatrix) -> Spectrum:
     """Full pipeline: eigenvalues, exact coefficients, normalized values.
-    The coefficient sum always runs: k additions catch a wrong solve."""
+
+    Both come from one pass of :func:`_residues` over ``ogf(matrix)``.
+    The normalized value at v is c_v times prod over u != v of (u - v).
+    Each of that product's D - 1 factors is -(v - u), so the product is
+    (-1)**(D-1) * g_v, and with c_v = h_v / g_v the value is
+    (-1)**(D-1) * h_v: an integer, read off with no division.  The
+    coefficient sum always runs: k additions catch a wrong solve."""
+    from fractions import Fraction
+
     eigs = eigenvalues(matrix)
-    coefficients = solve_coefficients(ogf(matrix))
+    residues = _residues(ogf(matrix))
+    coefficients = tuple(Fraction(h, g) for h, g in residues)
     if sum(coefficients) != matrix.size:
         raise FormulaMismatch(f"coefficients sum to {sum(coefficients)}, not S_0")
+    sign = 1 if len(residues) % 2 else -1
     return Spectrum(
         eigenvalues=tuple(eigs),
         coefficients=coefficients,
-        normalized=normalize_coefficients(eigs, coefficients),
+        normalized=tuple(sign * h for h, _ in residues),
     )
 
 

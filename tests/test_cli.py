@@ -410,8 +410,7 @@ VERIFY_FLAG_VALUES = {
 
 
 def test_every_suite_names_the_flags_it_reads():
-    assert list(cli.SUITE_FLAGS) == list(cli.SUITES)
-    for flags in cli.SUITE_FLAGS.values():
+    for _, flags in cli.SUITES.values():
         assert set(flags) <= set(VERIFY_FLAG_VALUES)
 
 
@@ -419,7 +418,7 @@ def test_every_suite_names_the_flags_it_reads():
     "suite, flag",
     [
         (suite, flag)
-        for suite, reads in cli.SUITE_FLAGS.items()
+        for suite, (_, reads) in cli.SUITES.items()
         for flag in VERIFY_FLAG_VALUES
         if flag not in reads
     ],
@@ -427,15 +426,15 @@ def test_every_suite_names_the_flags_it_reads():
 def test_verify_suites_refuse_flags_they_do_not_read(capsys, suite, flag):
     # Every suite used to accept every flag and ignore the ones it does
     # not read; a flag given at its default value is refused too.
-    what = "takes" if cli.SUITE_FLAGS[suite] else "checks a fixed table and takes"
+    what = "takes" if cli.SUITES[suite][1] else "checks a fixed table and takes"
     assert run(capsys, "verify", suite, flag, VERIFY_FLAG_VALUES[flag]) == (
         2, "", f"error: verify {suite} {what} no {flag}\n"
     )
 
 
-@pytest.mark.parametrize("suite", [suite for suite, reads in cli.SUITE_FLAGS.items() if reads])
+@pytest.mark.parametrize("suite", [suite for suite, (_, reads) in cli.SUITES.items() if reads])
 def test_verify_suites_accept_every_flag_they_read(capsys, suite):
-    argv = [arg for flag in cli.SUITE_FLAGS[suite] for arg in (flag, VERIFY_FLAG_VALUES[flag])]
+    argv = [arg for flag in cli.SUITES[suite][1] for arg in (flag, VERIFY_FLAG_VALUES[flag])]
     code, out, err = run(capsys, "verify", suite, *argv)
     assert (code, err) == (0, "") and out.startswith("ok ")
 
@@ -674,6 +673,70 @@ def test_oracle_mismatches_exit_1_at_the_first_wrong_term(capsys, monkeypatch):
     assert run(capsys, "verify", "oracle", "--monoid", "chain:1") == (
         1, "ok oracle chain:1 n=0 count=2\n", "chain:1: n=1 pipeline 7, brute force 8\n"
     )
+
+
+def test_verify_oracle_refuses_a_budget_that_fits_no_case(capsys):
+    # chain:3 has 4 elements, so not even n = 0 fits 3.
+    assert run(capsys, "verify", "oracle", "--monoid", "chain:3", "--max-oracle-size", "3") == (
+        2, "", "error: no oracle case fits --max-oracle-size 3\n"
+    )
+
+
+def _plant_a_poly_bernoulli_fault(monkeypatch):
+    poly_bernoulli = cli.poly_bernoulli
+    monkeypatch.setattr(
+        cli, "poly_bernoulli", lambda m, n: poly_bernoulli(m, n) + 2 * ((m, n) == (2, 3))
+    )
+    return "", "poly-Bernoulli mismatch at (2,3): 24 != 23"
+
+
+def _plant_a_chain_coefficient_fault(monkeypatch):
+    chain_coefficient = cli.chain_coefficient
+    monkeypatch.setattr(
+        cli, "chain_coefficient", lambda m, j: chain_coefficient(m, j) + ((m, j) == (2, 3))
+    )
+    return "ok closed-forms poly-bernoulli grid\n", "chain coefficient mismatch at m=2, j=3"
+
+
+def _plant_a_group_that_is_not_one(monkeypatch):
+    monkeypatch.setattr(cli, "is_group", lambda monoid: monoid.size != 4)
+    return (
+        "ok closed-forms poly-bernoulli grid\nok closed-forms chain coefficients\n",
+        "cyclic:4 is not a group",
+    )
+
+
+def _plant_a_group_count_fault(monkeypatch):
+    count = cli.abelian_group_count
+    monkeypatch.setattr(cli, "abelian_group_count", lambda chains, n: count(chains, n) + (n == 5))
+    return (
+        "ok closed-forms poly-bernoulli grid\nok closed-forms chain coefficients\n",
+        "cyclic:2: group count mismatch at n=5",
+    )
+
+
+def _plant_an_eigenvalue_set_fault(monkeypatch):
+    monkeypatch.setattr(cli, "mk_eigenvalues", lambda k: {2} | {2**i + 2 for i in range(k)})
+    return (
+        "ok closed-forms poly-bernoulli grid\nok closed-forms chain coefficients\n"
+        "ok closed-forms abelian groups\n",
+        "mk eigenvalue set mismatch at k=1",
+    )
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        _plant_a_poly_bernoulli_fault,
+        _plant_a_chain_coefficient_fault,
+        _plant_a_group_that_is_not_one,
+        _plant_a_group_count_fault,
+        _plant_an_eigenvalue_set_fault,
+    ],
+)
+def test_verify_closed_forms_fails_on_a_planted_fault(capsys, monkeypatch, plant):
+    out, message = plant(monkeypatch)
+    assert run(capsys, "verify", "closed-forms") == (1, out, message + "\n")
 
 
 def test_verify_oracle_takes_no_jobs_flag(capsys):

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from submon import closedforms
 from submon.closedforms import (
     abelian_group_count,
     chain_coefficient,
@@ -14,7 +15,7 @@ from submon.closedforms import (
     poly_bernoulli,
     stirling2,
 )
-from submon.errors import IndexOutOfRange
+from submon.errors import FormulaMismatch, IndexOutOfRange
 from submon.monoid import (
     from_spec,
     make_cyclic_group,
@@ -210,3 +211,33 @@ def test_subsemigroup_bridge():
         monoid = from_spec(spec)
         assert len(enumerate_submonoids(monoid)) == submonoids
         assert _subsemigroup_count(monoid) == 2 * submonoids == bernoulli
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: abelian_group_count((1,), -1), "n must be >= 0"),
+        (lambda: poly_bernoulli(-1, 2), "arguments must be >= 0"),
+        (lambda: poly_bernoulli(2, -1), "arguments must be >= 0"),
+        (lambda: chain_eigenvalues(-1), "m must be >= 0"),
+        (lambda: mk_eigenvalues(0), "k must be >= 1"),
+    ],
+)
+def test_closed_forms_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_poly_bernoulli_checks_its_two_formulas_against_each_other(monkeypatch):
+    # A wrong Stirling row S(1, .) reaches only the alternating sum at
+    # (2, 1), which reads S(1, .); the symmetric sum reads S(2, .) and
+    # S(3, .), and still gives B(2, 1) = 4.
+    rows = closedforms._stirling_rows
+
+    def tampered():
+        for n, row in enumerate(rows()):
+            yield [0, 2] if n == 1 else row
+
+    monkeypatch.setattr(closedforms, "_stirling_rows", tampered)
+    with pytest.raises(FormulaMismatch, match=r"disagree at \(2, 1\): 8 != 4"):
+        poly_bernoulli(2, 1)

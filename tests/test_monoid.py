@@ -7,6 +7,7 @@ from submon.errors import (
     CommutativityViolation,
     IdentityViolation,
     MonoidSpecError,
+    NotALattice,
     NotIdempotent,
     SizeLimitExceeded,
 )
@@ -14,6 +15,7 @@ from submon import monoid as monoid_module
 from submon.monoid import (
     PartialOrder,
     bit_columns,
+    bottom_of,
     from_spec,
     from_table,
     is_group,
@@ -324,3 +326,53 @@ def test_file_atom_over_budget_is_refused_before_validation(tmp_path):
 def test_from_spec_rejects_garbage(bad):
     with pytest.raises(MonoidSpecError):
         from_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ((0b111, 0b10), "row 0 has bits beyond the element range"),
+        ((0b10, 0b10), "order is not reflexive at 0"),
+        # 0 <= 1 and 1 <= 2 without 0 <= 2.
+        ((0b011, 0b110, 0b100), r"order is not transitive at \(0, 1\)"),
+    ],
+)
+def test_partial_order_rejects_a_relation_that_is_no_order(up, message):
+    with pytest.raises(ValueError, match=message):
+        PartialOrder(size=len(up), up=up)
+
+
+def test_constructors_reject_empty_and_negative_sizes():
+    with pytest.raises(ValueError, match="at least one element"):
+        from_table([], 0)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        make_chain(-1)
+
+
+def test_bottom_of_an_antichain():
+    with pytest.raises(NotALattice, match="no bottom element"):
+        bottom_of(PartialOrder(size=2, up=(0b01, 0b10)))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"table": [[0]], "identity": 0}, "missing field 'size'"),
+        ([[0]], "missing field"),
+        ({"size": 2, "identity": 0, "table": [[0]]}, "size does not match the table"),
+    ],
+)
+def test_monoid_from_json_rejects_a_malformed_document(data, message):
+    with pytest.raises(MonoidSpecError, match=message):
+        monoid_from_json(data)
+
+
+def test_file_atom_that_cannot_be_read(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(MonoidSpecError, match="cannot load monoid from") as err:
+        from_spec(f"file:{missing}")
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{")
+    with pytest.raises(MonoidSpecError, match="cannot load monoid from"):
+        from_spec(f"file:{garbled}")

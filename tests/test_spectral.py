@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from submon.errors import (
     FormulaMismatch,
     InvariantViolation,
     NonIntegerCount,
-    NonIntegerNormalization,
     NotIdempotent,
 )
 from submon.cli import DEFAULT_MONOIDS
@@ -22,7 +21,6 @@ from submon.spectral import (
     chain_eigenmatrix,
     closed_form_eval,
     eigenvalues,
-    normalize_coefficients,
     ogf,
     solve_coefficients,
     spectrum_of,
@@ -38,7 +36,8 @@ from submon.transfer import (
     walk_counts,
 )
 
-from reference_quotient import flat, shape_free
+from reference_quotient import flat, paired, reference_row, shape_free
+from reference_spectrum import eigen_coefficients
 
 IDEMPOTENT_SPECS = [
     "chain:0",
@@ -108,11 +107,16 @@ def test_mk3_has_a_vanishing_coefficient():
 
 
 def test_normalized_coefficients_grid():
-    spectrum = spectrum_of(_matrix("chain:1 x chain:1"))
-    assert spectrum.normalized == (4, -3, -48, -420)
-    assert normalize_coefficients(
-        spectrum.eigenvalues, spectrum.coefficients
-    ) == spectrum.normalized
+    assert spectrum_of(_matrix("chain:1 x chain:1")).normalized == (4, -3, -48, -420)
+    # The definition, c_v times the product of (u - v) over the other
+    # eigenvalues u, against the residue numerators spectrum_of reads.
+    for spec in IDEMPOTENT_SPECS:
+        spectrum = spectrum_of(_matrix(spec))
+        eigs = spectrum.eigenvalues
+        assert spectrum.normalized == tuple(
+            c * prod(u - v for u in eigs if u != v)
+            for v, c in zip(eigs, spectrum.coefficients)
+        )
 
 
 def test_coefficients_sum_to_submonoid_count():
@@ -120,6 +124,35 @@ def test_coefficients_sum_to_submonoid_count():
         matrix = _matrix(spec)
         spectrum = spectrum_of(matrix)
         assert sum(spectrum.coefficients) == matrix.size
+
+
+# The idempotent verify monoids and the lattice-spectra benchmark lattices.
+EIGENVECTOR_SPECS = [spec for spec in DEFAULT_MONOIDS if is_idempotent(from_spec(spec))] + [
+    "chain:4 x chain:1",
+    "mk:9",
+    "chain:5 x chain:1",
+    "mk:4 x chain:1",
+    "bool:3",
+]
+
+
+@pytest.mark.parametrize("spec", EIGENVECTOR_SPECS)
+def test_coefficients_match_the_eigenvector_route(spec):
+    # b_v from the eigenvectors of Q, and of W where k <= 100 so that
+    # lumping is not trusted either, at every eigenvalue, zero included;
+    # neither reads a count.
+    matrix = _matrix(spec)
+    spectrum = spectrum_of(matrix)
+    expected = dict(zip(spectrum.eigenvalues, spectrum.coefficients))
+    assert eigen_coefficients(*paired(matrix.quotient)) == expected
+    if matrix.size <= 100:
+        rows = [reference_row(matrix.lattice, i) for i in range(matrix.size)]
+        assert eigen_coefficients(rows, (1,) * matrix.size) == expected
+
+
+def test_eigenvector_route_rejects_a_chain_of_equal_diagonals():
+    with pytest.raises(ValueError, match="classes 1 and 0 are comparable"):
+        eigen_coefficients((((0, 2),), ((0, 1), (1, 2))), (1, 1))
 
 
 def test_closed_form_examples():
@@ -244,6 +277,11 @@ def test_chain_eigenmatrix_small():
     assert chain_eigenmatrix(1) == ((1, 0), (-2, 1))
 
 
+def test_chain_eigenmatrix_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        chain_eigenmatrix(-1)
+
+
 def test_chain_eigenmatrix_up_to_five():
     # The identities (diagonalization and inverse row sums) are checked
     # inside; the call completing is the test.
@@ -295,25 +333,19 @@ def test_equal_diagonal_certificate_rejects_tampered_block():
         eigenvalues(tampered)
 
 
-def test_normalization_rejects_a_coefficient_left_fractional():
-    # 1/3 times the gap 3 - 2 stays 1/3: no spectrum has these.
-    with pytest.raises(NonIntegerNormalization, match="at eigenvalue 2 is 1/3"):
-        normalize_coefficients((2, 3), (Fraction(1, 3), Fraction(2, 3)))
-
-
 def test_closed_form_rejects_a_fractional_count():
     with pytest.raises(NonIntegerCount, match="gave 1/2 at n=0"):
         closed_form_eval(Spectrum((2,), (Fraction(1, 2),), (1,)), 0)
 
 
 def test_spectrum_rejects_coefficients_not_summing_to_s0(monkeypatch):
-    solve = spectral.solve_coefficients
+    residues = spectral._residues
 
     def off_by_one(series):
-        first, *rest = solve(series)
-        return (first + 1, *rest)
+        (h, g), *rest = residues(series)
+        return [(h + g, g), *rest]
 
-    monkeypatch.setattr(spectral, "solve_coefficients", off_by_one)
+    monkeypatch.setattr(spectral, "_residues", off_by_one)
     with pytest.raises(FormulaMismatch):
         spectrum_of(build_transfer_matrix(from_spec("chain:1")))
 

@@ -165,14 +165,28 @@ def test_asymptotics_multiplicity_one_for_idempotent():
 
 
 def test_count_sequence_rejects_decreasing_counts():
-    # A zero weight on the trivial monoid's only entry makes S_1 = 0 < S_0.
+    # A zero weight on the trivial monoid's only entry would make
+    # S_1 = 0 < S_0; the solve refuses it before any term is counted.
     lattice = enumerate_submonoids(make_chain(0))
     trivial = Orbits((0,), (0,))
     # Set on a fresh matrix: a built one is cached and shared.
     tampered = TransferMatrix(lattice=lattice, orbits=trivial)
     vars(tampered)["quotient"] = flat(shape_free((((0, 0),),).__getitem__, trivial))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="quotient row 0 has a weight or diagonal below 1"):
         count_sequence(tampered, 1)
+
+
+def test_count_sequence_checks_every_term_is_nondecreasing(monkeypatch):
+    # The walk itself rejects a weight below 1, so plant the fault in the
+    # terms it returns.
+    monkeypatch.setattr(transfer, "walk_counts", lambda matrix, steps: [2, 7, 5][: steps + 1])
+    with pytest.raises(InvariantViolation, match="nondecreasing at n=2"):
+        count_sequence(build_transfer_matrix(make_chain(2)), 2)
+
+
+def test_count_sequence_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        count_sequence(build_transfer_matrix(make_chain(1)), -1)
 
 
 @pytest.mark.parametrize(

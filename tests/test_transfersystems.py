@@ -95,6 +95,11 @@ def test_violations_are_reported():
     assert not ok and violation.rule == "refines-order"
 
 
+def test_st_count_sequence_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        st_count_sequence(_order("chain:1"), -1)
+
+
 def test_meets_are_required():
     antichain = PartialOrder(size=2, up=(0b01, 0b10))
     with pytest.raises(NotALattice):
