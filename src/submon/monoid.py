@@ -333,12 +333,9 @@ def semilattice_order(monoid: CayleyMonoid) -> PartialOrder:
 
 
 def down_masks(order: PartialOrder) -> tuple[int, ...]:
-    """Bitmask rows of the opposite relation: bit y of row x iff y <= x."""
-    down = [0] * order.size
-    for x in range(order.size):
-        for y in bits_of(order.up[x]):
-            down[y] |= 1 << x
-    return tuple(down)
+    """Bitmask rows of the opposite relation: bit y of row x iff y <= x,
+    the :func:`bit_columns` transpose of the up rows."""
+    return bit_columns(order.up, order.size)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

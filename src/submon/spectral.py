@@ -28,7 +28,7 @@ from .transfer import (
     RationalOGF,
     TransferMatrix,
     build_transfer_matrix,
-    recurrence_poly,
+    times_annihilator,
 )
 
 
@@ -140,19 +140,17 @@ def closed_form_eval(spectrum: Spectrum, n: int) -> int:
 
 
 def verify_recurrence(eigs, sequence: CountSequence):
-    """Check the constant recurrence driven by prod(1 - v*x) over the
-    eigenvalues.  Returns (True, None) or (False, first failing index)."""
+    """Check the constant recurrence driven by prod(1 - v*x) over the k
+    eigenvalues: from term k on, the terms times that product, by
+    :func:`times_annihilator`, vanish.  Returns (True, None) or
+    (False, first failing index)."""
     eigs = list(eigs)
-    k = len(eigs)
-    values = sequence.values
+    k, values = len(eigs), sequence.values
     if len(values) < 2 * k:
         raise ValueError(f"need at least {2 * k} terms, got {len(values)}")
-    poly = recurrence_poly(eigs)
-    for n in range(k, len(values)):
-        acc = sum(poly[i] * values[n - i] for i in range(k + 1))
-        if acc != 0:
-            return False, n
-    return True, None
+    product = times_annihilator(values, eigs)
+    n = next((n for n in range(k, len(values)) if product[n]), None)
+    return n is None, n
 
 
 def ogf(matrix: TransferMatrix) -> RationalOGF:

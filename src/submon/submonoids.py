@@ -141,16 +141,11 @@ def enumerate_submonoids(
 
 def inclusion_order(lattice: SubmonoidLattice) -> PartialOrder:
     """The containment order on the members of a submonoid lattice: the
-    members containing member i are those containing each of its
-    elements, the AND of their ``containing`` bitsets."""
-    full, containing = (1 << len(lattice)) - 1, lattice.containing
-    ups = []
-    for a in lattice.members:
-        row = full
-        for x in bits_of(a):
-            row &= containing[x]
-        ups.append(row)
-    return PartialOrder(size=len(lattice.members), up=tuple(ups))
+    members containing member i are those with i in their
+    :meth:`SubmonoidLattice.below`, read off by the :func:`bit_columns`
+    transpose of every member's ``below``."""
+    k = len(lattice)
+    return PartialOrder(size=k, up=bit_columns([lattice.below(i) for i in range(k)], k))
 
 
 # Maps the ASCII digits of a binary numeral to the byte values 0 and 1.

@@ -98,20 +98,19 @@ class TransferMatrix:
         the counts have a generating function P(x) / A(x) with
         A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
         and deg P < D = sum of m_v.  S_0..S_D come from
-        :func:`walk_counts`, and P is the degree < D part of A times that
-        series.
+        :func:`walk_counts`, and P is the first D terms of their product
+        with A, one factor at a time by :func:`times_annihilator`.
 
-        The solved S_D is checked through the x**D coefficient of A times
-        the series, which vanishes for a valid A.  If A lacks one factor
-        (1 - v*x), it is v**(D-1) * R(1/v) with R the polynomial that A
-        times the series makes, and it is zero exactly when the shorter A
-        is still valid.  So this one term catches any single missing root
+        The solved S_D is checked through the product's last term, the
+        x**D coefficient of A times the series, which vanishes for a valid
+        A.  If A lacks one factor (1 - v*x), it is v**(D-1) * R(1/v) with R
+        the polynomial that A times the series makes, and it is zero
+        exactly when the shorter A is still valid.  So this one term catches any single missing root
         or multiplicity without solving past D; the tests compare every
         term of the expansion with the walk.
         """
         roots = self.roots
-        den, values = recurrence_poly(roots), walk_counts(self, len(roots))
-        product = [sum(map(mul, den, values[n::-1])) for n in range(len(values))]
+        product = times_annihilator(walk_counts(self, len(roots)), roots)
         if product.pop():
             raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{len(roots)}")
         return RationalOGF(numerator=tuple(product), denominator_roots=roots)
@@ -141,6 +140,17 @@ class RationalOGF:
         for v in self.denominator_roots:
             values = accumulate(values, lambda y, p, v=v: v * y + p)
         return list(values)
+
+
+def times_annihilator(values, roots) -> list[int]:
+    """The terms ``values`` times prod(1 - v*x) over ``roots``, cut to
+    their length: one first-order pass y[n] = p[n] - v*p[n-1] per root,
+    which undoes one division of :meth:`RationalOGF.expand`.  The one
+    routine that multiplies counts by their annihilator."""
+    values = list(values)
+    for v in roots:
+        values = [p - v * q for p, q in zip(values, [0, *values])]
+    return values
 
 
 def _shift_groups(g) -> tuple[tuple[int, int], ...]:
@@ -455,17 +465,6 @@ def annihilator(rows) -> tuple[int, ...]:
         longest.append(1 + max(below, default=0))
         chains[v] = max(chains.get(v, 0), longest[-1])
     return tuple(v for v in sorted(chains) for _ in range(chains[v]))
-
-
-def recurrence_poly(roots) -> list[int]:
-    """The coefficients of prod(1 - v*x) over ``roots``, lowest power first."""
-    coeffs = [1]
-    for v in roots:
-        nxt = coeffs + [0]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] -= v * c
-        coeffs = nxt
-    return coeffs
 
 
 def _shape(table, mask: int) -> bytes:

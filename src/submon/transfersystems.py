@@ -8,8 +8,9 @@ the order-reversing correspondence onto submonoids under join.  Systems on
 P x [n] correspond to submonoids of (P, join) x [n], which ``sattr --n``
 counts.  The cylinder weights count the systems on P x [1] by their two
 layers, from the systems and the down-sets of P, without enumerating
-any; :func:`st_count_sequence` walks them, an independent count for
-``verify transfer-iso`` and the tests.  The lattice budget
+any; ``verify transfer-iso`` compares them, through chi, with the weight
+matrix, and :func:`st_count_sequence` walks them, an independent count
+for the tests.  The lattice budget
 (``--max-st-size``) bounds every enumeration of systems on P;
 ``sattr --n`` enumerates no system, and counts under the submonoid
 budget (``--max-monoid-size``), as ``count`` does.
@@ -324,8 +325,15 @@ def chi(order: PartialOrder, relation: TransferRelation) -> int:
     The result, as a subset mask, is a submonoid of the lattice under
     join, and the assignment reverses the refinement order.  The relation
     must be a partial order, as every transfer system is; this is
-    :func:`_chi_masks` on one system.
+    :func:`_chi_masks` on one system.  A relation without one row per
+    element, or with a bit at or above the lattice's size, raises
+    ``ValueError``, as a :class:`PartialOrder` does.
     """
+    if len(relation.rows) != order.size:
+        raise ValueError("rows must have one row per element")
+    for x, row in enumerate(relation.rows):
+        if row >> order.size:
+            raise ValueError(f"row {x} has bits beyond the element range")
     return _chi_masks(order, [relation.rows])[0]
 
 
@@ -373,10 +381,7 @@ def _non_unique_minimal(rows) -> NonUniqueMinimal:
     to; such a component exists whenever ``rows`` is a partial order that
     :func:`_chi_masks` rejects."""
     n = len(rows)
-    incoming = [0] * n
-    for x in range(n):
-        for y in bits_of(rows[x] & ~(1 << x)):
-            incoming[y] |= 1 << x
+    incoming = bit_columns([row & ~(1 << x) for x, row in enumerate(rows)], n)
     left = (1 << n) - 1
     while left:
         group, reach = 0, left & -left

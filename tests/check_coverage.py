@@ -1,21 +1,23 @@
 """Every line of ``src/submon`` that tier-1 never runs is allowed, with a reason.
 
-Runs the tier-1 suite in this process under the standard library's
-``trace``, started before ``submon`` is imported, so the package's
-import-time lines count too.  Exits nonzero if a test fails, if an
-executable line of the package never ran and is not in ``ALLOWED``, or
-if an ``ALLOWED`` entry matches no line that never ran (a stale entry
-hides nothing and goes).  ``trace`` does not follow subprocesses, so a
-line that only a subprocess test reaches counts as never run.  It takes
-about ten times as long as tier-1 alone, so pytest does not collect this
-file.  Run it, from the repository root, as::
+Runs the tier-1 suite in this process under a ``sys.settrace`` hook,
+set before ``submon`` is imported, so the package's import-time lines
+count too.  The hook gives a line tracer only to frames whose file, its
+path resolved, lies under ``src/submon``; every other frame, of pytest,
+hypothesis or the standard library, gets none, so only its calls are
+seen.  Exits nonzero if a test fails, if an executable line of the
+package never ran and is not in ``ALLOWED``, or if an ``ALLOWED`` entry
+matches no line that never ran (a stale entry hides nothing and goes).
+The hook does not follow subprocesses, so a line that only a subprocess
+test reaches counts as never run.  It takes about 3.5 times as long as
+tier-1 alone, so pytest does not collect this file.  Run it, from the
+repository root, as::
 
     PYTHONPATH=src python tests/check_coverage.py
 """
 
 import dis
 import sys
-import trace
 import types
 from pathlib import Path
 
@@ -47,16 +49,32 @@ def main() -> int:
         raise SystemExit("submon is already imported; its import-time lines would not count")
     import pytest
 
-    # No ignoredirs: trace caches its ignore verdict by bare module name,
-    # so an ignored stdlib __init__.py or errors.py would hide the
-    # package's own.
-    tracer = trace.Trace(count=1, trace=0)
+    # (file name, line) of every line event; per file name, whether it
+    # lies under the package.
+    events, inside = set(), {}
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            events.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        name = frame.f_code.co_filename
+        traced = inside.get(name)
+        if traced is None:
+            traced = inside[name] = Path(name).resolve().is_relative_to(package)
+        return trace_lines if traced else None
+
     argv = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", str(root / "tests")]
-    status = tracer.runfunc(pytest.main, argv)
+    sys.settrace(trace_calls)
+    try:
+        status = pytest.main(argv)
+    finally:
+        sys.settrace(None)
     if status != 0:
-        print(f"tier-1 failed under trace (pytest exit {status})")
+        print(f"tier-1 failed under the line tracer (pytest exit {status})")
         return 1
-    ran = {(Path(name).resolve(), line) for name, line in tracer.results().counts}
+    ran = {(Path(name).resolve(), line) for name, line in events}
     missed = []
     for path in sorted(package.rglob("*.py")):
         source = path.read_text().splitlines()

@@ -33,6 +33,7 @@ from submon.transfer import (
     TransferMatrix,
     build_transfer_matrix,
     count_sequence,
+    times_annihilator,
     walk_counts,
 )
 
@@ -304,6 +305,24 @@ def test_solve_round_trip_random(eigs, data):
     coefficients = solve_coefficients(series)
     for n, value in enumerate(series.expand(2 * len(eigs) + 3)):
         assert sum(c * v**n for c, v in zip(coefficients, eigs)) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.integers(0, 12), max_size=6),
+    numerator=st.lists(st.integers(-1000, 1000), max_size=8),
+    terms=st.lists(st.integers(-1000, 1000), max_size=12),
+    n_max=st.integers(0, 20),
+)
+def test_times_annihilator_inverts_expand(roots, numerator, terms, n_max):
+    # Repeated roots too, as a count annihilator has them.  The first
+    # n_max + 1 terms of P/A times A are P, then zeros ...
+    series = RationalOGF(tuple(numerator), tuple(roots))
+    padded = (numerator + [0] * (n_max + 1))[: n_max + 1]
+    assert times_annihilator(series.expand(n_max), roots) == padded
+    # ... and (terms times A) / A expands to the terms.
+    product = RationalOGF(tuple(times_annihilator(terms, roots)), tuple(roots))
+    assert product.expand(len(terms) - 1) == terms
 
 
 def test_inverse_row_sums_are_half_factorials():

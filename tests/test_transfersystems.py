@@ -126,6 +126,16 @@ def test_chi_extremes():
     assert chi(order, _full(order)) == 0b0001
 
 
+def test_chi_rejects_rows_outside_the_lattice():
+    # Bit 3 of row 0 names no element of the 3-element chain; read as is,
+    # it would be dropped and chi would return 0b111.
+    order = _order("chain:2")
+    with pytest.raises(ValueError, match="row 0 has bits beyond the element range"):
+        chi(order, TransferRelation(order, (0b1001, 0b010, 0b100)))
+    with pytest.raises(ValueError, match="one row per element"):
+        chi(order, TransferRelation(order, (0b001, 0b010, 0b100, 0b1000)))
+
+
 def test_chi_rejects_a_component_with_two_minima():
     # 1 R 3 and 2 R 3 join 1, 2 and 3 in one component, and nothing
     # relates to 1 or to 2: no transfer system has such a component.
