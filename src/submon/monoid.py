@@ -52,6 +52,16 @@ def bit_columns(values, width: int) -> tuple[int, ...]:
     return tuple(int(numerals[width - 1 - b :: width] or "0", 2) for b in range(width))
 
 
+def check_rows(size: int, rows) -> None:
+    """The shape check of every relation on ``0..size-1``: one bitmask row
+    per element, and no bit beyond the range, or ``ValueError``."""
+    if len(rows) != size:
+        raise ValueError("rows must have one row per element")
+    for x, row in enumerate(rows):
+        if row >> size:
+            raise ValueError(f"row {x} has bits beyond the element range")
+
+
 def record(cls):
     """Make ``cls`` a record of the fields its body annotates, in order.
 
@@ -125,20 +135,16 @@ class PartialOrder:
     """A finite partial order on ``0..size-1``.
 
     The relation is stored one bitmask row per element: bit ``y`` of
-    ``up[x]`` is set iff ``x <= y``.  Construction checks reflexivity,
-    antisymmetry, and transitivity.
+    ``up[x]`` is set iff ``x <= y``.  Construction checks the rows with
+    :func:`check_rows`, then reflexivity, antisymmetry, and transitivity.
     """
 
     size: int
     up: tuple[int, ...]
 
     def __post_init__(self):
-        full = (1 << self.size) - 1
-        if len(self.up) != self.size:
-            raise ValueError("up must have one row per element")
+        check_rows(self.size, self.up)
         for x, row in enumerate(self.up):
-            if row & ~full:
-                raise ValueError(f"row {x} has bits beyond the element range")
             if not row >> x & 1:
                 raise ValueError(f"order is not reflexive at {x}")
         for x in range(self.size):

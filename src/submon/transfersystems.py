@@ -3,8 +3,9 @@
 A saturated transfer system is a partial order R refining the lattice
 order that is closed under restriction along meets and decomposes across
 intermediate elements.  Relations are stored one bitmask row per element,
-like orders.  The module enumerates all systems on a lattice and realizes
-the order-reversing correspondence onto submonoids under join.  Systems on
+like orders, whose shape is checked, as an order's is, when built.  The
+module enumerates all systems on a lattice and realizes the
+order-reversing correspondence onto submonoids under join.  Systems on
 P x [n] correspond to submonoids of (P, join) x [n], which ``sattr --n``
 counts.  The cylinder weights count the systems on P x [1] by their two
 layers, from the systems and the down-sets of P, without enumerating
@@ -26,6 +27,7 @@ from .monoid import (
     PartialOrder,
     bit_columns,
     bits_of,
+    check_rows,
     down_masks,
     join_monoid,
     meet_table,
@@ -47,10 +49,14 @@ def _check_budget(order: PartialOrder, max_size: int) -> None:
 
 @record
 class TransferRelation:
-    """A relation on a lattice: bit y of rows[x] is set iff x R y."""
+    """A relation on a lattice: bit y of rows[x] is set iff x R y.
+    Construction checks the rows' shape, as :class:`PartialOrder` does."""
 
     order: PartialOrder
     rows: tuple[int, ...]
+
+    def __post_init__(self):
+        check_rows(self.order.size, self.rows)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Non-reflexive related pairs, sorted; the serialization form."""
@@ -123,7 +129,7 @@ def _lattice_context(order: PartialOrder) -> _LatticeContext:
     )
 
 
-def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Violation | None]:
+def is_saturated_transfer_system(relation: TransferRelation) -> tuple[bool, Violation | None]:
     """Check all defining clauses; on failure report the first violation.
 
     Clauses: the relation refines the lattice order, is reflexive and
@@ -141,9 +147,9 @@ def is_saturated_transfer_system(order: PartialOrder, rows) -> tuple[bool, Viola
     tests hold the two checks equal on every enumerated system and every
     single-bit change of it.
     """
+    order, rows = relation.order, relation.rows
     ctx = _lattice_context(order)
     n = order.size
-    rows = tuple(rows)
     for x in range(n):
         if not rows[x] >> x & 1:
             return False, Violation("reflexive", (x,))
@@ -260,8 +266,9 @@ def _invalid_systems(ctx: _LatticeContext, systems) -> int:
     return invalid
 
 
-def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
-    """Every saturated transfer system on the lattice, in enumeration order.
+@lru_cache(maxsize=CACHE_SIZE)
+def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
+    """Every saturated transfer system on the lattice, by (popcount, rows).
 
     Every system is the closure of its own cover pairs, so the systems are
     the closed sets of cover-pair masks: :func:`closed_sets` grows them
@@ -281,7 +288,7 @@ def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
     by the tests, which hold it against :func:`is_saturated_transfer_system`
     on every enumerated system and every single-bit change of it.  The
     first system that fails, in enumeration order, is passed to that
-    clause validator to name the violated clause.
+    clause validator, or to the relation's own row check, to name the fault.
     """
     ctx = _lattice_context(order)
     covers = ctx.covers
@@ -295,20 +302,14 @@ def _enumerate_rows(order: PartialOrder) -> list[tuple[int, ...]]:
     invalid = _invalid_systems(ctx, systems)
     if invalid:
         rows = systems[next(bits_of(invalid))]
-        violation = is_saturated_transfer_system(order, rows)[1]
+        try:
+            violation = is_saturated_transfer_system(TransferRelation(order, rows))[1]
+        except ValueError as error:
+            violation = error
         raise InvariantViolation(
             "enumerated an invalid system: "
             f"{violation or 'the requirement table and the clause validator disagree'}"
         )
-    return systems
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _saturated_rows(order: PartialOrder) -> tuple[tuple[int, ...], ...]:
-    """Every saturated transfer system on the lattice, enumerated and
-    validated by :func:`_enumerate_rows`, canonically sorted by
-    (popcount, rows) and cached."""
-    systems = _enumerate_rows(order)
     return tuple(sorted(systems, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
@@ -319,22 +320,15 @@ def enumerate_saturated_transfer_systems(
     return [TransferRelation(order, rows) for rows in _saturated_rows(order)]
 
 
-def chi(order: PartialOrder, relation: TransferRelation) -> int:
+def chi(relation: TransferRelation) -> int:
     """Minimal element of each connected component of the relation.
 
     The result, as a subset mask, is a submonoid of the lattice under
     join, and the assignment reverses the refinement order.  The relation
     must be a partial order, as every transfer system is; this is
-    :func:`_chi_masks` on one system.  A relation without one row per
-    element, or with a bit at or above the lattice's size, raises
-    ``ValueError``, as a :class:`PartialOrder` does.
+    :func:`_chi_masks` on one system.
     """
-    if len(relation.rows) != order.size:
-        raise ValueError("rows must have one row per element")
-    for x, row in enumerate(relation.rows):
-        if row >> order.size:
-            raise ValueError(f"row {x} has bits beyond the element range")
-    return _chi_masks(order, [relation.rows])[0]
+    return _chi_masks(relation.order, [relation.rows])[0]
 
 
 def _chi_masks(order: PartialOrder, systems) -> list[int]:

@@ -34,7 +34,7 @@ for spec in ("bool:3", "mk:5"):
                 block.append(tuple(changed))
         invalid = ts._invalid_systems(ctx, block)
         for s, changed in enumerate(block):
-            valid = ts.is_saturated_transfer_system(order, changed)[0]
+            valid = ts.is_saturated_transfer_system(ts.TransferRelation(order, changed))[0]
             if (not invalid >> s & 1) != valid:
                 raise SystemExit(f"{spec} cylinder: checks disagree on {changed}")
             if valid and changed not in systems:
@@ -44,6 +44,6 @@ for spec in ("bool:3", "mk:5"):
     ordered = sorted(systems)
     masks = ts._chi_masks(order, ordered)
     for rows, mask in zip(ordered, masks, strict=True):
-        if mask != union_find_chi(order, ts.TransferRelation(order, rows)):
+        if mask != union_find_chi(ts.TransferRelation(order, rows)):
             raise SystemExit(f"{spec} cylinder: chi disagrees with the reference on {rows}")
     print(f"{spec} cylinder: chi agrees with the reference on {len(masks)} systems")

@@ -42,7 +42,7 @@ def cylinder_tally(order: PartialOrder):
     systems = transfersystems._saturated_rows(order)
     index = {rows: i for i, rows in enumerate(systems)}
     counts = [Counter() for _ in systems]
-    for cyl_rows in transfersystems._enumerate_rows(cylinder_order(order)):
+    for cyl_rows in transfersystems._saturated_rows.__wrapped__(cylinder_order(order)):
         top = layer(cyl_rows, order.size, 1)
         bottom = layer(cyl_rows, order.size, 0)
         counts[index[top]][index[bottom]] += 1

@@ -23,11 +23,11 @@ def from_pairs(order: PartialOrder, pairs) -> TransferRelation:
     return TransferRelation(order=order, rows=tuple(rows))
 
 
-def union_find_chi(order: PartialOrder, relation: TransferRelation) -> int:
+def union_find_chi(relation: TransferRelation) -> int:
     """Minimal element of each connected component of the relation, one
     component at a time: the components by union-find, then the elements
     of each that nothing else in it relates to."""
-    n = order.size
+    n = relation.order.size
     rows = relation.rows
     incoming = [0] * n
     for x in range(n):

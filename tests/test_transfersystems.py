@@ -64,9 +64,9 @@ def st_weight(order, top, bottom):
 def test_discrete_and_full_systems_are_valid():
     for spec in LATTICE_SPECS:
         order = _order(spec)
-        ok, violation = is_saturated_transfer_system(order, _discrete(order).rows)
+        ok, violation = is_saturated_transfer_system(_discrete(order))
         assert ok, violation
-        ok, violation = is_saturated_transfer_system(order, _full(order).rows)
+        ok, violation = is_saturated_transfer_system(_full(order))
         assert ok, violation
 
 
@@ -74,24 +74,24 @@ def test_violations_are_reported():
     chain = _order("chain:2")
     # A bare jump 0 R 2 already fails restriction along the middle element.
     jump = from_pairs(chain, [(0, 2)])
-    ok, violation = is_saturated_transfer_system(chain, jump.rows)
+    ok, violation = is_saturated_transfer_system(jump)
     assert not ok and violation.rule == "restriction"
     assert violation.elements == (0, 2, 1)
 
     # With 0 R 1 added, restriction holds but 1 R 2 is still missing.
     partial_chain = from_pairs(chain, [(0, 1), (0, 2)])
-    ok, violation = is_saturated_transfer_system(chain, partial_chain.rows)
+    ok, violation = is_saturated_transfer_system(partial_chain)
     assert not ok and violation.rule == "saturation"
     assert violation.elements == (0, 1, 2)
 
     grid = _order("chain:1 x chain:1")
     # (0,1) R (1,1) alone breaks restriction along the other axis.
     partial = from_pairs(grid, [(1, 3)])
-    ok, violation = is_saturated_transfer_system(grid, partial.rows)
+    ok, violation = is_saturated_transfer_system(partial)
     assert not ok and violation.rule == "restriction"
 
     not_refining = from_pairs(chain, [(2, 0)])
-    ok, violation = is_saturated_transfer_system(chain, not_refining.rows)
+    ok, violation = is_saturated_transfer_system(not_refining)
     assert not ok and violation.rule == "refines-order"
 
 
@@ -103,7 +103,7 @@ def test_st_count_sequence_rejects_a_negative_length():
 def test_meets_are_required():
     antichain = PartialOrder(size=2, up=(0b01, 0b10))
     with pytest.raises(NotALattice):
-        is_saturated_transfer_system(antichain, (0b01, 0b10))
+        is_saturated_transfer_system(TransferRelation(antichain, (0b01, 0b10)))
 
 
 def test_enumeration_counts_match_submonoid_counts():
@@ -122,18 +122,32 @@ def test_enumeration_budget():
 
 def test_chi_extremes():
     order = _order("chain:1 x chain:1")
-    assert chi(order, _discrete(order)) == order.full_mask
-    assert chi(order, _full(order)) == 0b0001
+    assert chi(_discrete(order)) == order.full_mask
+    assert chi(_full(order)) == 0b0001
 
 
 def test_chi_rejects_rows_outside_the_lattice():
     # Bit 3 of row 0 names no element of the 3-element chain; read as is,
-    # it would be dropped and chi would return 0b111.
+    # it would be dropped and chi would return 0b111.  The relation
+    # refuses such rows when built, so chi never reads them.
     order = _order("chain:2")
     with pytest.raises(ValueError, match="row 0 has bits beyond the element range"):
-        chi(order, TransferRelation(order, (0b1001, 0b010, 0b100)))
+        chi(TransferRelation(order, (0b1001, 0b010, 0b100)))
     with pytest.raises(ValueError, match="one row per element"):
-        chi(order, TransferRelation(order, (0b001, 0b010, 0b100, 0b1000)))
+        chi(TransferRelation(order, (0b001, 0b010, 0b100, 0b1000)))
+
+
+def test_relations_without_one_row_per_element_are_refused():
+    # The validator reads one row per element, so a fourth row on the
+    # 3-element chain would go unread and a missing third row would raise
+    # a bare IndexError: the relation refuses both when built.
+    order = _order("chain:2")
+    with pytest.raises(ValueError, match="one row per element"):
+        is_saturated_transfer_system(TransferRelation(order, (1, 2, 4, 8)))
+    with pytest.raises(ValueError, match="one row per element"):
+        is_saturated_transfer_system(TransferRelation(order, (1, 2)))
+    with pytest.raises(ValueError, match="one row per element"):
+        TransferRelation(order, (1, 2, 4, 8))
 
 
 def test_chi_rejects_a_component_with_two_minima():
@@ -141,7 +155,7 @@ def test_chi_rejects_a_component_with_two_minima():
     # relates to 1 or to 2: no transfer system has such a component.
     order = _order("mk:2")
     with pytest.raises(NonUniqueMinimal, match=r"component \[1, 2, 3\] has minima \[1, 2\]"):
-        chi(order, TransferRelation(order, (1, 0b1010, 0b1100, 0b1000)))
+        chi(TransferRelation(order, (1, 0b1010, 0b1100, 0b1000)))
 
 
 def test_chi_rejects_a_preorder_without_a_minimum_below_each_element():
@@ -150,9 +164,9 @@ def test_chi_rejects_a_preorder_without_a_minimum_below_each_element():
     # union-find reference, which never asks that, takes 0 as the minimum.
     order = _order("bool:2")
     rows = (0b1001, 0b1110, 0b1110, 0b1000)
-    assert union_find_chi(order, TransferRelation(order, rows)) == 0b0001
+    assert union_find_chi(TransferRelation(order, rows)) == 0b0001
     with pytest.raises(NonUniqueMinimal, match="the relation is not a partial order"):
-        chi(order, TransferRelation(order, rows))
+        chi(TransferRelation(order, rows))
 
 
 def _is_preorder(rows):
@@ -166,7 +180,7 @@ def _is_preorder(rows):
 def _chi_outcome(chi_of, order, rows):
     """The mask ``chi_of`` gives the relation, or its error's message."""
     try:
-        return chi_of(order, TransferRelation(order, rows))
+        return chi_of(TransferRelation(order, rows))
     except NonUniqueMinimal as error:
         return str(error)
 
@@ -194,7 +208,7 @@ def test_chi_is_an_order_reversing_bijection():
     for spec in LATTICE_SPECS:
         order = _order(spec)
         systems = enumerate_saturated_transfer_systems(order)
-        masks = [chi(order, system) for system in systems]
+        masks = [chi(system) for system in systems]
         members = enumerate_submonoids(join_monoid(order)).members
         assert sorted(masks) == sorted(members)
         for a, mask_a in zip(systems, masks):
@@ -329,9 +343,9 @@ def _brute_force_systems(order):
     pairs = _strict_pairs(order)
     found = []
     for subset in range(1 << len(pairs)):
-        rows = from_pairs(order, [pairs[i] for i in bits_of(subset)]).rows
-        if is_saturated_transfer_system(order, rows)[0]:
-            found.append(rows)
+        relation = from_pairs(order, [pairs[i] for i in bits_of(subset)])
+        if is_saturated_transfer_system(relation)[0]:
+            found.append(relation.rows)
     return tuple(sorted(found, key=lambda r: (sum(v.bit_count() for v in r), r)))
 
 
@@ -484,11 +498,11 @@ def test_requirement_table_agrees_with_the_clause_validator(spec, cylinder):
     ctx = transfersystems._lattice_context(order)
     systems = set(transfersystems._saturated_rows(order))
     for rows in systems:
-        assert is_saturated_transfer_system(order, rows) == (True, None)
+        assert is_saturated_transfer_system(TransferRelation(order, rows)) == (True, None)
         block = [rows, *_single_bit_changes(rows)]
         invalid = transfersystems._invalid_systems(ctx, block)
         for s, changed in enumerate(block):
-            expected = is_saturated_transfer_system(order, changed)[0]
+            expected = is_saturated_transfer_system(TransferRelation(order, changed))[0]
             assert (not invalid >> s & 1) == expected, changed
             # and the enumeration missed no system next to one it found
             assert not expected or changed in systems
@@ -502,6 +516,8 @@ def _planted_faults():
     full = _full(chain).rows
     yield "reflexive", (full[0] & ~1, *full[1:])
     yield "refines-order", (discrete[0], discrete[1] | 1, *discrete[2:])
+    # Bits beyond the lattice: _invalid_systems flags them as not refining
+    # the order, and a TransferRelation refuses them when built.
     for position in (5, 7, 8, 63, 64, 100):
         yield "refines-order", (discrete[0] | 1 << position, *discrete[1:])
     # 0 R 1 and 1 R 2 without 0 R 2.
@@ -514,7 +530,12 @@ def _planted_faults():
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_invalid_systems_flags_exactly_a_planted_fault(rule, fault, where):
     order = _order("chain:4")
-    assert is_saturated_transfer_system(order, fault)[1].rule == rule
+    if any(row >> order.size for row in fault):
+        # A bit beyond the lattice is refused when the relation is built.
+        with pytest.raises(ValueError, match="row 0 has bits beyond the element range"):
+            TransferRelation(order, fault)
+    else:
+        assert is_saturated_transfer_system(TransferRelation(order, fault))[1].rule == rule
     systems = list(transfersystems._saturated_rows(order))
     position = {"first": 0, "middle": len(systems) // 2, "last": len(systems)}[where]
     systems.insert(position, fault)
@@ -540,7 +561,7 @@ def test_enumeration_names_the_clause_of_a_stray_high_bit(monkeypatch):
         return rows, cols, _cover_mask(ctx, rows)
 
     monkeypatch.setattr(transfersystems, "_grow", stray_bit)
-    with pytest.raises(InvariantViolation, match="refines-order"):
+    with pytest.raises(InvariantViolation, match="row 0 has bits beyond the element range"):
         transfersystems._saturated_rows.__wrapped__(_order("chain:4"))
 
 
@@ -553,18 +574,19 @@ def test_layer_matches_bit_by_bit_reference(spec):
 @pytest.mark.parametrize("spec", BENCHMARK_LATTICES)
 def test_isomorphism_check_enumerates_systems_on_p_only(monkeypatch, spec):
     order = _order(spec)
-    enumerate_rows = transfersystems._enumerate_rows
-    sizes = []
+    grow = transfersystems._grow
+    sizes = set()
 
-    def recorded(order):
-        sizes.append(order.size)
-        return enumerate_rows(order)
+    def recorded(ctx, *args):
+        sizes.add(ctx.order.size)
+        return grow(ctx, *args)
 
-    monkeypatch.setattr(transfersystems, "_enumerate_rows", recorded)
+    monkeypatch.setattr(transfersystems, "_grow", recorded)
     transfersystems._saturated_rows.cache_clear()
     transfersystems._st_data.cache_clear()
     assert verify_graph_isomorphism(order) == (True, None)
-    assert sizes == [order.size]
+    assert sizes == {order.size}
+    assert transfersystems._saturated_rows.cache_info().misses == 1
 
 
 def test_grow_call_count_on_benchmark_lattices(monkeypatch):
