@@ -47,6 +47,10 @@ from .transfersystems import (
 
 # Budgets below 1 would refuse every input, or check nothing, so they exit 2.
 BUDGET_FLAGS = ("--max-monoid-size", "--max-st-size", "--max-oracle-size")
+# The commands whose --n is a chain length, which is at least 0 and
+# checked as the budgets are; polybernoulli's --n is an argument of
+# B(m, n), which checks its own.
+CHAIN_LENGTH_COMMANDS = ("count", "sattr", "verify")
 
 # Default sweeps for the verify suites.
 DEFAULT_MONOIDS = (
@@ -272,8 +276,6 @@ def _suite_recurrence(args) -> int:
 
 
 def _suite_oracle(args) -> int:
-    if args.n is not None and args.n < 0:
-        raise ValueError(f"--n must be at least 0, got {args.n}")
     budget = args.max_oracle_size
     top = args.n if args.n is not None else budget
     cases = []  # every spec is parsed before any line is printed
@@ -568,6 +570,9 @@ def main(argv=None) -> int:
         budget = getattr(args, flag.lstrip("-").replace("-", "_"), None)
         if budget is not None and budget < 1:
             return _fail(f"error: {flag} must be at least 1, got {budget}", 2)
+    n = getattr(args, "n", None)
+    if args.command in CHAIN_LENGTH_COMMANDS and n is not None and n < 0:
+        return _fail(f"error: --n must be at least 0, got {n}", 2)
     try:
         return args.func(args)
     except (MonoidSpecError, ValueError) as exc:

@@ -32,7 +32,36 @@ DEFAULT_MAX_PRODUCT_SIZE = 1024
 CACHE_SIZE = 32
 
 
+def _byte_bits(offset: int) -> tuple[bytes, ...]:
+    """For each byte b, the set bit positions of b << ``offset``,
+    ascending, one position per byte of a ``bytes``: the table of
+    b < 2**(i+1) is that of b < 2**i, then the same entries each with
+    bit i added.  A ``bytes`` entry takes half the memory of a tuple
+    and is iterated as fast."""
+    table = [b""]
+    for i in range(offset, offset + 8):
+        bit = bytes((i,))
+        table += [bits + bit for bits in table]
+    return tuple(table)
+
+
+# _BYTE_BITS[k][b]: the set bit positions of a mask whose byte k is b
+# and whose other bytes are zero, for the three low bytes.
+_BYTE_BITS = tuple(map(_byte_bits, (0, 8, 16)))
+
+
 def bits_of(mask: int):
+    """An iterator over the set bit positions of ``mask``, ascending.  A
+    mask below 2**24, as every element mask under the default budgets
+    is, is read as the concatenated :data:`_BYTE_BITS` entries of its
+    three bytes; a wider one by a loop that clears its lowest bit."""
+    if mask >> 24:
+        return _wide_bits_of(mask)
+    low, middle, high = _BYTE_BITS
+    return iter(low[mask & 255] + middle[mask >> 8 & 255] + high[mask >> 16])
+
+
+def _wide_bits_of(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask

@@ -131,7 +131,9 @@ def enumerate_submonoids(
 
     bottom = 1 << monoid.identity
     members = list(closed_sets(bottom, bottom, monoid.size, extend))
-    members.sort(key=lambda m: (m.bit_count(), m))
+    # By (popcount, mask): by mask, then stably by popcount.
+    members.sort()
+    members.sort(key=int.bit_count)
     return SubmonoidLattice(
         monoid=monoid,
         members=tuple(members),

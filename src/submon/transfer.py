@@ -44,7 +44,8 @@ class TransferMatrix:
     representative had, and is the one piece of W a matrix keeps.  Each
     of its rows is two flat arrays (see :func:`_lump`): the off-diagonal
     class ids, ascending, and their weights with the diagonal last.
-    ``roots``, the count annihilator, and ``series``, the counts'
+    ``roots``, the count annihilator, ``solved``, the counts up to its
+    degree D and the seeds that extend them, and ``series``, the counts'
     generating function, are read off it.  ``row`` sums one row of W
     over its submonoid's ideals with :func:`ideal_row`, the one routine
     that computes a weight, as (column, weight) pairs in ascending
@@ -89,9 +90,10 @@ class TransferMatrix:
         return annihilator(self.quotient[0])
 
     @cached_property
-    def series(self) -> RationalOGF:
-        """The counts' generating function P(x) / A(x), built from solved
-        terms on first read and kept.
+    def solved(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """S_0..S_D, the seeds of the passes that extend them past D, and
+        the numerator P of the counts' generating function P(x) / A(x):
+        solved on first read and kept.
 
         Q, the lumped quotient of W, is lower triangular, so by the
         transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7)
@@ -99,7 +101,14 @@ class TransferMatrix:
         A = prod over diagonal values v of (1 - v*x)**m_v (``annihilator``)
         and deg P < D = sum of m_v.  S_0..S_D come from
         :func:`walk_counts`, and P is the first D terms of their product
-        with A, one factor at a time by :func:`times_annihilator`.
+        with A, one factor at a time by :func:`times_annihilator`.  Stage
+        j of that product, the terms times the first j factors, is a
+        series whose x**D term seeds the pass that undoes factor j + 1:
+        from it, over stage j + 1's terms past D, y[n] = v*y[n-1] + p[n]
+        gives stage j's.  P's terms past D - 1 are zeros, so
+        :func:`over_annihilator` over zeros, the factors last to first
+        with these seeds, gives S past D; the seeds are kept in that
+        order.
 
         The solved S_D is checked through the product's last term, the
         x**D coefficient of A times the series, which vanishes for a valid
@@ -107,13 +116,21 @@ class TransferMatrix:
         the polynomial that A times the series makes, and it is zero
         exactly when the shorter A is still valid.  So this one term catches any single missing root
         or multiplicity without solving past D; the tests compare every
-        term of the expansion with the walk.
+        term past D with the walk.
         """
-        roots = self.roots
-        product = times_annihilator(walk_counts(self, len(roots)), roots)
+        roots, seeds = self.roots, []
+        terms = walk_counts(self, len(roots))
+        product = times_annihilator(terms, roots, seeds)
         if product.pop():
             raise InvariantViolation(f"the annihilator's recurrence misses the walked S_{len(roots)}")
-        return RationalOGF(numerator=tuple(product), denominator_roots=roots)
+        return tuple(terms), tuple(reversed(seeds)), tuple(product)
+
+    @cached_property
+    def series(self) -> RationalOGF:
+        """The counts' generating function P(x) / A(x), with P from
+        ``solved`` and A's roots from ``roots``, built on first read and
+        kept."""
+        return RationalOGF(numerator=self.solved[2], denominator_roots=self.roots)
 
 
 @record
@@ -132,24 +149,39 @@ class RationalOGF:
 
     def expand(self, n_max: int) -> list[int]:
         """The first ``n_max + 1`` series coefficients: the numerator,
-        followed by zeros, divided by one factor (1 - v*x) at a time.  Each
-        division is the first-order pass y[n] = v*y[n-1] + p[n], which
-        multiplies only by the small root v: the one routine that extends
-        counts by a recurrence."""
+        followed by zeros, divided by the denominator with every seed 0
+        by :func:`over_annihilator`."""
         values = islice(chain(self.numerator, repeat(0)), n_max + 1)
-        for v in self.denominator_roots:
-            values = accumulate(values, lambda y, p, v=v: v * y + p)
-        return list(values)
+        return list(over_annihilator(values, self.denominator_roots, repeat(0)))
 
 
-def times_annihilator(values, roots) -> list[int]:
+def times_annihilator(values, roots, seeds=None) -> list[int]:
     """The terms ``values`` times prod(1 - v*x) over ``roots``, cut to
     their length: one first-order pass y[n] = p[n] - v*p[n-1] per root,
-    which undoes one division of :meth:`RationalOGF.expand`.  The one
-    routine that multiplies counts by their annihilator."""
+    which undoes one division of :func:`over_annihilator`.  The one
+    routine that multiplies counts by their annihilator.  Each stage's
+    last term, before its root's pass, is appended to the list
+    ``seeds`` if one is given."""
     values = list(values)
     for v in roots:
+        if seeds is not None:
+            seeds.append(values[-1])
         values = [p - v * q for p, q in zip(values, [0, *values])]
+    return values
+
+
+def over_annihilator(values, roots, seeds):
+    """An iterator over the terms ``values`` divided by prod(1 - v*x)
+    over ``roots``, one factor (1 - v*x) at a time, each paired with a
+    seed: the first-order pass y[n] = v*y[n-1] + p[n] from y[-1] = seed,
+    which multiplies only by the small root v.  With every seed 0 it is
+    the series of a fraction; with seeds read off the stages of
+    :func:`times_annihilator`, it continues a solved series (see
+    ``TransferMatrix.solved``).  The one routine that extends counts by a
+    recurrence."""
+    for v, seed in zip(roots, seeds):
+        values = accumulate(values, lambda y, p, v=v: v * y + p, initial=seed)
+        next(values)  # the seed itself, y[-1]
     return values
 
 
@@ -570,26 +602,29 @@ def _lump(lattice: SubmonoidLattice, orbits: Orbits):
 
 def count_sequence(matrix: TransferMatrix, n_max: int) -> CountSequence:
     """S_n for n = 0..n_max: solved by :func:`walk_counts` below D, else
-    expanded from ``matrix.series``.
+    the solved S_0..S_D of ``matrix.solved`` followed by terms extended
+    from its seeds.
 
     S_n for n >= D is fixed by the D terms before it (see
-    ``TransferMatrix.series``).  Below D the quotient is solved to n_max
+    ``TransferMatrix.solved``).  Below D the quotient is solved to n_max
     steps, at one packed multiply-add per quotient nonzero plus n_max
     small steps per class, in slots sized from the top root; from D on
-    the series solves D steps once per matrix, and each later term costs
-    D small steps.
+    ``solved`` solves D steps once per matrix, and each term past D
+    costs D small steps of :func:`over_annihilator`.
 
     The monotonicity check always runs over every term: it costs one
     comparison per term, and it is the one check on the count path that
-    holds the expanded terms, not only the solved ones, to the shape of
+    holds the extended terms, not only the solved ones, to the shape of
     every count sequence.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max < len(matrix.roots):
+    roots = matrix.roots
+    if n_max < len(roots):
         values = walk_counts(matrix, n_max)
     else:
-        values = matrix.series.expand(n_max)
+        terms, seeds, _ = matrix.solved
+        values = [*terms, *over_annihilator(repeat(0, n_max - len(roots)), reversed(roots), seeds)]
     for n, (prev, nxt) in enumerate(zip(values, values[1:])):
         if not 0 < prev <= nxt:
             raise InvariantViolation(f"counts not positive and nondecreasing at n={n + 1}")

@@ -843,6 +843,20 @@ def test_budgets_below_one_exit_2_naming_the_flag(capsys, argv, flag):
     assert (code, out, err) == (2, "", f"error: {flag} must be at least 1, got {budget}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--monoid", "chain:2", "--n", "-1"),
+        ("sattr", "--lattice", "chain:2", "--n", "-1"),
+        ("verify", "oracle", "--monoid", "chain:1", "--n", "-1"),
+    ],
+)
+def test_a_negative_chain_length_exits_2_naming_the_flag(capsys, argv):
+    # count and sattr named count_sequence's n_max, not the flag.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --n must be at least 0, got -1\n")
+
+
 def test_budget_of_one_is_accepted(capsys):
     code, out, _ = run(capsys, "count", "--monoid", "chain:0", "--n", "1", "--max-monoid-size", "1")
     assert (code, out) == (0, "n,count\n0,1\n1,2\n")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from submon import monoid as monoid_module
 from submon.monoid import (
     PartialOrder,
     bit_columns,
+    bits_of,
     bottom_of,
     from_spec,
     from_table,
@@ -203,6 +205,35 @@ def test_bit_columns_transposes(width):
     )
     assert bit_columns(columns, len(values)) == tuple(values)
     assert bit_columns([], width) == (0,) * width
+
+
+def reference_bits_of(mask):
+    """The set bit positions of ``mask``, ascending, one lowest bit
+    cleared per step: the generator ``bits_of`` was before it read
+    narrow masks from byte tables."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_of_matches_the_reference_on_every_16_bit_mask():
+    assert all(tuple(bits_of(m)) == tuple(reference_bits_of(m)) for m in range(1 << 16))
+
+
+def test_bits_of_matches_the_reference_on_random_masks_up_to_1100_bits():
+    rng = random.Random(37)
+    edges = [(1 << 24) - 1, 1 << 24, (1 << 24) + 1, (1 << 24) | 1 << 23, (1 << 1100) - 1]
+    masks = edges + [rng.getrandbits(rng.randrange(1, 1101)) for _ in range(2000)]
+    for mask in masks:
+        assert list(bits_of(mask)) == list(reference_bits_of(mask))
+        # The first position alone, as callers read it with next(...).
+        first = next(bits_of(mask), None)
+        assert first == next(reference_bits_of(mask), None)
+        assert first == ((mask & -mask).bit_length() - 1 if mask else None)
+        it = bits_of(mask)
+        assert iter(it) is it
+    assert next(bits_of(0), None) is None and next(bits_of(1 << 1099)) == 1099
 
 
 def test_make_mk_shape():

@@ -551,7 +551,7 @@ def test_counts_and_spectra_never_build_rows(spec, monkeypatch):
     firsts = _first_of_each_shape(matrix)
     assert summed == [matrix.lattice.members[r] for r in firsts]
     assert len(firsts) < len(matrix.orbits.reps)
-    assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "roots", "series"}
+    assert set(vars(matrix)) == {"lattice", "orbits", "quotient", "roots", "solved", "series"}
 
     # A second query on the cached monoid neither enumerates nor sums rows.
     monkeypatch.setattr(transfer, "enumerate_submonoids", refuse)
@@ -746,6 +746,49 @@ def test_count_tail_matches_the_walk_on_random_monoids(monoid, extra):
     matrix = build_transfer_matrix(monoid)
     top = _order(matrix) + extra
     assert list(count_sequence(matrix, top).values) == _walked(matrix, top)
+
+
+# D runs from 1 (chain:0) to 80 (the long-walks monoid of this list).
+TAIL_MONOIDS = (
+    "chain:0",
+    "cyclic:2",
+    "cyclic:2 x chain:1",
+    "mk:4 x chain:1",
+    "cyclic:2 x chain:3 x chain:1",
+)
+
+
+def _tail_agrees(matrix):
+    """Whether count_sequence equals RationalOGF.expand at n = D, D + 1
+    and D + 40, and walk_counts at n = 0, 1, D - 1, D, D + 1 and D + 2."""
+    order = len(matrix.roots)
+    expanded = matrix.series.expand(order + 40)
+    walked = walk_counts(matrix, order + 2)
+    return all(
+        list(count_sequence(matrix, n).values) == expanded[: n + 1]
+        for n in (order, order + 1, order + 40)
+    ) and all(
+        list(count_sequence(matrix, n).values) == walked[: n + 1]
+        for n in sorted({0, 1, order - 1, order, order + 1, order + 2})
+    )
+
+
+@pytest.mark.parametrize("spec", TAIL_MONOIDS)
+def test_terms_past_d_from_the_seeds_equal_the_expansion_and_the_walk(spec):
+    matrix = _matrix(spec)
+    terms, seeds, _ = matrix.solved
+    assert len(terms) == len(seeds) + 1 == len(matrix.roots) + 1
+    assert _tail_agrees(matrix)
+
+
+@pytest.mark.parametrize("spec", TAIL_MONOIDS)
+def test_a_seed_off_by_one_fails_the_tail_check(spec):
+    matrix = _matrix(spec)
+    terms, seeds, numerator = matrix.solved
+    for j in sorted({0, len(seeds) // 2, len(seeds) - 1}):
+        planted = _unbuilt_series(matrix)
+        vars(planted)["solved"] = terms, (*seeds[:j], seeds[j] + 1, *seeds[j + 1 :]), numerator
+        assert not _tail_agrees(planted)
 
 
 def _solve_steps(order):
@@ -1082,7 +1125,7 @@ def test_an_annihilator_missing_a_root_raises_under_dash_o():
 
 
 def test_count_prints_the_walked_counts_under_dash_o():
-    # count --n 300 expands the series 220 terms past D = 80; a plain walk
+    # count --n 300 extends the counts 220 terms past D = 80; a plain walk
     # of the quotient must print the same lines.
     script = (
         "import contextlib, io, sys\n"
