@@ -45,13 +45,6 @@ from .transfersystems import (
     verify_graph_isomorphism,
 )
 
-# Budgets below 1 would refuse every input, or check nothing, so they exit 2.
-BUDGET_FLAGS = ("--max-monoid-size", "--max-st-size", "--max-oracle-size")
-# The commands whose --n is a chain length, which is at least 0 and
-# checked as the budgets are; polybernoulli's --n is an argument of
-# B(m, n), which checks its own.
-CHAIN_LENGTH_COMMANDS = ("count", "sattr", "verify")
-
 # Default sweeps for the verify suites.
 DEFAULT_MONOIDS = (
     "chain:0",
@@ -393,24 +386,28 @@ _COMMON = {
     "--monoid": {"required": True, "help": "monoid spec string"},
     "--format": {"choices": FORMATS, "default": "csv"},
     "--max-monoid-size": {
-        "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "help": "submonoid enumeration budget"
+        "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "min": 1,
+        "help": "submonoid enumeration budget",
     },
 }
 
 # Each command's grammar, in help order.  A flag's entry holds the
-# keywords of its add_argument call, and "given": True for a flag that
-# args.given records.  A command may take a suite positional before its
-# flags and name flags that exclude each other.
+# keywords of its add_argument call, "given": True for a flag that
+# args.given records, and an int flag's floor "min", below which main
+# exits 2: 1 for a budget, below which no input fits or nothing is
+# checked, and 0 for a chain length or an argument of B(m, n).  A
+# command may take a suite positional before its flags and name flags
+# that exclude each other.
 COMMANDS = {
     "count": {
         "help": "counts of submonoids of monoid x chain",
         "func": cmd_count,
         "flags": {
             **_COMMON,
-            "--n": {"type": int, "required": True, "help": "largest chain length"},
+            "--n": {"type": int, "required": True, "min": 0, "help": "largest chain length"},
             "--oracle": {"action": "store_true", "help": "cross-check small cases"},
             "--max-oracle-size": {
-                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "given": True,
+                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "min": 1, "given": True,
                 "help": "largest product, in elements, that --oracle brute-forces",
             },
         },
@@ -421,7 +418,10 @@ COMMANDS = {
     "polybernoulli": {
         "help": "poly-Bernoulli number B(m, n)",
         "func": cmd_polybernoulli,
-        "flags": {"--m": {"type": int, "required": True}, "--n": {"type": int, "required": True}},
+        "flags": {
+            "--m": {"type": int, "required": True, "min": 0},
+            "--n": {"type": int, "required": True, "min": 0},
+        },
     },
     "sattr": {
         "help": "saturated transfer systems on a lattice",
@@ -430,16 +430,16 @@ COMMANDS = {
             "--lattice": {"required": True, "help": "monoid spec of a lattice"},
             # --n has no default: argparse lets a flag given its default
             # value join the other flag of the group (--n 0 --list).
-            "--n": {"type": int, "help": "largest chain length (default 0)"},
+            "--n": {"type": int, "min": 0, "help": "largest chain length (default 0)"},
             "--list": {"action": "store_true", "help": "dump the systems as JSON"},
             # No default, so that --list can refuse an explicit --format csv.
             "--format": {"choices": FORMATS, "help": "default csv; --list takes json"},
             "--max-st-size": {
-                "type": int, "default": DEFAULT_MAX_ST_SIZE, "given": True,
+                "type": int, "default": DEFAULT_MAX_ST_SIZE, "min": 1, "given": True,
                 "help": "largest lattice, in elements, that --list accepts",
             },
             "--max-monoid-size": {
-                "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "given": True,
+                "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "min": 1, "given": True,
                 "help": "largest lattice, in elements, that --n accepts",
             },
         },
@@ -451,12 +451,17 @@ COMMANDS = {
         "suite": {"choices": SUITES, "help": "the sweep to run"},
         "flags": {
             "--monoid": {"given": True, "help": "restrict the sweep to one monoid"},
-            "--n": {"type": int, "given": True, "help": "largest chain length for the oracle suite"},
-            "--max-monoid-size": {"type": int, "default": DEFAULT_MAX_MONOID_SIZE, "given": True},
-            "--max-oracle-size": {
-                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "given": True
+            "--n": {
+                "type": int, "min": 0, "given": True,
+                "help": "largest chain length for the oracle suite",
             },
-            "--max-st-size": {"type": int, "default": DEFAULT_MAX_ST_SIZE, "given": True},
+            "--max-monoid-size": {
+                "type": int, "default": DEFAULT_MAX_MONOID_SIZE, "min": 1, "given": True
+            },
+            "--max-oracle-size": {
+                "type": int, "default": oracle.DEFAULT_MAX_ORACLE_SIZE, "min": 1, "given": True
+            },
+            "--max-st-size": {"type": int, "default": DEFAULT_MAX_ST_SIZE, "min": 1, "given": True},
         },
     },
 }
@@ -539,6 +544,7 @@ def build_parser():
         group = p.add_mutually_exclusive_group() if exclusive else None
         for flag, spec in command["flags"].items():
             spec = dict(spec)
+            spec.pop("min", None)
             if spec.pop("given", False):
                 spec["action"] = _Given
             (group if flag in exclusive else p).add_argument(flag, **spec)
@@ -566,13 +572,10 @@ def main(argv=None) -> int:
     args = read_argv(argv)
     if args is None:
         args = _parser().parse_args(argv)
-    for flag in BUDGET_FLAGS:
-        budget = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if budget is not None and budget < 1:
-            return _fail(f"error: {flag} must be at least 1, got {budget}", 2)
-    n = getattr(args, "n", None)
-    if args.command in CHAIN_LENGTH_COMMANDS and n is not None and n < 0:
-        return _fail(f"error: --n must be at least 0, got {n}", 2)
+    for flag, spec in COMMANDS[args.command]["flags"].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if "min" in spec and value is not None and value < spec["min"]:
+            return _fail(f"error: {flag} must be at least {spec['min']}, got {value}", 2)
     try:
         return args.func(args)
     except (MonoidSpecError, ValueError) as exc:

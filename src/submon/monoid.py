@@ -302,28 +302,13 @@ def make_cyclic_group(m: int) -> CayleyMonoid:
 
 
 def make_mk(k: int) -> CayleyMonoid:
-    """The lattice with bottom, top, and k pairwise incomparable middle elements.
-
-    Elements are ordered (bottom, 1..k, top); the operation is join.
-    """
+    """The join monoid of the lattice with bottom, top, and k pairwise
+    incomparable middle elements, in the order (bottom, 1..k, top)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k + 2
-    top = k + 1
-    table = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            if x == 0:
-                row.append(y)
-            elif y == 0:
-                row.append(x)
-            elif x == y:
-                row.append(x)
-            else:
-                row.append(top)
-        table.append(tuple(row))
-    return CayleyMonoid(size=n, table=tuple(table), identity=0)
+    top = 1 << k + 1
+    up = (2 * top - 1, *(1 << x | top for x in range(1, k + 1)), top)
+    return join_monoid(PartialOrder(size=k + 2, up=up))
 
 
 def make_n5() -> CayleyMonoid:

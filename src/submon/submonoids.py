@@ -159,19 +159,6 @@ def _spread(bits: int, width: int) -> int:
     return int.from_bytes(format(bits, f"0{width}b").encode().translate(_DIGITS), "big")
 
 
-def _count_ideals(free: int, multiples, divisors, memo: dict) -> int:
-    """The leaves of the ideal walk below a node whose undecided elements
-    are ``free``: the ways to put each in or out of the ideal, branching
-    on the highest as :func:`ideal_row` does.  Memoised in ``memo``."""
-    total = memo.get(free)
-    if total is None:
-        x = free.bit_length() - 1
-        total = memo[free] = _count_ideals(
-            free & ~multiples[x], multiples, divisors, memo
-        ) + _count_ideals(free & ~divisors[x], multiples, divisors, memo)
-    return total
-
-
 def ideal_row(lattice: SubmonoidLattice, i: int):
     """Row i of W, summed over the ideals of A = ``members[i]``: its
     diagonal W(A, A), the selector ``where``, and the weights W(A, B_j)
@@ -189,7 +176,8 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
     from the members strictly inside A, so each leaf, one ideal, adds its
     column set to bit-sliced counters (plane p holds bit p of every
     column's count); the diagonal is the number of leaves.  A subtree
-    whose column set is empty adds only its memoised leaf count.  Both
+    whose column set is empty adds only its leaf count, which the walk
+    memoises by its free elements.  Both
     branches of every node hold an ideal (all free elements in, or all
     out), so the walk visits fewer than twice as many nodes as A has
     ideals, however many columns the row has.  The counters are decoded
@@ -211,8 +199,9 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
 
     def walk(free, columns):
         if not columns:
-            return _count_ideals(free, multiples, divisors, memo)
-        if not free:
+            if free in memo:
+                return memo[free]
+        elif not free:
             carry = columns
             for p, plane in enumerate(planes):
                 planes[p] = plane ^ carry
@@ -223,7 +212,10 @@ def ideal_row(lattice: SubmonoidLattice, i: int):
                 planes.append(carry)
             return 1
         x = free.bit_length() - 1
-        return walk(free & ~multiples[x], columns) + walk(free & ~divisors[x], columns & keeps[x])
+        total = walk(free & ~multiples[x], columns) + walk(free & ~divisors[x], columns & keeps[x])
+        if not columns:
+            memo[free] = total
+        return total
 
     diagonal = walk(a, start)
     # The closure refers to itself; clearing it frees the walk's tables

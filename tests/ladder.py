@@ -3,14 +3,17 @@
 Each rung is one monoid, run in a fresh interpreter that writes no
 bytecode and pins itself (its own process only) to the allowed CPU on
 which the calibration loop runs fastest at its start, with
-``perfbench/run.py``'s ``pin_fastest_cpu``.  It times four stages
+``perfbench/run.py``'s ``pin_fastest_cpu``.  It times five stages
 through the public API:
 
 - ``build``: ``build_transfer_matrix``, the enumeration, Aut(M) and the
   orbits;
 - ``quotient``: ``matrix.quotient``, the lumped quotient;
 - ``count``: ``count_sequence(matrix, 30)``, what ``count --n 30`` runs;
-- ``solve``: ``walk_counts(matrix, D)``, the solve to D.
+- ``solve``: ``walk_counts(matrix, D)``, the solve to D;
+- ``tail``: ``count_sequence(matrix, D + TAIL)``, once
+  ``matrix.solved`` has been read untimed: the terms past D extended
+  from the solved terms' seeds, what ``count --n N`` runs for N >= D.
 
 After each stage it reads the peak RSS so far.  It also reports k, the
 orbits, the classes, the quotient's nonzeros, D, and ``quotient_mb``,
@@ -58,7 +61,9 @@ RUNGS = (
     "mk:16",
     "chain:17",
 )
-STAGES = ("build", "quotient", "count", "solve")
+STAGES = ("build", "quotient", "count", "solve", "tail")
+# How far past D the tail stage counts.
+TAIL = 200
 REPEATS = 5
 
 
@@ -107,6 +112,8 @@ def _rung(spec: str, src: Path) -> dict:
     timed("quotient", lambda: matrix.quotient)
     timed("count", lambda: count_sequence(matrix, 30))
     timed("solve", lambda: walk_counts(matrix, len(matrix.roots)))
+    matrix.solved  # built untimed, so the tail stage times only the extension
+    timed("tail", lambda: count_sequence(matrix, len(matrix.roots) + TAIL))
     calibration += [calibrate() for _ in range(5)]
     factor = REFERENCE_S / statistics.median(calibration)
     for stage in stages.values():
@@ -201,6 +208,7 @@ def main() -> None:
         "cpu": _cpu_name(),
         "repeats": REPEATS,
         "count_n": 30,
+        "tail_past_D": TAIL,
         **_tree(ROOT, runs[ROOT]),
     }
     if args.baseline:

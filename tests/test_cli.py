@@ -857,6 +857,60 @@ def test_a_negative_chain_length_exits_2_naming_the_flag(capsys, argv):
     assert (code, out, err) == (2, "", "error: --n must be at least 0, got -1\n")
 
 
+def _minimal_argv(name):
+    """A valid argv of command ``name``: its first suite, if it takes
+    one, and each required flag, an int at its floor and any other a
+    spec."""
+    command = cli.COMMANDS[name]
+    argv = [name, *list(command.get("suite", {}).get("choices", ()))[:1]]
+    for flag, spec in command["flags"].items():
+        if spec.get("required"):
+            argv += [flag, str(spec["min"]) if spec.get("type") is int else "chain:1"]
+    return argv
+
+
+INT_FLAGS = [
+    (name, flag, spec)
+    for name, command in cli.COMMANDS.items()
+    for flag, spec in command["flags"].items()
+    if spec.get("type") is int
+]
+INT_FLAG_IDS = [f"{name} {flag}" for name, flag, _ in INT_FLAGS]
+
+
+@pytest.mark.parametrize("name, flag, spec", INT_FLAGS, ids=INT_FLAG_IDS)
+def test_every_int_flag_has_a_floor(name, flag, spec):
+    assert type(spec.get("min")) is int
+
+
+@pytest.mark.parametrize("name, flag, spec", INT_FLAGS, ids=INT_FLAG_IDS)
+def test_each_int_flag_below_its_floor_exits_2_naming_it(capsys, name, flag, spec):
+    argv, low = _minimal_argv(name), str(spec["min"] - 1)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = low
+    else:
+        argv += [flag, low]
+    message = f"error: {flag} must be at least {spec['min']}, got {low}\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The first flag out of range in help order is named: count's --n
+        # comes before --max-oracle-size.
+        (
+            ("count", "--monoid", "chain:1", "--n", "-1", "--oracle", "--max-oracle-size", "0"),
+            "--n must be at least 0, got -1",
+        ),
+        # B(m, n) used to refuse a negative argument without naming it.
+        (("polybernoulli", "--m", "-1", "--n", "2"), "--m must be at least 0, got -1"),
+    ],
+)
+def test_floor_messages_name_the_first_flag_out_of_range(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_budget_of_one_is_accepted(capsys):
     code, out, _ = run(capsys, "count", "--monoid", "chain:0", "--n", "1", "--max-monoid-size", "1")
     assert (code, out) == (0, "n,count\n0,1\n1,2\n")
@@ -1026,19 +1080,24 @@ def _benchmark_argvs():
     return [argv for name in workloads.BATCHES for argv in workloads.pool(name)]
 
 
-# argparse takes these, but the reader takes flags spelled in full only.
-ABBREVIATED = [("count", "--mon", "chain:1", "--n", "2")]
+# CI lines that argparse takes but the reader declines: it takes flags
+# spelled in full only, and no value starting with "-".
+DECLINED = [
+    ("count", "--mon", "chain:1", "--n", "2"),
+    ("count", "--monoid", "chain:1", "--n", "-1"),
+    ("polybernoulli", "--m", "-1", "--n", "2"),
+]
 
 
 def test_the_reader_reads_every_well_formed_query_as_argparse_does():
     queries = _benchmark_argvs()
     assert len(queries) == 102
     smoke = _smoke_argvs()
-    assert ["--help"] in smoke and list(ABBREVIATED[0]) in smoke
+    assert ["--help"] in smoke and all(list(argv) in smoke for argv in DECLINED)
     read = 0
     for argv in map(tuple, queries + smoke + MIXED_QUERIES):
         want = _argparse_vars(argv)
-        if want is None or argv in ABBREVIATED:
+        if want is None or argv in DECLINED:
             assert cli.read_argv(argv) is None, argv
         else:
             assert vars(cli.read_argv(argv)) == want, argv

@@ -117,6 +117,23 @@ def small_commutative_monoids(draw, max_size=DEFAULT_MAX_ORACLE_SIZE):
     return monoid
 
 
+@st.composite
+def union_closed_semilattices(draw, points=4):
+    """Join-semilattices with a bottom: a family of subsets of at most
+    ``points`` points closed under union, the empty set added, as the
+    Cayley table of union with the empty set as the identity, the sets
+    in ascending order of mask.  Every finite join-semilattice with a
+    bottom is one of these, over its meet-irreducibles, so the draws
+    include N5, M3, chains and their products."""
+    width = draw(st.integers(0, points))
+    family = {0}
+    for extra in draw(st.lists(st.integers(1, (1 << width) - 1), max_size=6)) if width else ():
+        family |= {extra | s for s in family}
+    sets = sorted(family)
+    index = {s: i for i, s in enumerate(sets)}
+    return from_table([[index[s | t] for t in sets] for s in sets], 0)
+
+
 def closure_mismatches(monoid):
     """The pairs (A, x) of a submonoid and an element of ``monoid`` where
     ``_add_element`` differs from the oracle's least submonoid holding
@@ -128,6 +145,16 @@ def closure_mismatches(monoid):
             if _add_element(monoid.table, a, tuple(bits_of(a)), x) != reduce(and_, (m for m in masks if m & need == need)):
                 mismatches.append((a, x))
     return mismatches
+
+
+@settings(max_examples=30, deadline=None)
+@given(union_closed_semilattices())
+def test_random_semilattices_match_oracle(monoid):
+    # Every term whose product fits the oracle's default budget.
+    last = DEFAULT_MAX_ORACLE_SIZE // monoid.size - 1
+    counts = count_sequence(build_transfer_matrix(monoid), max(last, 0)).values
+    for n in range(last + 1):
+        assert counts[n] == brute_force_submonoid_count(monoid, n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_oracle import small_commutative_monoids
+from test_oracle import small_commutative_monoids, union_closed_semilattices
 
 from submon import spectral
 from submon.errors import (
@@ -143,6 +143,18 @@ def test_coefficients_match_the_eigenvector_route(spec):
     # lumping is not trusted either, at every eigenvalue, zero included;
     # neither reads a count.
     matrix = _matrix(spec)
+    spectrum = spectrum_of(matrix)
+    expected = dict(zip(spectrum.eigenvalues, spectrum.coefficients))
+    assert eigen_coefficients(*paired(matrix.quotient)) == expected
+    if matrix.size <= 100:
+        rows = [reference_row(matrix.lattice, i) for i in range(matrix.size)]
+        assert eigen_coefficients(rows, (1,) * matrix.size) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(union_closed_semilattices())
+def test_coefficients_match_the_eigenvector_route_on_random_semilattices(monoid):
+    matrix = build_transfer_matrix(monoid)
     spectrum = spectrum_of(matrix)
     expected = dict(zip(spectrum.eigenvalues, spectrum.coefficients))
     assert eigen_coefficients(*paired(matrix.quotient)) == expected

@@ -5,13 +5,13 @@ import subprocess
 import sys
 import tracemalloc
 from functools import cache, partial
-from itertools import permutations
+from itertools import compress, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_oracle import small_commutative_monoids
+from test_oracle import small_commutative_monoids, union_closed_semilattices
 
 from submon import submonoids, transfer
 from submon.cli import DEFAULT_LATTICES, DEFAULT_MONOIDS
@@ -614,23 +614,44 @@ def test_ideal_rows_carry_past_one_byte():
     assert row == reference_row(matrix.lattice, top)
 
 
-def test_ideal_rows_prune_subtrees_with_no_column(monkeypatch):
-    # bool:3's top row: one subtree of its ideal walk keeps no column
-    # while an element is still undecided, so the memoised leaf count
-    # gives its leaves.
-    pruned = []
-    count = submonoids._count_ideals
+def _memo_reads(lattice, i):
+    """Row i's ideal walk under ``sys.setprofile``: the row, and the free
+    masks of the ``walk`` calls with no column and a nonempty ``free``
+    that return without a nested call, each a subtree read from the
+    walk's memo."""
+    calls, reads = [], []
 
-    def spied(free, *args):
-        pruned.append(free)
-        return count(free, *args)
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code.co_name != "walk" or code.co_filename != submonoids.__file__:
+            return
+        if event == "call":
+            if calls:
+                calls[-1][2] = True
+            calls.append([frame.f_locals["free"], frame.f_locals["columns"], False])
+        elif event == "return":
+            free, columns, nested = calls.pop()
+            if free and not columns and not nested:
+                reads.append(free)
 
-    monkeypatch.setattr(submonoids, "_count_ideals", spied)
-    matrix = _matrix("bool:3")
-    top = matrix.size - 1
-    row = matrix.row(top)
-    assert any(pruned)
-    assert row == reference_row(matrix.lattice, top)
+    sys.setprofile(profile)
+    try:
+        diagonal, where, weights = ideal_row(lattice, i)
+    finally:
+        sys.setprofile(None)
+    return (*zip(compress(range(i), where), weights), (i, diagonal)), reads
+
+
+def test_ideal_rows_read_subtrees_with_no_column_from_the_memo():
+    # bool:4's top row: subtrees of its ideal walk that keep no column
+    # while elements are still undecided recur with the same free
+    # elements, and every one after the first is read from the memo.
+    # bool:3's top row has no such repeat.
+    lattice = enumerate_submonoids(from_spec("bool:4"))
+    top = len(lattice) - 1
+    row, reads = _memo_reads(lattice, top)
+    assert reads
+    assert row == reference_row(lattice, top)
 
 
 def test_ideal_rows_leave_no_reference_cycle():
@@ -1002,6 +1023,21 @@ def test_a_faulty_relayout_at_the_totals_row_raises_and_stops(monkeypatch):
     with pytest.raises(InvariantViolation, match="^the totals row carried out of slots"):
         rows, sizes, roots, steps = TOTALS_CASES["between-slots"]
         _packed_solve(*flat((rows, sizes)), roots, steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(union_closed_semilattices())
+def test_the_swap_identity_holds_on_random_semilattices(monoid):
+    # count(M x [a], n) == count(M x [n], a) for 0 <= a < n, wherever
+    # M x [n] has at most 12 elements, as swap_checks(12) bounds the
+    # named monoids; M x [0] is M itself, under another table.
+    def count(a, n):
+        product = make_product(monoid, make_chain(a))
+        return count_sequence(build_transfer_matrix(product), n).values[n]
+
+    for n in range(1, 12 // monoid.size):
+        for a in range(n):
+            assert count(a, n) == count(n, a)
 
 
 @pytest.mark.parametrize(
